@@ -6,6 +6,7 @@ from .binom import (
     SeededStream,
     binom_cdf,
     binom_pmf,
+    binom_sf,
     binom_tail_invert,
     draw_bernoulli,
 )

@@ -1,26 +1,60 @@
-"""Exact and numerically stable Bernoulli/binomial computations plus seeded sampling.
+"""Binomial pmf, cdf, survival function and tail inversion in floating point,
+plus seeded sampling.
 
-Small trial counts use exact rational arithmetic so test oracles can rely on
-exactness; larger counts switch to log-space evaluation with log-gamma.
+One kernel serves every call.  The pmf is Loader's saddle-point form,
+exp(lc) / sqrt(2 pi x (n - x) / n), with lc built from the Stirling-series
+error `stirlerr` and the deviance term `bd0` (C. Loader, "Fast and Accurate
+Computation of Binomial Probabilities", 2000; the algorithm behind R's
+`dbinom`).  `bd0` is evaluated in double-double arithmetic, so lc is exact to
+far below one unit in the last place even where it is in the hundreds; the
+pmf keeps a relative error of a few 1e-16 for values down to 1e-300.
+
+Tail sums start at the requested index and move away from the mode: terms
+come from the ratio recurrence in numpy chunks, each chunk re-anchored at a
+saddle-point value, and the sum stops once a term falls below 1e-17 of the
+partial sum.  A complement is taken only across the mode, of a tail of at
+most about 1/2, so it loses no relative accuracy.  Tail inversion is
+Newton's method on the log tail, safeguarded by a shrinking bracket.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
-# Below this trial count pmf/cdf values are computed with exact rationals.
-EXACT_N_MAX = 30
-
-# Working precision for large-n evaluation; double-precision log-gamma alone
-# cannot reach 1e-12 relative error once n is in the tens of thousands.
-_WORK_DPS = 40
-
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+# stirlerr(k) = log(k!) - log(sqrt(2 pi k) (k/e)^k) for k = 1..15, rounded
+# from 50-digit values; larger k use the asymptotic series in _stirlerr
+_STIRLERR = (
+    0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+)
+_S0, _S1, _S2, _S3, _S4 = 1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188
+
+# double-double constants: value = _HI + _LO
+_LN2_HI, _LN2_LO = 0.6931471805599453, 2.3190468138462996e-17
+_THIRD_HI, _THIRD_LO = 0.3333333333333333, 1.850371707708594e-17
+_SQRT_HALF = 0.7071067811865476
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
+_TWO_PI = 2.0 * math.pi
+# below this the ratio x / M in bd0 could overflow
+_TINY_MEAN = 1e-290
+
+# terms per numpy chunk of a tail sum; each chunk starts from a saddle-point
+# value, so recurrence rounding compounds over at most this many steps
+_CHUNK = 256
+# a tail sum stops once a term is below this fraction of the partial sum
+_TAIL_STOP = 1e-17
+# Newton stops after a step below this fraction of the iterate; convergence
+# is quadratic, so the error left is of the order of its square
+_NEWTON_RTOL = 1e-11
+_NEWTON_MAX_STEPS = 200
 
 
 def check_prob(p: float, name: str = "probability") -> float:
@@ -38,11 +72,196 @@ def check_trials(n: int, name: str = "n") -> int:
     return n
 
 
-def binom_pmf(n: int, b: float, y: int) -> float:
-    """Pr(Y = y) for Y ~ Bin(n, b).
+def _two_prod(a: float, b: float) -> tuple[float, float]:
+    """a * b as an unevaluated sum hi + lo, exact (Dekker)."""
+    p = a * b
+    t = _SPLIT * a
+    ah = t - (t - a)
+    al = a - ah
+    t = _SPLIT * b
+    bh = t - (t - b)
+    bl = b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
-    Exact rational arithmetic for n <= EXACT_N_MAX, log-space otherwise.
+
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    """a + b as hi + lo, exact (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _dd_div(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
+    """(ah + al) / (bh + bl) in double-double."""
+    q = ah / bh
+    ph, pl = _two_prod(q, bh)
+    r = (((ah - ph) - pl) + al - q * bl) / bh
+    s = q + r
+    return s, r - (s - q)
+
+
+def _log_dd(rh: float, rl: float) -> tuple[float, float]:
+    """log(rh + rl) in double-double, for rh > 0.
+
+    r = 2^k m with m in [1/sqrt 2, sqrt 2]; log m = 2 atanh(u) with
+    u = (m - 1)/(m + 1), |u| <= 0.172.  The terms 2u and 2u^3/3 are kept in
+    double-double; the rest of the series is below 1e-4 of log m.
     """
+    m, k = math.frexp(rh)
+    if m < _SQRT_HALF:
+        m *= 2.0
+        k -= 1
+    ml = math.ldexp(rl, -k)
+    dh, dl = _two_sum(m, 1.0)
+    uh, ul = _dd_div(m - 1.0, ml, dh, dl + ml)  # m - 1 is exact
+    u2h, u2l = _two_prod(uh, uh)
+    u2l += 2.0 * uh * ul
+    rest, t, j = 0.0, u2h * u2h, 5.0
+    while t > 1e-17 * rest:
+        rest += t / j
+        t *= u2h
+        j += 2.0
+    # s = 1 + u^2/3 + rest
+    ch, cl = _two_prod(u2h, _THIRD_HI)
+    cl += u2h * _THIRD_LO + u2l * _THIRD_HI
+    sh = 1.0 + ch
+    sl = (ch - (sh - 1.0)) + cl + rest
+    # log m = 2u s, plus k log 2
+    ph, pl = _two_prod(uh, sh)
+    pl += uh * sl + ul * sh
+    kh, kl = _two_prod(float(k), _LN2_HI)
+    hi, lo = _two_sum(kh, 2.0 * ph)
+    return hi, lo + kl + float(k) * _LN2_LO + 2.0 * pl
+
+
+def _bd0(x: float, mh: float, ml: float) -> tuple[float, float]:
+    """Deviance term x log(x/M) + M - x for x >= 1, M = mh + ml > 0, in
+    double-double.  It is the exponent's main part, up to about 745 where
+    the pmf is still representable, so it must be exact far below one ulp."""
+    if mh < _TINY_MEAN:  # x / M would overflow: log x - log M instead
+        ah, al = _log_dd(x, 0.0)
+        bh, bl = _log_dd(mh, ml)
+        lh, ll = _two_sum(ah, -bh)
+        ll += al - bl
+    else:
+        lh, ll = _log_dd(*_dd_div(x, 0.0, mh, ml))
+    ph, pl = _two_prod(x, lh)
+    s, e = _two_sum(ph, mh)
+    hi, e2 = _two_sum(s, -x)
+    return hi, e2 + e + pl + x * ll + ml
+
+
+def _stirlerr(k: float) -> float:
+    """log(k!) - log(sqrt(2 pi k) (k/e)^k) for integer k >= 1."""
+    if k <= 15.0:
+        return _STIRLERR[int(k) - 1]
+    kk = k * k
+    if k > 500.0:
+        return (_S0 - _S1 / kk) / k
+    if k > 80.0:
+        return (_S0 - (_S1 - _S2 / kk) / kk) / k
+    if k > 35.0:
+        return (_S0 - (_S1 - (_S2 - _S3 / kk) / kk) / kk) / k
+    return (_S0 - (_S1 - (_S2 - (_S3 - _S4 / kk) / kk) / kk) / kk) / k
+
+
+def _exp_dd(hi: float, lo: float) -> float:
+    """exp(hi + lo); lo need not be below one ulp of hi."""
+    hi, lo = _two_sum(hi, lo)
+    return math.exp(hi) * (1.0 + lo)
+
+
+def _complement(b: float) -> tuple[float, float]:
+    """1 - b as hi + lo, exact."""
+    qh = 1.0 - b
+    return qh, (1.0 - qh) - b
+
+
+def _pmf(n: int, x: int, p: float, qh: float, ql: float) -> float:
+    """Pr(Y = x) for Y ~ Bin(n, p), 0 < p < 1, q = qh + ql = 1 - p exactly."""
+    nf = float(n)
+    if x == 0 or x == n:
+        if n == 0:
+            return 1.0
+        if x == 0:  # q^n = exp(-bd0(n, nq) - np)
+            mh, ml = _two_prod(nf, qh)
+            ml += nf * ql
+            eh, el = _two_prod(nf, p)
+        else:  # p^n = exp(-bd0(n, np) - nq)
+            mh, ml = _two_prod(nf, p)
+            eh, el = _two_prod(nf, qh)
+            el += nf * ql
+        dh, dl = _bd0(nf, mh, ml)
+        lh, ll = _two_sum(-dh, -eh)
+        return _exp_dd(lh, ll - dl - el)
+    xf = float(x)
+    yf = nf - xf
+    mh, ml = _two_prod(nf, p)
+    ah, al = _bd0(xf, mh, ml)
+    mh, ml = _two_prod(nf, qh)
+    bh, bl = _bd0(yf, mh, ml + nf * ql)
+    lh, ll = _two_sum(-ah, -bh)
+    ll += (_stirlerr(nf) - _stirlerr(xf) - _stirlerr(yf)) - al - bl
+    return _exp_dd(lh, ll) / math.sqrt(_TWO_PI * xf * yf / nf)
+
+
+def _mode(n: int, b: float) -> int:
+    return min(int((n + 1) * b), n)
+
+
+def _terms(n: int, p: float, qh: float, ql: float, k: int, step: int, count: int) -> np.ndarray:
+    """pmf(k), pmf(k + step), ..., `count` values moving away from the mode
+    (step = +1 above it, -1 below it).  Values past the first one that
+    underflows are left at zero: they are smaller still."""
+    out = np.zeros(count)
+    if step > 0:
+        factor = _dd_div(p, 0.0, qh, ql)[0]
+    else:
+        factor = _dd_div(qh, ql, p, 0.0)[0]
+    for start in range(0, count, _CHUNK):
+        k0 = k + step * start
+        anchor = _pmf(n, k0, p, qh, ql)
+        if anchor == 0.0:
+            break
+        size = min(_CHUNK, count - start)
+        out[start] = anchor
+        if size == 1:
+            continue
+        chunk = out[start : start + size]
+        # pmf(i + 1) / pmf(i) = (n - i) p / ((i + 1) q) for i = k0, k0 + 1, ...;
+        # pmf(i - 1) / pmf(i) = i q / ((n - i + 1) p) for i = k0, k0 - 1, ...
+        if step > 0:
+            num = np.arange(n - k0, n - k0 - size + 1, -1, dtype=float)
+            den = np.arange(k0 + 1, k0 + size, dtype=float)
+        else:
+            num = np.arange(k0, k0 - size + 1, -1, dtype=float)
+            den = np.arange(n - k0 + 1, n - k0 + size, dtype=float)
+        np.divide(num, den, out=chunk[1:])
+        chunk[1:] *= factor
+        np.cumprod(chunk, out=chunk)
+    return out
+
+
+def _tail(n: int, b: float, j: int) -> tuple[float, bool]:
+    """The tail on the far side of the mode from j, for 0 <= j < n and
+    0 < b < 1: (Pr(Y <= j), True) when j is below the mode, else
+    (Pr(Y > j), False).  Either value is at most about 1/2, so its
+    complement loses nothing."""
+    qh, ql = _complement(b)
+    lower = j < _mode(n, b)
+    k, step, end = (j, -1, 0) if lower else (j + 1, 1, n)
+    total = 0.0
+    while True:
+        count = min(_CHUNK, abs(end - k) + 1)
+        terms = _terms(n, b, qh, ql, k, step, count)
+        total += float(terms.sum())
+        k += step * count
+        if k - step == end or terms[-1] <= _TAIL_STOP * total:
+            return total, lower
+
+
+def binom_pmf(n: int, b: float, y: int) -> float:
+    """Pr(Y = y) for Y ~ Bin(n, b), by the saddle-point formula."""
     n = check_trials(n)
     b = check_prob(b, "b")
     y = int(y)
@@ -52,44 +271,23 @@ def binom_pmf(n: int, b: float, y: int) -> float:
         return 1.0 if y == 0 else 0.0
     if b == 1.0:
         return 1.0 if y == n else 0.0
-    if n <= EXACT_N_MAX:
-        bf = Fraction(b)
-        return float(math.comb(n, y) * bf**y * (1 - bf) ** (n - y))
-    return _pmf_large(n, b, y)
-
-
-def _pmf_large(n: int, b: float, y: int) -> float:
-    with mp.workdps(_WORK_DPS):
-        bb = mp.mpf(b)
-        value = mp.binomial(n, y) * bb**y * (mp.mpf(1) - bb) ** (n - y)
-        return float(value)
+    return _pmf(n, y, b, *_complement(b))
 
 
 def binom_pmf_vector(n: int, b: float) -> np.ndarray:
-    """All pmf values Pr(Y = y) for y = 0..n as a float array."""
+    """All pmf values Pr(Y = y) for y = 0..n as a float array, by the ratio
+    recurrence outward from the mode."""
     n = check_trials(n)
     b = check_prob(b, "b")
-    if b == 0.0:
+    if b in (0.0, 1.0):
         out = np.zeros(n + 1)
-        out[0] = 1.0
+        out[0 if b == 0.0 else n] = 1.0
         return out
-    if b == 1.0:
-        out = np.zeros(n + 1)
-        out[n] = 1.0
-        return out
-    if n <= EXACT_N_MAX:
-        return np.array([binom_pmf(n, b, y) for y in range(n + 1)])
-    # extended-precision recurrence anchored at the mode; values that
-    # underflow in the far tails are negligible at double precision anyway
-    mode = min(max(int((n + 1) * b), 0), n)
-    out = np.zeros(n + 1, dtype=np.longdouble)
-    out[mode] = np.longdouble(_pmf_large(n, b, mode))
-    ratio_b = np.longdouble(b) / np.longdouble(1.0 - b)
-    for y in range(mode, n):
-        out[y + 1] = out[y] * ratio_b * np.longdouble(n - y) / np.longdouble(y + 1)
-    for y in range(mode, 0, -1):
-        out[y - 1] = out[y] / ratio_b * np.longdouble(y) / np.longdouble(n - y + 1)
-    return out.astype(float)
+    qh, ql = _complement(b)
+    mode = _mode(n, b)
+    down = _terms(n, b, qh, ql, mode, -1, mode + 1)
+    up = _terms(n, b, qh, ql, mode, 1, n - mode + 1)
+    return np.concatenate((down[:0:-1], up))
 
 
 def binom_cdf(n: int, b: float, j: int) -> float:
@@ -101,20 +299,57 @@ def binom_cdf(n: int, b: float, j: int) -> float:
         return 0.0
     if j >= n:
         return 1.0
-    if n <= EXACT_N_MAX and b not in (0.0, 1.0):
-        bf = Fraction(b)
-        total = sum(math.comb(n, y) * bf**y * (1 - bf) ** (n - y) for y in range(j + 1))
-        return float(total)
-    return min(1.0, math.fsum(binom_pmf_vector(n, b)[: j + 1]))
+    if b in (0.0, 1.0):
+        return 1.0 if b == 0.0 else 0.0
+    tail, lower = _tail(n, b, j)
+    return tail if lower else 1.0 - tail
+
+
+def binom_sf(n: int, b: float, j: int) -> float:
+    """Pr(Y > j) for Y ~ Bin(n, b); total on integers (j < 0 -> 1, j >= n -> 0)."""
+    n = check_trials(n)
+    b = check_prob(b, "b")
+    j = int(j)
+    if j < 0:
+        return 1.0
+    if j >= n:
+        return 0.0
+    if b in (0.0, 1.0):
+        return 0.0 if b == 0.0 else 1.0
+    tail, lower = _tail(n, b, j)
+    return 1.0 - tail if lower else tail
+
+
+def _normal_quantile(t: float) -> float:
+    """z with Pr(Z > z) = t for 0 < t <= 1/2, to about 5e-4 (Abramowitz and
+    Stegun 26.2.23); only a starting point for Newton's method."""
+    s = math.sqrt(-2.0 * math.log(t))
+    return s - (2.515517 + 0.802853 * s + 0.010328 * s * s) / (
+        1.0 + 1.432788 * s + 0.189269 * s * s + 0.001308 * s * s * s
+    )
+
+
+def _wilson_lower(n: int, y: int, z: float) -> float:
+    """Lower Wilson score bound y^2 / (n (y + z^2/2 + z s)), free of cancellation."""
+    s = math.sqrt(y * (n - y) / n + z * z / 4.0)
+    return y * y / (n * (y + z * z / 2.0 + z * s))
 
 
 def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
     """Solve a binomial tail equation for the success probability b.
 
     side="upper" returns the b with Pr(Y <= y) = target; side="lower" the b
-    with Pr(Y >= y) = target.  The tails are monotone in b, so bisection to
-    absolute tolerance 1e-12 finds the unique root.  Degenerate cases with no
-    sign change on [0, 1] return the boundary value 0 or 1.
+    with Pr(Y >= y) = target.  These are the beta quantiles
+    B(1 - target; y + 1, n - y) and B(target; y, n - y + 1).  Degenerate
+    cases with no root in (0, 1) return the boundary value 0 or 1.
+
+    Newton's method runs on the log tail as a function of log b (lower) or
+    log(1 - b) (upper).  Both are concave, as the beta densities involved
+    are log-concave, so after at most one overshoot the iterates approach
+    the root from one side.  The derivative of the tail in b is
+    -n pmf_{n-1}(y) (upper) or n pmf_{n-1}(y - 1) (lower).  A step that
+    leaves the bracket, which shrinks at every step, is replaced by
+    bisection.  Iteration stops after a step below 1e-11 of b.
     """
     n = check_trials(n)
     y = int(y)
@@ -125,31 +360,42 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
         raise ValueError(f"target must lie in (0, 1), got {target}")
     if side not in ("lower", "upper"):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
+    upper = side == "upper"
+    if upper and y == n:  # Pr(Y <= n) == 1 for every b: no root
+        return 1.0
+    if not upper and y == 0:  # Pr(Y >= 0) == 1 for every b: no root
+        return 0.0
 
-    if side == "upper":
-        if y == n:  # Pr(Y <= n) == 1 for every b: no root
-            return 1.0
-        f = lambda b: binom_cdf(n, b, y) - target  # decreasing in b
-        lo, hi = 0.0, 1.0
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if f(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-    else:
-        if y == 0:  # Pr(Y >= 0) == 1 for every b: no root
-            return 0.0
-        g = lambda b: (1.0 - binom_cdf(n, b, y - 1)) - target  # increasing in b
-        lo, hi = 0.0, 1.0
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if g(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+    z = _normal_quantile(target) if target < 0.5 else 0.0
+    b = 1.0 - _wilson_lower(n, n - y, z) if upper else _wilson_lower(n, y, z)
+    b = min(max(b, 1e-300), 1.0 - 2.0**-53)
+    log_target = math.log(target)
+    lo, hi = 0.0, 1.0
+    for _ in range(_NEWTON_MAX_STEPS):
+        qh, ql = _complement(b)
+        if upper:
+            tail = binom_cdf(n, b, y)
+            # d log tail / d log(1 - b)
+            slope = n * _pmf(n - 1, y, b, qh, ql) * qh / tail if tail > 0.0 else 0.0
+        else:
+            tail = binom_sf(n, b, y - 1)
+            # d log tail / d log b
+            slope = n * _pmf(n - 1, y - 1, b, qh, ql) * b / tail if tail > 0.0 else 0.0
+        h = math.log(tail) - log_target if tail > 0.0 else -math.inf
+        if h == 0.0:
+            return b
+        if (h > 0.0) == upper:
+            lo = b
+        else:
+            hi = b
+        if slope > 0.0:
+            newton = -math.expm1(math.log1p(-b) - h / slope) if upper else b * math.exp(-h / slope)
+            if abs(newton - b) <= _NEWTON_RTOL * b and lo <= newton <= hi:
+                return newton
+            b = newton if lo < newton < hi else 0.5 * (lo + hi)
+        else:
+            b = 0.5 * (lo + hi)
+    raise ArithmeticError(f"binom_tail_invert({n}, {y}, {target}, {side!r}) did not converge")
 
 
 def _mix64(a: int, b: int) -> int:

@@ -154,6 +154,8 @@ def estimate_SE_probability(
     eps = params.epsilon
     one_minus_E = 1.0 - params.coverage_E
     exact_inner = isinstance(inm, IndicatorINM) and inm.target_prob is not None
+    # a score-0 candidate has p-value 1, so the set includes it iff 1 > epsilon
+    zero_in = eps < 1
 
     covered = 0
     decomposition: dict[str, float] = {}
@@ -163,10 +165,12 @@ def estimate_SE_probability(
         cal = CalibrationScores(tuple(inm.score_many(cal_points)))
         binary = set(cal.scores) <= {0.0, 1.0}
         if binary:
-            full_space = inp_contains(cal, 1.0, eps)  # score-0 reps always in for eps < 1
-            kind = "full_space" if full_space else "q_complement"
+            full_space = inp_contains(cal, 1.0, eps)  # score 1 is in, hence score 0 too
         if exact_inner and binary:
-            g_i = 1.0 if full_space else 1.0 - inm.target_prob
+            if not zero_in:
+                g_i = 0.0  # epsilon = 1: the set is empty
+            else:
+                g_i = 1.0 if full_space else 1.0 - inm.target_prob
         else:
             test_scores = inm.score_many(sampler(rng, n_test))
             sorted_cal = np.sort(cal.scores)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .binom import binom_cdf, check_prob, check_trials
+from .binom import binom_cdf, binom_sf, check_prob, check_trials
 from .conformal import PacBound, PacParams, as_fraction, theorem1_bound
 
 
@@ -84,7 +84,7 @@ def exact_SE_probability(model: IndicatorModel, epsilon, coverage_E: float) -> E
     params = PacParams(epsilon=eps, coverage_E=E, n=model.n)
     j = params.J
     # predictor is the full space iff ones_count >= J + 1
-    prob_fullspace = 1.0 - binom_cdf(model.n, model.b, j) if j >= 0 else 1.0
+    prob_fullspace = binom_sf(model.n, model.b, j) if j >= 0 else 1.0
     if model.b <= E:
         prob_qbar_covering = 1.0 - prob_fullspace
         prob_SE = 1.0

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .binom import (
     SeededStream,
     binom_pmf_vector,
@@ -158,13 +160,13 @@ def pac_form_check(
     if mc_trials < 1:
         raise ValueError(f"mc_trials must be >= 1, got {mc_trials}")
     rng = stream.rng()
-    contains = [estimator.interval(y).contains(b) for y in range(n + 1)]
+    contains = np.array([estimator.interval(y).contains(b) for y in range(n + 1)])
     hits = 0
     chunk = 1 << 16
     done = 0
     while done < mc_trials:
         m = min(chunk, mc_trials - done)
         ys = (rng.random((m, n)) < b).sum(axis=1)
-        hits += sum(contains[y] for y in ys)
+        hits += int(contains[ys].sum())
         done += m
     return hits / mc_trials

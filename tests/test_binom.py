@@ -1,17 +1,23 @@
 """Tests for exact binomial computations and seeded streams."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import berncert
 from berncert.binom import (
     SeededStream,
     binom_cdf,
     binom_pmf,
     binom_pmf_vector,
+    binom_sf,
     binom_tail_invert,
     draw_bernoulli,
 )
@@ -133,6 +139,150 @@ class TestTailInvert:
     def test_round_trip_lower(self, n, y, t):
         b = binom_tail_invert(n, y, t, "lower")
         assert 1 - binom_cdf(n, b, y - 1) == pytest.approx(t, abs=1e-10)
+
+
+# ---------------------------------------------------------------- kernel accuracy
+#
+# Oracle: 40-digit mpmath.  A tail is summed from its start away from the
+# mode until the terms fall below 1e-45 of the sum; the tail across the mode
+# is its complement, which 40 digits hold exactly enough.
+
+MP_DPS = 40
+KERNEL_RTOL = 1e-13
+SMALLEST_CHECKED = 1e-300  # below this the double result may be subnormal
+
+
+def mp_pmf(n, b, x):
+    b = mp.mpf(b)
+    return mp.binomial(n, x) * b**x * (1 - b) ** (n - x)
+
+
+def mp_tail_from(n, b, j, step):
+    """sum of pmf(k) for k = j, j + step, ... while terms still matter"""
+    term = total = mp_pmf(n, b, j)
+    ratio = mp.mpf(b) / (1 - mp.mpf(b))
+    k, mean = j, n * b
+    while (k > 0) if step < 0 else (k < n):
+        if step > 0:
+            term = term * (n - k) / (k + 1) * ratio
+        else:
+            term = term * k / (n - k + 1) / ratio
+        k += step
+        total += term
+        past_mode = k > mean if step > 0 else k < mean
+        if past_mode and term < total * mp.mpf(10) ** -45:
+            break
+    return total
+
+
+def mp_cdf_sf(n, b, j):
+    """(Pr(Y <= j), Pr(Y > j)), the smaller one summed directly"""
+    if j >= n:
+        return mp.mpf(1), mp.mpf(0)
+    if j < (n + 1) * b:
+        below = mp_tail_from(n, b, j, -1)
+        return below, 1 - below
+    above = mp_tail_from(n, b, j + 1, 1)
+    return 1 - above, above
+
+
+def relative_error(got, exact):
+    return float(abs(mp.mpf(got) - exact) / exact)
+
+
+def kernel_cases():
+    """(n, b, j) over n up to 1e6; b subnormal, within 1e-12 of 0 and 1, and
+    in between; j at the edges and at z = 0..37 standard deviations, where
+    the tails reach down to about 1e-300."""
+    cases = []
+    for n in (1, 2, 7, 30, 31, 100, 1000, 10**4, 10**5, 10**6):
+        for b in (5e-324, 2.2250738585e-313, 1e-300, 1e-12, 1e-5, 0.01, 0.3, 0.5,
+                  0.7331, 0.99, 1 - 1e-12):
+            sd = math.sqrt(n * b * (1 - b))
+            js = {0, 1, n - 1, n}
+            for z in (-37, -25, -12, -4, -1, 0, 1, 4, 12, 25, 37):
+                js.add(int(n * b + z * sd))
+            cases += [(n, b, j) for j in sorted(js) if 0 <= j <= n]
+    return cases
+
+
+class TestKernelAccuracy:
+    @pytest.fixture(autouse=True)
+    def _precision(self):
+        with mp.workdps(MP_DPS):
+            yield
+
+    def test_pmf_cdf_sf_against_mpmath(self):
+        checked = 0
+        for n, b, j in kernel_cases():
+            cdf_exact, sf_exact = mp_cdf_sf(n, b, j)
+            for name, got, exact in (
+                ("pmf", binom_pmf(n, b, j), mp_pmf(n, b, j)),
+                ("cdf", binom_cdf(n, b, j), cdf_exact),
+                ("sf", binom_sf(n, b, j), sf_exact),
+            ):
+                if exact >= SMALLEST_CHECKED:
+                    err = relative_error(got, exact)
+                    assert err <= KERNEL_RTOL, (name, n, b, j, got, float(exact), err)
+                    checked += 1
+        assert checked > 1000
+
+    @pytest.mark.parametrize(
+        "n,b,j",
+        [
+            (1000, 0.5, 1),  # 1001 / 2^1000 = 9.3e-299
+            (10**6, 0.01, 12_500),  # far from the mode, 1e-126
+            (10**5, 0.3, 28_000),
+            (30, 1e-12, 2),
+            (30, 1 - 1e-12, 27),
+            (10**6, 1e-6, 40),
+        ],
+    )
+    def test_deep_tails(self, n, b, j):
+        # the tail on the far side of the mode from j
+        cdf_exact, sf_exact = mp_cdf_sf(n, b, j)
+        if j < (n + 1) * b:
+            got, exact = binom_cdf(n, b, j), cdf_exact
+        else:
+            got, exact = binom_sf(n, b, j), sf_exact
+        assert SMALLEST_CHECKED <= exact <= 1e-20
+        assert relative_error(got, exact) <= KERNEL_RTOL
+
+    def test_cdf_plus_sf_is_one(self):
+        for n, b, j in kernel_cases():
+            assert abs(binom_cdf(n, b, j) + binom_sf(n, b, j) - 1.0) <= 1e-15
+
+    def test_subnormal_b(self):
+        for b in (5e-324, 2.2250738585e-313):
+            assert [binom_cdf(23, b, j) for j in range(24)] == [1.0] * 24
+            assert binom_pmf(23, b, 0) == 1.0
+            assert 0.0 <= binom_sf(23, b, 0) <= 24 * b
+
+    @pytest.mark.parametrize("n,b", [(30, 0.3), (31, 0.01), (1000, 0.97), (10**5, 0.3)])
+    def test_pmf_vector_matches_pmf(self, n, b):
+        vec = binom_pmf_vector(n, b)
+        assert vec.shape == (n + 1,)
+        for y in range(0, n + 1, max(1, n // 997)):
+            exact = binom_pmf(n, b, y)
+            if exact >= SMALLEST_CHECKED:
+                assert abs(vec[y] - exact) <= KERNEL_RTOL * exact, (n, b, y)
+
+    def test_sf_total_on_integers(self):
+        assert binom_sf(4, 0.3, -1) == 1.0
+        assert binom_sf(4, 0.3, 4) == 0.0
+        assert binom_sf(4, 0.3, 100) == 0.0
+        assert binom_sf(4, 0.0, 0) == 0.0
+        assert binom_sf(4, 1.0, 3) == 1.0
+
+
+def test_import_does_not_load_mpmath():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(berncert.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, berncert; print('mpmath' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "False"
 
 
 class TestSeededStream:

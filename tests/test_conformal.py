@@ -190,6 +190,22 @@ class TestEstimateSE:
         )
         assert abs(mc.h_hat - exact_inner.h_hat) <= 0.1
 
+    def test_epsilon_one_empty_set_in_both_branches(self):
+        # at epsilon = 1 no p-value exceeds epsilon: the set is empty, inner
+        # coverage is 0, and the exact-inner branch must agree with sampling
+        b = 0.3
+        kwargs = dict(
+            sampler=indicator_sampler(b),
+            params=PacParams(Fraction(1), 0.6, 2),
+            n_cal=2000,
+            n_test=50,
+            stream=SeededStream(12),
+        )
+        exact_inner = estimate_SE_probability(IndicatorINM(lambda z: z == 1, target_prob=b), **kwargs)
+        sampled = estimate_SE_probability(IndicatorINM(lambda z: z == 1), **kwargs)
+        assert exact_inner.h_hat == 0.0
+        assert sampled.h_hat == 0.0
+
     def test_deterministic_given_stream(self):
         kwargs = dict(
             inm=IndicatorINM(lambda z: z == 1),

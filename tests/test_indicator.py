@@ -128,6 +128,17 @@ class TestExactSE:
         assert r.prob_SE == r.prob_fullspace
 
 
+    def test_tiny_fullspace_probability_keeps_relative_accuracy(self):
+        # the full space needs ones_count >= J + 1 = 39 of 40 at b = 0.01:
+        # a probability of about 4e-78, which 1 - Pr(Y <= J) would round to 0
+        b = 0.01
+        r = exact_SE_probability(IndicatorModel(b, 40), Fraction(39, 41), 0.005)
+        bf = Fraction(b)
+        exact = sum(math.comb(40, k) * bf**k * (1 - bf) ** (40 - k) for k in (39, 40))
+        assert r.prob_fullspace == pytest.approx(float(exact), rel=1e-13)
+        assert r.prob_SE == r.prob_fullspace
+
+
 class TestExample1Enumeration:
     def test_figure1_distribution(self):
         table = enumerate_example1(0.3, 0.8, 0.5)

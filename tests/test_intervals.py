@@ -1,6 +1,9 @@
 """Tests for interval estimators and exact coverage evaluation."""
 
+import mpmath as mp
+import numpy as np
 import pytest
+from scipy.special import betaincinv
 from scipy.stats import beta as beta_dist
 
 from berncert.binom import SeededStream
@@ -73,6 +76,54 @@ class TestClopperPearson:
     def test_interval_estimate_invariant(self):
         with pytest.raises(ValueError):
             IntervalEstimate(lower=0.6, upper=0.4, alpha=0.05, n=10, y=3)
+
+
+class TestClopperPearsonAccuracy:
+    """Endpoints to 1e-12 relative: against betaincinv up to n = 1e4, and at
+    n = 1e6, where betaincinv itself is off by up to 1e-11, against a root
+    of the exact tail polynomial found by mpmath."""
+
+    RTOL = 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 31, 100, 1000, 10_000])
+    @pytest.mark.parametrize("alpha", [0.2, 0.05, 0.01])
+    def test_matches_betaincinv(self, n, alpha):
+        rng = np.random.default_rng(n)
+        ys = {0, 1, 2, n // 3, n // 2, n - 2, n - 1, n, *map(int, rng.integers(0, n + 1, 5))}
+        for y in sorted(y for y in ys if 0 <= y <= n):
+            iv = clopper_pearson(n, y, alpha)
+            if y > 0:
+                ref = betaincinv(y, n - y + 1, alpha / 2)
+                assert abs(iv.lower - ref) <= self.RTOL * ref, (n, y, alpha, iv.lower, ref)
+            if y < n:
+                ref = betaincinv(y + 1, n - y, 1 - alpha / 2)
+                assert abs(iv.upper - ref) <= self.RTOL * ref, (n, y, alpha, iv.upper, ref)
+
+    @pytest.mark.parametrize("y", [1, 2, 10**6 - 1])
+    @pytest.mark.parametrize("alpha", [0.05, 0.01])
+    def test_million_trials_against_exact_tail(self, y, alpha):
+        n = 10**6
+
+        def pmf(b, k):
+            return mp.binomial(n, k) * b**k * (1 - b) ** (n - k)
+
+        def below(b, j):  # Pr(Y <= j) from its few terms on the short side
+            if j < n // 2:
+                return mp.fsum(pmf(b, k) for k in range(j + 1))
+            return 1 - mp.fsum(pmf(b, k) for k in range(j + 1, n + 1))
+
+        def root(f, start):
+            # betaincinv brackets the root to 1e-6; the solver refines it to 40 digits
+            start = mp.mpf(start)
+            return mp.findroot(f, (start * (1 - 1e-6), start * (1 + 1e-6)), solver="anderson")
+
+        iv = clopper_pearson(n, y, alpha)
+        with mp.workdps(40):
+            t = mp.mpf(alpha) / 2
+            lower = root(lambda b: (1 - below(b, y - 1)) - t, betaincinv(y, n - y + 1, alpha / 2))
+            upper = root(lambda b: below(b, y) - t, betaincinv(y + 1, n - y, 1 - alpha / 2))
+            assert abs(iv.lower - lower) <= self.RTOL * lower
+            assert abs(iv.upper - upper) <= self.RTOL * upper
 
 
 class DegenerateEstimator:
