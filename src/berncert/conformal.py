@@ -183,7 +183,9 @@ def estimate_SE_probability(
         is_covered = g_i >= one_minus_E
         covered += is_covered
         if binary:
-            if full_space:
+            if not zero_in:
+                key = "empty"
+            elif full_space:
                 key = "full_space"
             else:
                 key = "q_complement_covering" if is_covered else "q_complement_missing"

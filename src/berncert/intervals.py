@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .binom import (
     SeededStream,
+    binom_cdf,
     binom_pmf_vector,
+    binom_sf,
     binom_tail_invert,
     check_prob,
     check_trials,
@@ -113,8 +116,11 @@ class ValidityReport:
 def endpoint_augmented_grid(estimator, n: int, step: float = 0.001, eps: float = 1e-9) -> list[float]:
     """Uniform b-grid plus every interval endpoint +- eps.
 
-    Coverage as a function of b is piecewise with breakpoints exactly at the
-    estimator endpoints; probing them catches dips a uniform grid misses.
+    The grid to pass as `b_grid` to `verify_conservative_validity` for an
+    estimator whose endpoints are not monotone in y, where the exact
+    certificate does not apply.  Coverage as a function of b is piecewise
+    with breakpoints exactly at the estimator endpoints; probing them catches
+    dips a uniform grid misses, but a verdict on the grid is only a sample.
     """
     points = {round(k * step, 12) for k in range(int(round(1.0 / step)) + 1)}
     for y in range(n + 1):
@@ -127,19 +133,77 @@ def endpoint_augmented_grid(estimator, n: int, step: float = 0.001, eps: float =
     return sorted(points)
 
 
+def _range_probability(n: int, b: float, lo: int, hi: int) -> float:
+    """Pr(lo <= Y <= hi) for Y ~ Bin(n, b), from the two tails outside it."""
+    if lo > hi:
+        return 0.0
+    return max(0.0, 1.0 - binom_cdf(n, b, lo - 1) - binom_sf(n, b, hi))
+
+
+def _coverage_infimum(estimator, n: int) -> tuple[float, float]:
+    """(inf of coverage over b in [0, 1], a b next to where it is approached)
+    for an estimator whose endpoints are nondecreasing in y.
+
+    Between consecutive distinct endpoints c < d (0 and 1 included) the
+    covering set is fixed: {y : lower_y <= c and upper_y >= d}, which for
+    monotone endpoints is the range lo..hi.  On that piece the coverage
+    Pr(lo <= Y <= hi) has derivative n [pmf_{n-1}(lo - 1) - pmf_{n-1}(hi)]
+    in b; the ratio of the two terms is a power of (1 - b)/b, so the sign
+    changes at most once, from + to -, and the infimum on the piece is the
+    smaller of its limits at c and d.  The intervals are closed, so the
+    covering set at a breakpoint contains those of both pieces beside it,
+    and the coverage there is at least both one-sided limits.  The smallest
+    limit over all pieces is therefore the infimum over [0, 1].
+
+    The b returned is the double next to the limiting breakpoint on the
+    piece's side, where `coverage_probability` sees the piece's covering set
+    and, up to rounding, the same coverage.  A piece with no double inside
+    it still counts towards the infimum; its b is then its other end.
+    """
+    ivs = [estimator.interval(y) for y in range(n + 1)]
+    lowers = [iv.lower for iv in ivs]
+    uppers = [iv.upper for iv in ivs]
+    if any(prev > nxt for ends in (lowers, uppers) for prev, nxt in zip(ends, ends[1:])):
+        raise ValueError(
+            "the exact validity certificate needs interval endpoints that are "
+            "nondecreasing in y; pass an explicit b_grid, such as "
+            "endpoint_augmented_grid(estimator, n), for this estimator"
+        )
+    breaks = sorted({0.0, 1.0, *lowers, *uppers})
+    worst_b, worst_cov = 0.0, 2.0
+    for c, d in zip(breaks, breaks[1:]):
+        lo = bisect_left(uppers, d)  # first y with upper_y >= d
+        hi = bisect_right(lowers, c) - 1  # last y with lower_y <= c
+        for end, inside in ((c, d), (d, c)):
+            cov = _range_probability(n, end, lo, hi)
+            if cov < worst_cov:
+                worst_b, worst_cov = math.nextafter(end, inside), cov
+    return worst_b, worst_cov
+
+
 def verify_conservative_validity(
     estimator, n: int, alpha: float, b_grid: list[float] | None = None
 ) -> ValidityReport:
-    """True iff exact coverage >= 1 - alpha at every grid point."""
+    """Is the coverage of `estimator` at least 1 - alpha for every b?
+
+    Without `b_grid` the verdict is exact: `worst_coverage` is the infimum
+    of the coverage over b in [0, 1], found from O(n) binomial tails at the
+    interval endpoints (see `_coverage_infimum`), and `worst_b` is a b at
+    which `coverage_probability` reproduces it.  This needs endpoints that
+    are nondecreasing in y, as Clopper-Pearson's are; other estimators raise
+    ValueError and must be given a grid.  With `b_grid` the verdict is the
+    minimum of the exact coverage over its points.
+    """
     if b_grid is None:
-        b_grid = endpoint_augmented_grid(estimator, n)
-    if not b_grid:
+        worst_b, worst_cov = _coverage_infimum(estimator, check_trials(n))
+    elif not b_grid:
         raise ValueError("b_grid must be nonempty")
-    worst_b, worst_cov = None, 2.0
-    for b in b_grid:
-        cov = coverage_probability(estimator, b, n).coverage
-        if cov < worst_cov:
-            worst_b, worst_cov = b, cov
+    else:
+        worst_b, worst_cov = None, 2.0
+        for b in b_grid:
+            cov = coverage_probability(estimator, b, n).coverage
+            if cov < worst_cov:
+                worst_b, worst_cov = b, cov
     return ValidityReport(
         valid=worst_cov >= 1.0 - alpha,
         worst_b=worst_b,
@@ -166,7 +230,6 @@ def pac_form_check(
     done = 0
     while done < mc_trials:
         m = min(chunk, mc_trials - done)
-        ys = (rng.random((m, n)) < b).sum(axis=1)
-        hits += int(contains[ys].sum())
+        hits += int(contains[rng.binomial(n, b, size=m)].sum())
         done += m
     return hits / mc_trials

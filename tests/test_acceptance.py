@@ -94,7 +94,8 @@ def test_criterion_2_brute_force_property_suite():
 
 
 def test_criterion_3_interval_validity():
-    """Exact coverage >= 1 - alpha over the endpoint-augmented b-grid."""
+    """The infimum of the exact coverage over every b in [0, 1] is >= 1 - alpha
+    (the exact certificate, no grid)."""
     start = time.monotonic()
     ok = True
     worst = 1.0

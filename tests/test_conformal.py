@@ -205,6 +205,8 @@ class TestEstimateSE:
         sampled = estimate_SE_probability(IndicatorINM(lambda z: z == 1), **kwargs)
         assert exact_inner.h_hat == 0.0
         assert sampled.h_hat == 0.0
+        assert exact_inner.decomposition == {"empty": 1.0}
+        assert sampled.decomposition == {"empty": 1.0}
 
     def test_deterministic_given_stream(self):
         kwargs = dict(

@@ -1,5 +1,9 @@
 """Tests for interval estimators and exact coverage evaluation."""
 
+import math
+from fractions import Fraction
+from statistics import NormalDist
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -182,6 +186,113 @@ class TestCoverage:
         assert est.interval(2).lower in grid
 
 
+def exact_coverage(covering, n, b):
+    """Pr(Y in covering) for Y ~ Bin(n, b), in exact rational arithmetic."""
+    bf = Fraction(b)
+    return sum(math.comb(n, y) * bf**y * (1 - bf) ** (n - y) for y in covering)
+
+
+def coverage_infimum_oracle(est, n):
+    """The smallest one-sided limit of the coverage at the ends of the pieces
+    between consecutive endpoints, each piece's covering set found by
+    scanning every y and its probability summed in rational arithmetic."""
+    ivs = [est.interval(y) for y in range(n + 1)]
+    breaks = sorted({0.0, 1.0, *(iv.lower for iv in ivs), *(iv.upper for iv in ivs)})
+    worst = Fraction(2)
+    for c, d in zip(breaks, breaks[1:]):
+        covering = [y for y, iv in enumerate(ivs) if iv.lower <= c and iv.upper >= d]
+        worst = min(worst, exact_coverage(covering, n, c), exact_coverage(covering, n, d))
+    return float(worst)
+
+
+class ClippedWald:
+    """p +- z sqrt(p (1 - p) / n) clipped to [0, 1].  At y = 0 and y = n it is
+    a single point, so its coverage tends to 0 as b tends to 0 or 1."""
+
+    def __init__(self, n, alpha):
+        z = NormalDist().inv_cdf(1 - alpha / 2)
+        self.table = []
+        for y in range(n + 1):
+            p = y / n
+            half = z * math.sqrt(p * (1 - p) / n)
+            self.table.append(
+                IntervalEstimate(lower=max(0.0, p - half), upper=min(1.0, p + half), alpha=alpha, n=n, y=y)
+            )
+
+    def interval(self, y):
+        return self.table[y]
+
+
+class LopsidedClopperPearson:
+    """Lower endpoints of Clopper-Pearson at level alpha_lower, upper ones at
+    alpha_upper.  With unequal levels the coverage is not symmetric about
+    b = 1/2: its deepest dips all lie on one side of the endpoints."""
+
+    def __init__(self, n, alpha_lower, alpha_upper):
+        self.lower, self.upper = ClopperPearson(n, alpha_lower), ClopperPearson(n, alpha_upper)
+
+    def interval(self, y):
+        lo, up = self.lower.interval(y), self.upper.interval(y)
+        return IntervalEstimate(lower=lo.lower, upper=up.upper, alpha=lo.alpha, n=lo.n, y=y)
+
+
+class SwappedClopperPearson:
+    """Clopper-Pearson with the intervals of y = 1 and y = 2 exchanged, so
+    its endpoints are not monotone in y."""
+
+    def __init__(self, n, alpha):
+        self.cp = ClopperPearson(n, alpha)
+
+    def interval(self, y):
+        return self.cp.interval({1: 2, 2: 1}.get(y, y))
+
+
+class TestValidityCertificate:
+    """The default verdict is the exact infimum of the coverage over [0, 1]."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10, 25, 60])
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
+    def test_clopper_pearson_infimum(self, n, alpha):
+        est = ClopperPearson(n, alpha)
+        report = verify_conservative_validity(est, n, alpha)
+        assert report.valid
+        assert report.worst_coverage >= 1 - alpha
+        grid = verify_conservative_validity(est, n, alpha, b_grid=endpoint_augmented_grid(est, n))
+        assert report.worst_coverage <= grid.worst_coverage
+
+    @pytest.mark.parametrize(
+        "est, n, alpha",
+        [(ClopperPearson(n, a), n, a) for n in (1, 3, 10, 25) for a in (0.01, 0.1)]
+        + [(ClippedWald(n, a), n, a) for n in (4, 10, 25) for a in (0.01, 0.1)]
+        + [(LopsidedClopperPearson(n, a, b), n, (a + b) / 2) for n in (3, 10, 25)
+           for a, b in ((0.01, 0.2), (0.2, 0.01))],
+    )
+    def test_matches_rational_oracle(self, est, n, alpha):
+        report = verify_conservative_validity(est, n, alpha)
+        assert abs(report.worst_coverage - coverage_infimum_oracle(est, n)) <= 1e-12
+        # worst_b sees the limiting piece's covering set and reproduces the infimum
+        b = report.worst_b
+        exact = float(exact_coverage([y for y in range(n + 1) if est.interval(y).contains(b)], n, b))
+        assert abs(report.worst_coverage - exact) <= 1e-12
+        assert abs(coverage_probability(est, b, n).coverage - exact) <= 1e-12
+
+    @pytest.mark.parametrize("n", [5, 30, 31])
+    @pytest.mark.parametrize("alpha", [0.01, 0.05])
+    def test_clipped_wald_invalid(self, n, alpha):
+        report = verify_conservative_validity(ClippedWald(n, alpha), n, alpha)
+        assert not report.valid
+        assert report.worst_coverage < 1 - alpha
+
+    def test_non_monotone_needs_grid(self):
+        est = SwappedClopperPearson(10, 0.05)
+        with pytest.raises(ValueError, match="b_grid"):
+            verify_conservative_validity(est, 10, 0.05)
+        grid = endpoint_augmented_grid(est, 10)
+        report = verify_conservative_validity(est, 10, 0.05, b_grid=grid)
+        assert report.worst_b in grid
+        assert report.worst_coverage == coverage_probability(est, report.worst_b, 10).coverage
+
+
 class TestPacFormCheck:
     def test_full_interval_exact_one(self):
         assert pac_form_check(FullInterval(n=10), 0.3, 10, 10_000, SeededStream(1)) == 1.0
@@ -192,8 +303,6 @@ class TestPacFormCheck:
         assert got == 1.0
 
     def test_matches_exact_enumeration(self):
-        import math
-
         est = ClopperPearson(10, 0.05)
         exact = coverage_probability(est, 0.5, 10).coverage
         trials = 100_000
