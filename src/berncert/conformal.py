@@ -17,15 +17,6 @@ import numpy as np
 from .binom import SeededStream, binom_cdf, check_prob
 
 
-def as_fraction(x) -> Fraction:
-    """Exact rational view of a probability-like input (Fraction, int, float, str)."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)  # float -> exact binary rational
-
-
 class NonconformityMeasure:
     """Score function with the training set fixed at construction."""
 
@@ -39,8 +30,9 @@ class NonconformityMeasure:
 class IndicatorINM(NonconformityMeasure):
     """Indicator nonconformity: 1 on the target set, 0 elsewhere.
 
-    Reduces conformal scores to Bernoulli trials; `target_prob`, when known,
-    enables exact inner-coverage computation instead of test sampling.
+    Reduces conformal scores to Bernoulli trials.  A known `target_prob`
+    makes `estimate_SE_probability` draw calibration ones-counts and use the
+    exact inner coverage, with no points sampled.
     """
 
     def __init__(self, in_target: Callable[[object], bool], target_prob: float | None = None):
@@ -72,7 +64,7 @@ def p_value(cal: CalibrationScores, candidate_score: float) -> Fraction:
 
 def inp_contains(cal: CalibrationScores, candidate_score: float, epsilon) -> bool:
     """Membership in the predicted set: p-value strictly greater than epsilon."""
-    eps = as_fraction(epsilon)
+    eps = Fraction(epsilon)
     if not (0 <= eps <= 1):
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon!r}")
     return p_value(cal, candidate_score) > eps
@@ -80,7 +72,7 @@ def inp_contains(cal: CalibrationScores, candidate_score: float, epsilon) -> boo
 
 def score_rank_threshold(epsilon, n: int) -> int:
     """Largest J with (J + 1)/(n + 1) <= epsilon, i.e. floor(epsilon*(n+1) - 1)."""
-    return math.floor(as_fraction(epsilon) * (n + 1) - 1)
+    return math.floor(Fraction(epsilon) * (n + 1) - 1)
 
 
 @dataclass(frozen=True)
@@ -90,7 +82,7 @@ class PacParams:
     n: int
 
     def __post_init__(self):
-        eps = as_fraction(self.epsilon)
+        eps = Fraction(self.epsilon)
         if not (0 <= eps <= 1):
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon!r}")
         object.__setattr__(self, "epsilon", eps)
@@ -131,6 +123,68 @@ class GuaranteeReport:
     n_test: int
 
 
+# elements of one chunk's score matrix in `estimate_SE_probability`; a
+# constant, so that seeded results depend on the inputs alone
+_CHUNK_ELEMENTS = 1 << 16
+
+
+def _shares(counts: dict[str, int], total: int) -> dict[str, float]:
+    return {key: count / total for key, count in counts.items() if count}
+
+
+def _indicator_shares(n_cal: int, full: int, covered: int) -> dict[str, float]:
+    """Decomposition by predicted set for indicator scores; the full space
+    always covers, so the `full` replicates are among the `covered`."""
+    counts = {
+        "full_space": full,
+        "q_complement_covering": covered - full,
+        "q_complement_missing": n_cal - covered,
+    }
+    return _shares(counts, n_cal)
+
+
+def indicator_coverage_event(
+    params: PacParams,
+    b: float,
+    n_cal: int,
+    rng: np.random.Generator,
+    n_test: int | None = None,
+) -> tuple[float, dict[str, float]]:
+    """Monte Carlo coverage event for indicator scores with known
+    P(score = 1) = b, from n_cal calibration ones-counts ~ Bin(N, b).
+
+    The predicted set is the full space when the count exceeds J, the
+    complement of the target set otherwise, and empty when J >= N
+    (epsilon = 1).  The complement's inner coverage is 1 - b, or
+    1 - Bin(n_test, b)/n_test when `n_test` is given.  Returns h_hat and its
+    decomposition by predicted set.
+    """
+    one_minus_E = 1.0 - params.coverage_E
+    J = params.J
+    if J >= params.n:
+        return (1.0 if 0.0 >= one_minus_E else 0.0), {"empty": 1.0}
+    full = int(np.count_nonzero(rng.binomial(params.n, b, size=n_cal) > J))
+    if n_test is None:
+        covered = n_cal if 1.0 - b >= one_minus_E else full
+    else:
+        hits = rng.binomial(n_test, b, size=n_cal - full)
+        covered = full + int(np.count_nonzero(1.0 - hits / n_test >= one_minus_E))
+    return covered / n_cal, _indicator_shares(n_cal, full, covered)
+
+
+def score_threshold(scores: np.ndarray, J: int) -> np.ndarray:
+    """For each row of calibration scores, the largest score in the predicted
+    set: the (J + 1)-th largest calibration score, +inf when J < 0 and -inf
+    when J >= N.  A candidate is in the set iff its score is <= this, which
+    is the exact test of `inp_contains`."""
+    n = scores.shape[1]
+    if J < 0:
+        return np.full(len(scores), np.inf)
+    if J >= n:
+        return np.full(len(scores), -np.inf)
+    return np.partition(scores, n - 1 - J, axis=1)[:, n - 1 - J]
+
+
 def estimate_SE_probability(
     inm: NonconformityMeasure,
     sampler: Callable[[np.random.Generator, int], Sequence],
@@ -140,63 +194,37 @@ def estimate_SE_probability(
     stream: SeededStream,
 ) -> GuaranteeReport:
     """Monte Carlo estimate of the probability that the predictor attains
-    inner coverage >= 1 - E.
+    inner coverage >= 1 - E, over n_cal calibration replicates.
 
-    Each calibration replicate i draws a fresh calibration set; the inner
-    coverage g_i is estimated from n_test fresh draws, or computed exactly
-    when `inm` is an indicator with known target probability.  Replicates use
-    derived substreams, so results are independent of evaluation order.
+    An indicator with known target probability takes calibration ones-counts
+    and exact inner coverage (`indicator_coverage_event`) and never calls
+    `sampler`.  Any other measure scores sampled points, in chunks of
+    replicates: one (m x N) calibration matrix and one (m x n_test) test
+    matrix per chunk, with inner coverage the share of test scores at or
+    below `score_threshold`.  Chunk k draws from `stream.substream(k)`.
     """
     n_cal, n_test = int(n_cal), int(n_test)
     if n_cal < 1 or n_test < 1:
         raise ValueError("n_cal and n_test must be >= 1")
     bound = theorem1_bound(params)
-    eps = params.epsilon
+    if isinstance(inm, IndicatorINM) and inm.target_prob is not None:
+        h_hat, decomposition = indicator_coverage_event(params, inm.target_prob, n_cal, stream.rng())
+        return GuaranteeReport(h_hat, bound, decomposition, n_cal, n_test)
+    n, J = params.n, params.J
     one_minus_E = 1.0 - params.coverage_E
-    exact_inner = isinstance(inm, IndicatorINM) and inm.target_prob is not None
-    # a score-0 candidate has p-value 1, so the set includes it iff 1 > epsilon
-    zero_in = eps < 1
-
-    covered = 0
-    decomposition: dict[str, float] = {}
-    for i in range(n_cal):
-        rng = stream.substream(i).rng()
-        cal_points = sampler(rng, params.n)
-        cal = CalibrationScores(tuple(inm.score_many(cal_points)))
-        binary = set(cal.scores) <= {0.0, 1.0}
-        if binary:
-            full_space = inp_contains(cal, 1.0, eps)  # score 1 is in, hence score 0 too
-        if exact_inner and binary:
-            if not zero_in:
-                g_i = 0.0  # epsilon = 1: the set is empty
-            else:
-                g_i = 1.0 if full_space else 1.0 - inm.target_prob
-        else:
-            test_scores = inm.score_many(sampler(rng, n_test))
-            sorted_cal = np.sort(cal.scores)
-            # count of calibration scores >= candidate, via sorted position
-            counts = cal.n - np.searchsorted(sorted_cal, test_scores, side="left")
-            include = np.array(
-                [Fraction(c + 1, cal.n + 1) > eps for c in range(cal.n + 1)]
-            )
-            g_i = float(include[counts].mean())
-        is_covered = g_i >= one_minus_E
-        covered += is_covered
-        if binary:
-            if not zero_in:
-                key = "empty"
-            elif full_space:
-                key = "full_space"
-            else:
-                key = "q_complement_covering" if is_covered else "q_complement_missing"
-        else:
-            key = "covering" if is_covered else "not_covering"
-        decomposition[key] = decomposition.get(key, 0) + 1
-    decomposition = {k: v / n_cal for k, v in decomposition.items()}
-    return GuaranteeReport(
-        h_hat=covered / n_cal,
-        bound=bound,
-        decomposition=decomposition,
-        n_cal=n_cal,
-        n_test=n_test,
-    )
+    rows = max(1, _CHUNK_ELEMENTS // max(n, n_test))
+    covered = full = 0
+    for k, start in enumerate(range(0, n_cal, rows)):
+        m = min(rows, n_cal - start)
+        rng = stream.substream(k).rng()
+        tau = score_threshold(inm.score_many(sampler(rng, m * n)).reshape(m, n), J)
+        test = inm.score_many(sampler(rng, m * n_test)).reshape(m, n_test)
+        covered += int(np.count_nonzero(np.mean(test <= tau[:, None], axis=1) >= one_minus_E))
+        full += int(np.count_nonzero(tau >= 1.0))
+    if not isinstance(inm, IndicatorINM):
+        decomposition = _shares({"covering": covered, "not_covering": n_cal - covered}, n_cal)
+    elif J >= n:
+        decomposition = {"empty": 1.0}
+    else:
+        decomposition = _indicator_shares(n_cal, full, covered)
+    return GuaranteeReport(covered / n_cal, bound, decomposition, n_cal, n_test)

@@ -5,14 +5,14 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from .binom import SeededStream
-from .conformal import PacBound, PacParams, as_fraction, theorem1_bound
+from .conformal import PacBound, PacParams, indicator_coverage_event, theorem1_bound
 from .indicator import (
     IndicatorModel,
     PredictionSetKind,
@@ -49,7 +49,7 @@ class AppendixConfig:
             raise ValueError("n_cal and n_test must be >= 1")
         if self.n_calibration_size < 1:
             raise ValueError("calibration size must be >= 1")
-        object.__setattr__(self, "epsilon", as_fraction(self.epsilon))
+        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
 
     @staticmethod
     def E_of(q: int) -> float:
@@ -80,36 +80,23 @@ class ExperimentRow:
     seed: int
 
 
-CSV_HEADER = "q,E,b,regime,mode,h_hat,exact_prob_SE,bound_Esq,frac_fullspace,frac_qbar_covering,n_cal,n_test,seed"
+CSV_FIELDS = tuple(field.name for field in fields(ExperimentRow))
+CSV_HEADER = ",".join(CSV_FIELDS)
 
 
 def _run_row(config: AppendixConfig, q: int, regime_idx: int) -> ExperimentRow:
     regime, E, b = config.regimes_of(q)[regime_idx]
-    n = config.n_calibration_size
-    params = PacParams(epsilon=config.epsilon, coverage_E=E, n=n)
-    j = params.J
-    exact = exact_SE_probability(IndicatorModel(b=b, n=n), config.epsilon, E)
-
+    exact = exact_SE_probability(IndicatorModel(b=b, n=config.n_calibration_size), config.epsilon, E)
     if config.mode == "fully_exact":
         h_hat = exact.prob_SE
         frac_full = exact.prob_fullspace
         frac_qbar = exact.prob_qbar_covering
     else:
-        stream = SeededStream(config.master_seed).substream(2 * q + regime_idx)
-        rng = stream.rng()
-        ones = rng.binomial(n, b, size=config.n_cal)
-        fullspace = ones >= j + 1
-        if config.mode == "exact_inner":
-            g = np.where(fullspace, 1.0, 1.0 - b)
-        else:
-            g = np.ones(config.n_cal)
-            n_rest = int((~fullspace).sum())
-            hits = rng.binomial(config.n_test, b, size=n_rest)
-            g[~fullspace] = 1.0 - hits / config.n_test
-        covered = g >= 1.0 - E
-        h_hat = float(covered.mean())
-        frac_full = float(fullspace.mean())
-        frac_qbar = float((covered & ~fullspace).mean())
+        rng = SeededStream(config.master_seed).substream(2 * q + regime_idx).rng()
+        n_test = config.n_test if config.mode == "monte_carlo" else None
+        h_hat, parts = indicator_coverage_event(exact.bound.params, b, config.n_cal, rng, n_test)
+        frac_full = parts.get("full_space", 0.0)
+        frac_qbar = parts.get("q_complement_covering", 0.0)
 
     return ExperimentRow(
         q=q,
@@ -132,6 +119,8 @@ def _worker_count() -> int:
     env = os.environ.get("BERN_CERT_THREADS")
     if env:
         return max(1, int(env))
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -158,25 +147,8 @@ def emit_csv(rows: list[ExperimentRow], path) -> None:
         raise ValueError("rows must be nonempty")
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r.q),
-                    _fmt(r.E),
-                    _fmt(r.b),
-                    r.regime,
-                    r.mode,
-                    _fmt(r.h_hat),
-                    _fmt(r.exact_prob_SE),
-                    _fmt(r.bound_Esq),
-                    _fmt(r.frac_fullspace),
-                    _fmt(r.frac_qbar_covering),
-                    str(r.n_cal),
-                    str(r.n_test),
-                    str(r.seed),
-                ]
-            )
-        )
+        cells = (getattr(r, name) for name in CSV_FIELDS)
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in cells))
     try:
         with open(path, "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -256,7 +228,7 @@ def run_safety_demo(
     y = int(scores.sum())
     interval = clopper_pearson(n_cal, y, alpha)
     prediction = inp_closed_form(n_cal, y, epsilon)
-    bound = theorem1_bound(PacParams(epsilon=as_fraction(epsilon), coverage_E=coverage_E, n=n_cal))
+    bound = theorem1_bound(PacParams(epsilon=Fraction(epsilon), coverage_E=coverage_E, n=n_cal))
     return SafetyDemoReport(
         n_cal=n_cal,
         n_unsafe=y,

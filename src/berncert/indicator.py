@@ -12,7 +12,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .binom import binom_cdf, binom_sf, check_prob, check_trials
-from .conformal import PacBound, PacParams, as_fraction, theorem1_bound
+from .conformal import PacBound, PacParams, theorem1_bound
 
 
 class PredictionSetKind(Enum):
@@ -47,7 +47,7 @@ def inp_closed_form(n: int, ones_count: int, epsilon) -> PredictionSetKind:
     ones_count = int(ones_count)
     if not (0 <= ones_count <= n):
         raise ValueError(f"ones_count must lie in [0, {n}], got {ones_count}")
-    eps = as_fraction(epsilon)
+    eps = Fraction(epsilon)
     if not (0 <= eps <= 1):
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon!r}")
     if eps == 1:
@@ -66,7 +66,7 @@ class ExactSEResult:
 
 
 def _require_eps_below_one(epsilon) -> Fraction:
-    eps = as_fraction(epsilon)
+    eps = Fraction(epsilon)
     if not (0 <= eps < 1):
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon!r}")
     return eps

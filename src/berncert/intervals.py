@@ -227,9 +227,7 @@ def pac_form_check(
     contains = np.array([estimator.interval(y).contains(b) for y in range(n + 1)])
     hits = 0
     chunk = 1 << 16
-    done = 0
-    while done < mc_trials:
-        m = min(chunk, mc_trials - done)
+    for start in range(0, mc_trials, chunk):
+        m = min(chunk, mc_trials - start)
         hits += int(contains[rng.binomial(n, b, size=m)].sum())
-        done += m
     return hits / mc_trials

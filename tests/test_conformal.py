@@ -3,17 +3,22 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import betabinom
 
 from berncert.binom import SeededStream
 from berncert.conformal import (
     CalibrationScores,
     IndicatorINM,
+    NonconformityMeasure,
     PacParams,
     estimate_SE_probability,
     inp_contains,
     p_value,
+    score_rank_threshold,
+    score_threshold,
     theorem1_bound,
 )
 from berncert.indicator import indicator_sampler
@@ -80,6 +85,24 @@ class TestInpContains:
         smaller, larger = eps_pair
         if inp_contains(cal, candidate, larger):
             assert inp_contains(cal, candidate, smaller)
+
+
+class TestScoreThreshold:
+    @given(
+        scores=st.lists(
+            st.one_of(st.integers(-3, 3).map(float), st.floats(-10, 10, allow_nan=False)),
+            min_size=1,
+            max_size=12,
+        ),
+        data=st.data(),
+        eps=st.one_of(st.sampled_from([Fraction(1, 3), Fraction(2, 3), Fraction(0), Fraction(1)]), st.fractions(0, 1)),
+    )
+    @settings(max_examples=300)
+    def test_rank_threshold_matches_inp_contains(self, scores, data, eps):
+        # ties with a calibration score are where a rank threshold can go wrong
+        candidate = data.draw(st.one_of(st.sampled_from(scores), st.floats(-10, 10, allow_nan=False)))
+        tau = score_threshold(np.array([scores]), score_rank_threshold(eps, len(scores)))[0]
+        assert (candidate <= tau) == inp_contains(CalibrationScores(tuple(scores)), candidate, eps)
 
 
 class TestTheorem1Bound:
@@ -234,3 +257,49 @@ class TestEstimateSE:
                     for b in (0.0, 0.3, 0.8, 1.0):
                         result = exact_SE_probability(IndicatorModel(b, n), eps, E)
                         assert result.prob_SE >= result.bound.confidence - 1e-12
+
+
+class UniformScore(NonconformityMeasure):
+    """The point itself as its score, vectorised."""
+
+    def score(self, point) -> float:
+        return float(point)
+
+    def score_many(self, points) -> np.ndarray:
+        return np.asarray(points, dtype=float)
+
+
+class TestEstimateSEEngine:
+    @pytest.mark.parametrize("n, eps, E", [(10, Fraction(1, 5), 0.2), (5, Fraction(1, 3), 0.3)])
+    def test_continuous_scores_match_closed_form(self, n, eps, E):
+        # with continuous scores F(tau) ~ Beta(N - J, J + 1), and the count of
+        # test scores at or below tau is binomial given it: Beta-binomial
+        params = PacParams(eps, E, n)
+        n_cal, n_test = 4000, 100
+        report = estimate_SE_probability(
+            UniformScore(), lambda rng, count: rng.random(count), params, n_cal, n_test, SeededStream(21)
+        )
+        x = np.arange(n_test + 1)
+        prob = float(betabinom.pmf(x, n_test, n - params.J, params.J + 1)[x / n_test >= 1.0 - E].sum())
+        tol = 5 * math.sqrt(prob * (1 - prob) / n_cal)
+        assert abs(report.h_hat - prob) <= tol
+        assert sum(report.decomposition.values()) == pytest.approx(1.0)
+        assert report.decomposition.get("covering", 0.0) == report.h_hat
+
+    def test_known_law_never_calls_sampler(self):
+        def sampler(rng, count):
+            raise AssertionError("the sampler of a known indicator law was called")
+
+        def in_target(point):
+            raise AssertionError("the score of a known indicator law was called")
+
+        report = estimate_SE_probability(
+            IndicatorINM(in_target, target_prob=0.5),
+            sampler,
+            PacParams(Fraction(2, 3), 0.4, 2),
+            n_cal=1000,
+            n_test=100,
+            stream=SeededStream(4),
+        )
+        assert 0.0 < report.h_hat < 1.0
+        assert report.decomposition["full_space"] == report.h_hat

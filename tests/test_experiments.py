@@ -1,6 +1,7 @@
 """Tests for the grid experiment harness and the toy safety demo."""
 
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from berncert.experiments import (
     CSV_HEADER,
     AppendixConfig,
     ExperimentRow,
+    _worker_count,
     emit_csv,
     linear_contraction_system,
     rollout_unsafe,
@@ -101,6 +103,52 @@ class TestRunAppendix:
         parallel = run_appendix(config)
         assert serial == parallel
 
+    # (q, regime, h_hat, frac_fullspace, frac_qbar_covering) for q = 38..40,
+    # n_cal = 300, n_test = 200, master_seed = 17
+    PINNED = {
+        "monte_carlo": [
+            (38, "b_le_E", 0.6433333333333333, 0.15333333333333332, 0.49),
+            (38, "b_gt_E", 0.63, 0.17666666666666667, 0.4533333333333333),
+            (39, "b_le_E", 0.6733333333333333, 0.14666666666666667, 0.5266666666666666),
+            (39, "b_gt_E", 0.5666666666666667, 0.12666666666666668, 0.44),
+            (40, "b_le_E", 0.64, 0.18, 0.46),
+            (40, "b_gt_E", 0.62, 0.19, 0.43),
+        ],
+        "exact_inner": [
+            (38, "b_le_E", 1.0, 0.15333333333333332, 0.8466666666666667),
+            (38, "b_gt_E", 0.17666666666666667, 0.17666666666666667, 0.0),
+            (39, "b_le_E", 1.0, 0.14666666666666667, 0.8533333333333334),
+            (39, "b_gt_E", 0.12666666666666668, 0.12666666666666668, 0.0),
+            (40, "b_le_E", 1.0, 0.18, 0.82),
+            (40, "b_gt_E", 0.19, 0.19, 0.0),
+        ],
+    }
+
+    @pytest.mark.parametrize("mode", sorted(PINNED))
+    def test_seeded_rows_pinned(self, mode):
+        config = AppendixConfig(q_min=38, q_max=40, n_cal=300, n_test=200, master_seed=17, mode=mode)
+        rows = run_appendix(config)
+        got = [(r.q, r.regime, r.h_hat, r.frac_fullspace, r.frac_qbar_covering) for r in rows]
+        assert got == self.PINNED[mode]
+
+
+class TestWorkerCount:
+    def test_env_overrides(self, monkeypatch):
+        monkeypatch.setenv("BERN_CERT_THREADS", "3")
+        assert _worker_count() == 3
+
+    def test_default_counts_usable_cpus(self, monkeypatch):
+        monkeypatch.delenv("BERN_CERT_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert _worker_count() == 3
+
+    def test_default_without_affinity(self, monkeypatch):
+        monkeypatch.delenv("BERN_CERT_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert _worker_count() == 6
+
 
 class TestEmitCsv:
     def test_single_row(self, tmp_path):
@@ -110,6 +158,16 @@ class TestEmitCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 2
+
+    def test_fully_exact_bytes_pinned(self, tmp_path):
+        rows = run_appendix(AppendixConfig(q_min=49, q_max=49, mode="fully_exact"))
+        path = tmp_path / "q49.csv"
+        emit_csv(rows, path)
+        assert path.read_bytes() == (
+            b"q,E,b,regime,mode,h_hat,exact_prob_SE,bound_Esq,frac_fullspace,frac_qbar_covering,n_cal,n_test,seed\n"
+            b"49,0.5,0.4975,b_le_E,fully_exact,1,1,0.25,0.24750625,0.75249375,50000,50000,0\n"
+            b"49,0.5,0.5025,b_gt_E,fully_exact,0.25250625,0.25250625,0.25,0.25250625,0,50000,50000,0\n"
+        )
 
     def test_full_grid_line_count(self, tmp_path):
         rows = run_appendix(AppendixConfig(mode="fully_exact"))
