@@ -45,7 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="trial count")
     p.add_argument("--successes", type=int, required=True, help="observed success count")
     p.add_argument("--alpha", type=prob_arg, default=Fraction(1, 20), help="nominal miscoverage")
-    p.add_argument("--method", choices=["clopper-pearson"], default="clopper-pearson")
     p.add_argument("--json", action="store_true", help="emit a single-line JSON record")
 
     p = sub.add_parser("cp-bound", help="training-conditional coverage-event bound")
@@ -85,7 +84,7 @@ def _cmd_bpci(args) -> int:
         print(
             json.dumps(
                 {
-                    "method": args.method,
+                    "method": "clopper-pearson",
                     "n": est.n,
                     "successes": est.y,
                     "alpha": est.alpha,
@@ -96,7 +95,7 @@ def _cmd_bpci(args) -> int:
             )
         )
     else:
-        print(f"method = {args.method}")
+        print("method = clopper-pearson")
         print(f"n = {est.n}, successes = {est.y}, alpha = {_fmt(est.alpha)}")
         # endpoints are accurate to about 1e-15: one digit more than elsewhere
         print(f"lower = {est.lower:.13g}")
@@ -130,6 +129,8 @@ def _cmd_cp_bound(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
+    if args.show_cases and args.n != 2:
+        raise ValueError(f"--show-cases needs n = 2, got n = {args.n}")
     model = IndicatorModel(b=float(args.b), n=args.n)
     result = exact_SE_probability(model, args.epsilon, float(args.coverage))
     print(f"b = {_fmt(model.b)}, E = {_fmt(float(args.coverage))}, epsilon = {args.epsilon}, n = {model.n}")
@@ -137,7 +138,7 @@ def _cmd_counterexample(args) -> int:
     print(f"  full-space prediction: {_fmt(result.prob_fullspace)}")
     print(f"  complement prediction, covering: {_fmt(result.prob_qbar_covering)}")
     print(f"bound (1 - delta) = {_fmt(result.bound.confidence)}")
-    if args.show_cases and model.n == 2:
+    if args.show_cases:
         table = enumerate_example1(model.b, args.epsilon, float(args.coverage))
         for case in table.cases:
             print(

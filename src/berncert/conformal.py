@@ -8,7 +8,7 @@ that floating point would silently flip.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -62,12 +62,17 @@ def p_value(cal: CalibrationScores, candidate_score: float) -> Fraction:
     return Fraction(count + 1, cal.n + 1)
 
 
-def inp_contains(cal: CalibrationScores, candidate_score: float, epsilon) -> bool:
-    """Membership in the predicted set: p-value strictly greater than epsilon."""
+def check_epsilon(epsilon) -> Fraction:
+    """Validate a significance level in [0, 1] and return it as an exact Fraction."""
     eps = Fraction(epsilon)
     if not (0 <= eps <= 1):
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon!r}")
-    return p_value(cal, candidate_score) > eps
+        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+    return eps
+
+
+def inp_contains(cal: CalibrationScores, candidate_score: float, epsilon) -> bool:
+    """Membership in the predicted set: p-value strictly greater than epsilon."""
+    return p_value(cal, candidate_score) > check_epsilon(epsilon)
 
 
 def score_rank_threshold(epsilon, n: int) -> int:
@@ -80,20 +85,25 @@ class PacParams:
     epsilon: Fraction
     coverage_E: float
     n: int
+    J: int = field(init=False)
 
     def __post_init__(self):
-        eps = Fraction(self.epsilon)
-        if not (0 <= eps <= 1):
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon!r}")
-        object.__setattr__(self, "epsilon", eps)
-        check_prob(self.coverage_E, "coverage_E")
+        object.__setattr__(self, "epsilon", check_epsilon(self.epsilon))
+        object.__setattr__(self, "coverage_E", check_prob(self.coverage_E, "coverage_E"))
         if int(self.n) < 1:
             raise ValueError(f"calibration size must be >= 1, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "J", score_rank_threshold(self.epsilon, self.n))
 
-    @property
-    def J(self) -> int:
-        return score_rank_threshold(self.epsilon, self.n)
+    def complement_covers(self, b: float) -> bool:
+        """Does the complement of a target set of measure b, whose inner
+        coverage is 1 - b, attain coverage >= 1 - E?
+
+        Tested as b <= E, which compares the doubles exactly.  The float
+        form `1.0 - b >= 1.0 - E` rounds 1.0 - b and so holds for some b > E:
+        b = nextafter(0.3, 1) with E = 0.3, or any b and E below 5e-17,
+        where both sides are 1.0."""
+        return b <= self.coverage_E
 
 
 @dataclass(frozen=True)
@@ -109,8 +119,7 @@ def theorem1_bound(params: PacParams) -> PacBound:
     J = -1 (tiny epsilon) gives delta = 0: the predictor never excludes
     anything at that threshold, so the guarantee is vacuous.
     """
-    j = params.J
-    delta = 0.0 if j < 0 else binom_cdf(params.n, params.coverage_E, j)
+    delta = binom_cdf(params.n, params.coverage_E, params.J)
     return PacBound(delta=delta, confidence=1.0 - delta, params=params)
 
 
@@ -159,16 +168,15 @@ def indicator_coverage_event(
     1 - Bin(n_test, b)/n_test when `n_test` is given.  Returns h_hat and its
     decomposition by predicted set.
     """
-    one_minus_E = 1.0 - params.coverage_E
     J = params.J
     if J >= params.n:
-        return (1.0 if 0.0 >= one_minus_E else 0.0), {"empty": 1.0}
+        return (1.0 if params.coverage_E >= 1.0 else 0.0), {"empty": 1.0}
     full = int(np.count_nonzero(rng.binomial(params.n, b, size=n_cal) > J))
     if n_test is None:
-        covered = n_cal if 1.0 - b >= one_minus_E else full
+        covered = n_cal if params.complement_covers(b) else full
     else:
         hits = rng.binomial(n_test, b, size=n_cal - full)
-        covered = full + int(np.count_nonzero(1.0 - hits / n_test >= one_minus_E))
+        covered = full + int(np.count_nonzero(1.0 - hits / n_test >= 1.0 - params.coverage_E))
     return covered / n_cal, _indicator_shares(n_cal, full, covered)
 
 

@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from .binom import SeededStream
-from .conformal import PacBound, PacParams, indicator_coverage_event, theorem1_bound
+from .conformal import PacBound, PacParams, check_epsilon, indicator_coverage_event, theorem1_bound
 from .indicator import (
     IndicatorModel,
     PredictionSetKind,
@@ -49,7 +49,7 @@ class AppendixConfig:
             raise ValueError("n_cal and n_test must be >= 1")
         if self.n_calibration_size < 1:
             raise ValueError("calibration size must be >= 1")
-        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
+        object.__setattr__(self, "epsilon", check_epsilon(self.epsilon))
 
     @staticmethod
     def E_of(q: int) -> float:
@@ -228,7 +228,7 @@ def run_safety_demo(
     y = int(scores.sum())
     interval = clopper_pearson(n_cal, y, alpha)
     prediction = inp_closed_form(n_cal, y, epsilon)
-    bound = theorem1_bound(PacParams(epsilon=Fraction(epsilon), coverage_E=coverage_E, n=n_cal))
+    bound = theorem1_bound(PacParams(epsilon=epsilon, coverage_E=coverage_E, n=n_cal))
     return SafetyDemoReport(
         n_cal=n_cal,
         n_unsafe=y,

@@ -9,10 +9,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .binom import binom_cdf, binom_sf, check_prob, check_trials
-from .conformal import PacBound, PacParams, theorem1_bound
+from .conformal import PacBound, PacParams, check_epsilon, score_rank_threshold, theorem1_bound
 
 
 class PredictionSetKind(Enum):
@@ -47,12 +46,10 @@ def inp_closed_form(n: int, ones_count: int, epsilon) -> PredictionSetKind:
     ones_count = int(ones_count)
     if not (0 <= ones_count <= n):
         raise ValueError(f"ones_count must lie in [0, {n}], got {ones_count}")
-    eps = Fraction(epsilon)
-    if not (0 <= eps <= 1):
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon!r}")
-    if eps == 1:
+    J = score_rank_threshold(check_epsilon(epsilon), n)
+    if J >= n:
         return PredictionSetKind.EMPTY
-    if Fraction(ones_count + 1, n + 1) > eps:
+    if ones_count > J:
         return PredictionSetKind.FULL_SPACE
     return PredictionSetKind.Q_COMPLEMENT
 
@@ -65,11 +62,13 @@ class ExactSEResult:
     bound: PacBound
 
 
-def _require_eps_below_one(epsilon) -> Fraction:
-    eps = Fraction(epsilon)
-    if not (0 <= eps < 1):
-        raise ValueError(f"epsilon must lie in [0, 1), got {epsilon!r}")
-    return eps
+def _closed_form_params(epsilon, coverage_E: float, n: int) -> PacParams:
+    """PacParams for the closed forms, which need a predicted set that is
+    never empty: J < N, i.e. epsilon < 1."""
+    params = PacParams(epsilon=epsilon, coverage_E=coverage_E, n=n)
+    if params.J >= params.n:
+        raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
+    return params
 
 
 def exact_SE_probability(model: IndicatorModel, epsilon, coverage_E: float) -> ExactSEResult:
@@ -79,13 +78,10 @@ def exact_SE_probability(model: IndicatorModel, epsilon, coverage_E: float) -> E
     prediction, so the event holds always when b <= E and exactly when the
     full space is predicted when b > E.
     """
-    eps = _require_eps_below_one(epsilon)
-    E = check_prob(coverage_E, "coverage_E")
-    params = PacParams(epsilon=eps, coverage_E=E, n=model.n)
-    j = params.J
+    params = _closed_form_params(epsilon, coverage_E, model.n)
     # predictor is the full space iff ones_count >= J + 1
-    prob_fullspace = binom_sf(model.n, model.b, j) if j >= 0 else 1.0
-    if model.b <= E:
+    prob_fullspace = binom_sf(model.n, model.b, params.J)
+    if params.complement_covers(model.b):
         prob_qbar_covering = 1.0 - prob_fullspace
         prob_SE = 1.0
     else:
@@ -120,8 +116,7 @@ def enumerate_example1(b: float, epsilon, coverage_E: float) -> Example1Table:
     epsilon, each class's inner coverage, and membership in the coverage
     event.  Aggregates to the same value as the closed form."""
     b = check_prob(b, "b")
-    _require_eps_below_one(epsilon)
-    E = check_prob(coverage_E, "coverage_E")
+    params = _closed_form_params(epsilon, coverage_E, 2)
     classes = [
         ("no calibration point in Q", (1.0 - b) ** 2, 0),
         ("one calibration point in Q", 2.0 * b * (1.0 - b), 1),
@@ -129,15 +124,15 @@ def enumerate_example1(b: float, epsilon, coverage_E: float) -> Example1Table:
     ]
     cases = []
     for label, prob, ones in classes:
-        pred = inp_closed_form(2, ones, epsilon)
-        cover = 1.0 if pred is PredictionSetKind.FULL_SPACE else 1.0 - b
+        pred = inp_closed_form(2, ones, params.epsilon)
+        full = pred is PredictionSetKind.FULL_SPACE
         cases.append(
             Example1Case(
                 label=label,
                 probability=prob,
                 prediction=pred,
-                inner_coverage=cover,
-                in_SE=cover >= 1.0 - E,
+                inner_coverage=1.0 if full else 1.0 - b,
+                in_SE=full or params.complement_covers(b),
             )
         )
     prob_SE = math.fsum(c.probability for c in cases if c.in_SE)
@@ -151,24 +146,24 @@ class NaiveIntervalReport:
 
 
 def naive_interval_coverage(b: float, coverage_E: float, n: int, epsilon) -> NaiveIntervalReport:
-    """Coverage of the fallacious rule "whenever the predictor returns the
-    complement of Q, claim b <= E".
+    """Conditional coverage of the fallacious rule "whenever the predictor
+    returns the complement of Q, claim b <= E", and its claim rate.
 
-    The claim, when issued, is right always (b <= E) or never (b > E): the
-    rule is not a valid confidence procedure at any nominal level.
+    `conditional_coverage` is the coverage given that the claim is issued.
+    It is 1 (b <= E) or 0 (b > E), so read conditionally the rule is not a
+    confidence procedure for b at any nominal level.  Its unconditional
+    coverage, which also counts the outcomes with no claim, is another
+    quantity and is not computed here.
     """
     b = check_prob(b, "b")
-    E = check_prob(coverage_E, "coverage_E")
-    n = check_trials(n)
-    eps = _require_eps_below_one(epsilon)
-    j = PacParams(epsilon=eps, coverage_E=E, n=n).J
-    claim_rate = binom_cdf(n, b, j) if j >= 0 else 0.0
+    params = _closed_form_params(epsilon, coverage_E, check_trials(n))
+    claim_rate = binom_cdf(params.n, b, params.J)
     if claim_rate == 0.0:
         raise ClaimNeverIssuedError(
             f"the complement prediction is never issued for b={b}, n={n}, epsilon={epsilon}"
         )
     return NaiveIntervalReport(
-        conditional_coverage=1.0 if b <= E else 0.0,
+        conditional_coverage=1.0 if params.complement_covers(b) else 0.0,
         claim_rate=claim_rate,
     )
 

@@ -116,11 +116,9 @@ class ValidityReport:
 def endpoint_augmented_grid(estimator, n: int, step: float = 0.001, eps: float = 1e-9) -> list[float]:
     """Uniform b-grid plus every interval endpoint +- eps.
 
-    The grid to pass as `b_grid` to `verify_conservative_validity` for an
-    estimator whose endpoints are not monotone in y, where the exact
-    certificate does not apply.  Coverage as a function of b is piecewise
-    with breakpoints exactly at the estimator endpoints; probing them catches
-    dips a uniform grid misses, but a verdict on the grid is only a sample.
+    Coverage as a function of b is piecewise with breakpoints exactly at the
+    estimator endpoints, and these points sit on and beside each of them.
+    No verdict uses them: `verify_conservative_validity` is exact.
     """
     points = {round(k * step, 12) for k in range(int(round(1.0 / step)) + 1)}
     for y in range(n + 1):
@@ -166,8 +164,8 @@ def _coverage_infimum(estimator, n: int) -> tuple[float, float]:
     if any(prev > nxt for ends in (lowers, uppers) for prev, nxt in zip(ends, ends[1:])):
         raise ValueError(
             "the exact validity certificate needs interval endpoints that are "
-            "nondecreasing in y; pass an explicit b_grid, such as "
-            "endpoint_augmented_grid(estimator, n), for this estimator"
+            "nondecreasing in y: only then is the covering set of each piece "
+            "between endpoints a range of y, whose coverage is least at an end"
         )
     breaks = sorted({0.0, 1.0, *lowers, *uppers})
     worst_b, worst_cov = 0.0, 2.0
@@ -181,29 +179,17 @@ def _coverage_infimum(estimator, n: int) -> tuple[float, float]:
     return worst_b, worst_cov
 
 
-def verify_conservative_validity(
-    estimator, n: int, alpha: float, b_grid: list[float] | None = None
-) -> ValidityReport:
+def verify_conservative_validity(estimator, n: int, alpha: float) -> ValidityReport:
     """Is the coverage of `estimator` at least 1 - alpha for every b?
 
-    Without `b_grid` the verdict is exact: `worst_coverage` is the infimum
-    of the coverage over b in [0, 1], found from O(n) binomial tails at the
-    interval endpoints (see `_coverage_infimum`), and `worst_b` is a b at
-    which `coverage_probability` reproduces it.  This needs endpoints that
-    are nondecreasing in y, as Clopper-Pearson's are; other estimators raise
-    ValueError and must be given a grid.  With `b_grid` the verdict is the
-    minimum of the exact coverage over its points.
+    The verdict is exact: `worst_coverage` is the infimum of the coverage
+    over b in [0, 1], found from O(n) binomial tails at the interval
+    endpoints (see `_coverage_infimum`), and `worst_b` is a b at which
+    `coverage_probability` reproduces it.  This needs endpoints that are
+    nondecreasing in y, as those of Clopper-Pearson are; for any other
+    estimator it raises ValueError and gives no verdict.
     """
-    if b_grid is None:
-        worst_b, worst_cov = _coverage_infimum(estimator, check_trials(n))
-    elif not b_grid:
-        raise ValueError("b_grid must be nonempty")
-    else:
-        worst_b, worst_cov = None, 2.0
-        for b in b_grid:
-            cov = coverage_probability(estimator, b, n).coverage
-            if cov < worst_cov:
-                worst_b, worst_cov = b, cov
+    worst_b, worst_cov = _coverage_infimum(estimator, check_trials(n))
     return ValidityReport(
         valid=worst_cov >= 1.0 - alpha,
         worst_b=worst_b,

@@ -39,6 +39,18 @@ class TestBpci:
         # re-printing the parsed record is the identity
         assert json.dumps(record, sort_keys=True) == out.strip()
 
+    def test_method_is_constant(self, capsys):
+        args = ["bpci", "--n", "10", "--successes", "3"]
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert out.startswith("method = clopper-pearson\n")
+        code, out, _ = run_cli(capsys, *args, "--json")
+        assert code == 0
+        assert json.loads(out)["method"] == "clopper-pearson"
+        with pytest.raises(SystemExit) as excinfo:
+            main([*args, "--method", "clopper-pearson"])
+        assert excinfo.value.code == 2  # the option is gone
+
 
 class TestCpBound:
     def test_eq8_value(self, capsys):
@@ -105,6 +117,29 @@ class TestCounterexample:
         )
         assert code == 0
         assert "claim never issued" in out
+
+    def test_knife_edge_case_table_agrees(self, capsys):
+        # b is the double just above E: outside the coverage event, so only
+        # the full-space case (probability b^2) is in it, as prob_SE says
+        code, out, _ = run_cli(
+            capsys,
+            "counterexample", "--b", "0.30000000000000004", "--coverage", "0.3",
+            "--epsilon", "2/3", "--n", "2", "--show-cases",
+        )
+        assert code == 0
+        assert "prob_SE = 0.09\n" in out
+        cases = [line for line in out.splitlines() if line.startswith("  case [")]
+        assert [line.endswith("in_SE=True") for line in cases] == [False, False, True]
+
+    def test_show_cases_needs_n_2(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "counterexample", "--b", "0.3", "--coverage", "0.5", "--epsilon", "2/3",
+            "--n", "3", "--show-cases",
+        )
+        assert code == 1
+        assert "n = 2" in err
+        assert out == ""
 
 
 class TestSimulateAppendix:

@@ -10,7 +10,14 @@ from fractions import Fraction
 
 import pytest
 
-from berncert.conformal import CalibrationScores, inp_contains
+from berncert.binom import SeededStream
+from berncert.conformal import (
+    CalibrationScores,
+    IndicatorINM,
+    PacParams,
+    estimate_SE_probability,
+    inp_contains,
+)
 from berncert.indicator import (
     ClaimNeverIssuedError,
     Example1Table,
@@ -172,6 +179,32 @@ class TestExample1Enumeration:
                     table = enumerate_example1(b, eps, E)
                     closed = exact_SE_probability(IndicatorModel(b, 2), eps, E)
                     assert table.prob_SE == pytest.approx(closed.prob_SE, abs=1e-14)
+
+
+class TestKnifeEdge:
+    """b just above E, where the float test 1.0 - b >= 1.0 - E wrongly holds:
+    the complement does not cover, so the event is the full space alone."""
+
+    CASES = [(math.nextafter(0.3, 1.0), 0.3), (2e-20, 1e-20)]
+
+    @pytest.mark.parametrize("b, E", CASES)
+    def test_closed_forms_agree(self, b, E):
+        closed = exact_SE_probability(IndicatorModel(b, 2), Fraction(2, 3), E)
+        assert closed.prob_SE == closed.prob_fullspace
+        # b^2 against the kernel's pmf: equal up to rounding, not 1 against b^2
+        table = enumerate_example1(b, Fraction(2, 3), E)
+        assert table.prob_SE == pytest.approx(closed.prob_SE, rel=1e-14, abs=0.0)
+        assert [case.in_SE for case in table.cases] == [False, False, True]
+        assert naive_interval_coverage(b, E, 2, Fraction(2, 3)).conditional_coverage == 0.0
+
+    @pytest.mark.parametrize("b, E", CASES)
+    def test_known_law_simulation_counts_full_space_only(self, b, E):
+        params = PacParams(epsilon=Fraction(2, 3), coverage_E=E, n=2)
+        inm = IndicatorINM(lambda x: x == 1, target_prob=b)
+        report = estimate_SE_probability(inm, None, params, 4000, 10, SeededStream(5))
+        assert report.h_hat == report.decomposition.get("full_space", 0.0)
+        assert "q_complement_missing" in report.decomposition
+        assert "q_complement_covering" not in report.decomposition
 
 
 class TestNaiveInterval:

@@ -172,12 +172,12 @@ class TestCoverage:
         assert report.worst_coverage == 1.0
 
     def test_validity_degenerate_estimator(self):
-        report = verify_conservative_validity(
-            DegenerateEstimator(), 10, 0.05, b_grid=[0.3, 0.5, 0.7]
-        )
+        # covers b = 0.5 only, so the infimum is 0, approached on either side
+        report = verify_conservative_validity(DegenerateEstimator(), 10, 0.05)
         assert not report.valid
         assert report.worst_coverage == 0.0
-        assert report.worst_b in (0.3, 0.7)
+        assert report.worst_b != 0.5
+        assert coverage_probability(DegenerateEstimator(), report.worst_b, 10).coverage == 0.0
 
     def test_grid_includes_endpoints(self):
         est = ClopperPearson(5, 0.1)
@@ -248,7 +248,7 @@ class SwappedClopperPearson:
 
 
 class TestValidityCertificate:
-    """The default verdict is the exact infimum of the coverage over [0, 1]."""
+    """The verdict is the exact infimum of the coverage over [0, 1]."""
 
     @pytest.mark.parametrize("n", [1, 2, 5, 10, 25, 60])
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
@@ -257,8 +257,10 @@ class TestValidityCertificate:
         report = verify_conservative_validity(est, n, alpha)
         assert report.valid
         assert report.worst_coverage >= 1 - alpha
-        grid = verify_conservative_validity(est, n, alpha, b_grid=endpoint_augmented_grid(est, n))
-        assert report.worst_coverage <= grid.worst_coverage
+        # the infimum is attained beside worst_b, not undercut next to it
+        b = report.worst_b
+        for near in (math.nextafter(b, 0.0), b, math.nextafter(b, 1.0)):
+            assert coverage_probability(est, near, n).coverage >= report.worst_coverage - 1e-12
 
     @pytest.mark.parametrize(
         "est, n, alpha",
@@ -283,14 +285,11 @@ class TestValidityCertificate:
         assert not report.valid
         assert report.worst_coverage < 1 - alpha
 
-    def test_non_monotone_needs_grid(self):
+    def test_non_monotone_refused(self):
         est = SwappedClopperPearson(10, 0.05)
-        with pytest.raises(ValueError, match="b_grid"):
+        with pytest.raises(ValueError, match="nondecreasing in y") as excinfo:
             verify_conservative_validity(est, 10, 0.05)
-        grid = endpoint_augmented_grid(est, 10)
-        report = verify_conservative_validity(est, 10, 0.05, b_grid=grid)
-        assert report.worst_b in grid
-        assert report.worst_coverage == coverage_probability(est, report.worst_b, 10).coverage
+        assert "grid" not in str(excinfo.value)
 
 
 class TestPacFormCheck:
