@@ -5,14 +5,17 @@ One kernel serves every call.  The pmf is Loader's saddle-point form,
 exp(lc) / sqrt(2 pi x (n - x) / n), with lc built from the Stirling-series
 error `stirlerr` and the deviance term `bd0` (C. Loader, "Fast and Accurate
 Computation of Binomial Probabilities", 2000; the algorithm behind R's
-`dbinom`).  `bd0` is evaluated in double-double arithmetic, so lc is exact to
-far below one unit in the last place even where it is in the hundreds; the
-pmf keeps a relative error of a few 1e-16 for values down to 1e-300.
+`dbinom`), or q^n = exp(n log q) and p^n = exp(n log p) at x = 0 and x = n.
+`bd0` and the logs are evaluated in double-double arithmetic, so the
+exponent is exact to far below one unit in the last place even where it is
+in the hundreds; the pmf keeps a relative error of a few 1e-16 for values
+down to 1e-300.
 
-Tail sums start at the requested index and move away from the mode: terms
-come from the ratio recurrence in numpy chunks, each chunk re-anchored at a
-saddle-point value, and the sum stops once a term falls below 1e-17 of the
-partial sum.  A complement is taken only across the mode, of a tail of at
+One routine, `_cdf_sf`, gives cdf and survival function.  It sums the tail
+from the requested index away from the mode: terms come from the ratio
+recurrence in numpy chunks, each chunk re-anchored at a saddle-point value,
+and the sum stops once a term falls below 1e-17 of the partial sum.  The
+other value is its complement, taken only across the mode, of a tail of at
 most about 1/2, so it loses no relative accuracy.  Tail inversion is
 Newton's method on the log tail, safeguarded by a shrinking bracket.
 """
@@ -27,7 +30,7 @@ import numpy as np
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 # stirlerr(k) = log(k!) - log(sqrt(2 pi k) (k/e)^k) for k = 1..15, rounded
-# from 50-digit values; larger k use the asymptotic series in _stirlerr
+# from 50-digit values; larger k use the five-term series in _stirlerr
 _STIRLERR = (
     0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
     0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
@@ -156,12 +159,6 @@ def _stirlerr(k: float) -> float:
     if k <= 15.0:
         return _STIRLERR[int(k) - 1]
     kk = k * k
-    if k > 500.0:
-        return (_S0 - _S1 / kk) / k
-    if k > 80.0:
-        return (_S0 - (_S1 - _S2 / kk) / kk) / k
-    if k > 35.0:
-        return (_S0 - (_S1 - (_S2 - _S3 / kk) / kk) / kk) / k
     return (_S0 - (_S1 - (_S2 - (_S3 - _S4 / kk) / kk) / kk) / kk) / k
 
 
@@ -180,20 +177,10 @@ def _complement(b: float) -> tuple[float, float]:
 def _pmf(n: int, x: int, p: float, qh: float, ql: float) -> float:
     """Pr(Y = x) for Y ~ Bin(n, p), 0 < p < 1, q = qh + ql = 1 - p exactly."""
     nf = float(n)
-    if x == 0 or x == n:
-        if n == 0:
-            return 1.0
-        if x == 0:  # q^n = exp(-bd0(n, nq) - np)
-            mh, ml = _two_prod(nf, qh)
-            ml += nf * ql
-            eh, el = _two_prod(nf, p)
-        else:  # p^n = exp(-bd0(n, np) - nq)
-            mh, ml = _two_prod(nf, p)
-            eh, el = _two_prod(nf, qh)
-            el += nf * ql
-        dh, dl = _bd0(nf, mh, ml)
-        lh, ll = _two_sum(-dh, -eh)
-        return _exp_dd(lh, ll - dl - el)
+    if x == 0 or x == n:  # q^n or p^n, as exp(n log q) or exp(n log p)
+        lh, ll = _log_dd(qh, ql) if x == 0 else _log_dd(p, 0.0)
+        eh, el = _two_prod(nf, lh)
+        return _exp_dd(eh, el + nf * ll)
     xf = float(x)
     yf = nf - xf
     mh, ml = _two_prod(nf, p)
@@ -242,11 +229,16 @@ def _terms(n: int, p: float, qh: float, ql: float, k: int, step: int, count: int
     return out
 
 
-def _tail(n: int, b: float, j: int) -> tuple[float, bool]:
-    """The tail on the far side of the mode from j, for 0 <= j < n and
-    0 < b < 1: (Pr(Y <= j), True) when j is below the mode, else
-    (Pr(Y > j), False).  Either value is at most about 1/2, so its
-    complement loses nothing."""
+def _cdf_sf(n: int, b: float, j: int) -> tuple[float, float]:
+    """(Pr(Y <= j), Pr(Y > j)) for Y ~ Bin(n, b); total on integers j.  Sums
+    only the tail on the far side of the mode from j (module docstring)."""
+    n = check_trials(n)
+    b = check_prob(b, "b")
+    j = int(j)
+    if j < 0 or j >= n:
+        return (0.0, 1.0) if j < 0 else (1.0, 0.0)
+    if b in (0.0, 1.0):
+        return (1.0, 0.0) if b == 0.0 else (0.0, 1.0)
     qh, ql = _complement(b)
     lower = j < _mode(n, b)
     k, step, end = (j, -1, 0) if lower else (j + 1, 1, n)
@@ -257,7 +249,7 @@ def _tail(n: int, b: float, j: int) -> tuple[float, bool]:
         total += float(terms.sum())
         k += step * count
         if k - step == end or terms[-1] <= _TAIL_STOP * total:
-            return total, lower
+            return (total, 1.0 - total) if lower else (1.0 - total, total)
 
 
 def binom_pmf(n: int, b: float, y: int) -> float:
@@ -292,32 +284,12 @@ def binom_pmf_vector(n: int, b: float) -> np.ndarray:
 
 def binom_cdf(n: int, b: float, j: int) -> float:
     """Pr(Y <= j) for Y ~ Bin(n, b); total on integers (j < 0 -> 0, j >= n -> 1)."""
-    n = check_trials(n)
-    b = check_prob(b, "b")
-    j = int(j)
-    if j < 0:
-        return 0.0
-    if j >= n:
-        return 1.0
-    if b in (0.0, 1.0):
-        return 1.0 if b == 0.0 else 0.0
-    tail, lower = _tail(n, b, j)
-    return tail if lower else 1.0 - tail
+    return _cdf_sf(n, b, j)[0]
 
 
 def binom_sf(n: int, b: float, j: int) -> float:
     """Pr(Y > j) for Y ~ Bin(n, b); total on integers (j < 0 -> 1, j >= n -> 0)."""
-    n = check_trials(n)
-    b = check_prob(b, "b")
-    j = int(j)
-    if j < 0:
-        return 1.0
-    if j >= n:
-        return 0.0
-    if b in (0.0, 1.0):
-        return 0.0 if b == 0.0 else 1.0
-    tail, lower = _tail(n, b, j)
-    return 1.0 - tail if lower else tail
+    return _cdf_sf(n, b, j)[1]
 
 
 def _normal_quantile(t: float) -> float:

@@ -18,29 +18,27 @@ from .binom import SeededStream, binom_cdf, check_prob
 
 
 class NonconformityMeasure:
-    """Score function with the training set fixed at construction."""
-
-    def score(self, point) -> float:
-        raise NotImplementedError
+    """Scores whole arrays of points; the training set is fixed at construction."""
 
     def score_many(self, points) -> np.ndarray:
-        return np.asarray([self.score(p) for p in points], dtype=float)
+        raise NotImplementedError
 
 
 class IndicatorINM(NonconformityMeasure):
     """Indicator nonconformity: 1 on the target set, 0 elsewhere.
 
-    Reduces conformal scores to Bernoulli trials.  A known `target_prob`
-    makes `estimate_SE_probability` draw calibration ones-counts and use the
-    exact inner coverage, with no points sampled.
+    Reduces conformal scores to Bernoulli trials.  `in_target` gets a whole
+    array of points at once, so it must act elementwise (``z == 1`` does).
+    A known `target_prob` makes `estimate_SE_probability` draw calibration
+    ones-counts and use the exact inner coverage, with no points sampled.
     """
 
-    def __init__(self, in_target: Callable[[object], bool], target_prob: float | None = None):
+    def __init__(self, in_target: Callable[[np.ndarray], np.ndarray], target_prob: float | None = None):
         self._in_target = in_target
         self.target_prob = None if target_prob is None else check_prob(target_prob, "target_prob")
 
-    def score(self, point) -> float:
-        return 1.0 if self._in_target(point) else 0.0
+    def score_many(self, points) -> np.ndarray:
+        return np.asarray(self._in_target(np.asarray(points)), dtype=float)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Closed-form analysis of the indicator special case.
 
-With indicator scores the predicted set is one of four symbolic kinds; only
+With indicator scores the predicted set is one of three symbolic kinds; only
 the measure b of the target set matters, so everything here is exact.
 """
 
@@ -15,7 +15,6 @@ from .conformal import PacBound, PacParams, check_epsilon, score_rank_threshold,
 
 
 class PredictionSetKind(Enum):
-    Q = "Q"
     Q_COMPLEMENT = "Q_complement"
     FULL_SPACE = "full_space"
     EMPTY = "empty"
@@ -33,7 +32,7 @@ class IndicatorModel:
 
 class ClaimNeverIssuedError(ValueError):
     """The conditional coverage of the naive interval rule is undefined:
-    the informative prediction is issued with probability zero."""
+    the claim is impossible, as b = 1 or J < 0."""
 
 
 def inp_closed_form(n: int, ones_count: int, epsilon) -> PredictionSetKind:
@@ -154,17 +153,19 @@ def naive_interval_coverage(b: float, coverage_E: float, n: int, epsilon) -> Nai
     confidence procedure for b at any nominal level.  Its unconditional
     coverage, which also counts the outcomes with no claim, is another
     quantity and is not computed here.
+
+    `claim_rate`, Pr(Y <= J), can underflow to 0.0 while positive; the claim
+    is then still issued, and its conditional coverage is returned.
     """
     b = check_prob(b, "b")
     params = _closed_form_params(epsilon, coverage_E, check_trials(n))
-    claim_rate = binom_cdf(params.n, b, params.J)
-    if claim_rate == 0.0:
+    if b == 1.0 or params.J < 0:
         raise ClaimNeverIssuedError(
             f"the complement prediction is never issued for b={b}, n={n}, epsilon={epsilon}"
         )
     return NaiveIntervalReport(
         conditional_coverage=1.0 if params.complement_covers(b) else 0.0,
-        claim_rate=claim_rate,
+        claim_rate=binom_cdf(params.n, b, params.J),
     )
 
 

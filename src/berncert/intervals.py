@@ -75,13 +75,12 @@ class ClopperPearson:
 class FullInterval:
     """Trivial estimator returning [0, 1] for every outcome; used in tests."""
 
-    def __init__(self, n: int | None = None, alpha: float = 0.0):
+    def __init__(self, n: int, alpha: float = 0.0):
         self.n = n
         self.alpha = alpha
 
     def interval(self, y: int) -> IntervalEstimate:
-        n = self.n if self.n is not None else max(int(y), 1)
-        return IntervalEstimate(lower=0.0, upper=1.0, alpha=self.alpha, n=n, y=int(y))
+        return IntervalEstimate(lower=0.0, upper=1.0, alpha=self.alpha, n=self.n, y=int(y))
 
 
 @dataclass

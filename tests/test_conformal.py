@@ -262,9 +262,6 @@ class TestEstimateSE:
 class UniformScore(NonconformityMeasure):
     """The point itself as its score, vectorised."""
 
-    def score(self, point) -> float:
-        return float(point)
-
     def score_many(self, points) -> np.ndarray:
         return np.asarray(points, dtype=float)
 
@@ -285,6 +282,22 @@ class TestEstimateSEEngine:
         assert abs(report.h_hat - prob) <= tol
         assert sum(report.decomposition.values()) == pytest.approx(1.0)
         assert report.decomposition.get("covering", 0.0) == report.h_hat
+
+    def test_indicator_predicate_gets_whole_arrays(self):
+        seen = []
+
+        def in_target(points):
+            seen.append(points)
+            return points == 1
+
+        params = PacParams(Fraction(2, 3), 0.4, 2)
+        report = estimate_SE_probability(
+            IndicatorINM(in_target), indicator_sampler(0.42), params, 500, 100, SeededStream(9)
+        )
+        # one call for the calibration matrix and one for the test matrix
+        assert len(seen) == 2
+        assert all(isinstance(points, np.ndarray) and points.ndim == 1 for points in seen)
+        assert sum(report.decomposition.values()) == pytest.approx(1.0)
 
     def test_known_law_never_calls_sampler(self):
         def sampler(rng, count):

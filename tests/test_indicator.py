@@ -228,6 +228,13 @@ class TestNaiveInterval:
         with pytest.raises(ClaimNeverIssuedError):
             naive_interval_coverage(0.5, 0.5, 2, 0)
 
+    def test_claim_rate_underflow_is_not_never_issued(self):
+        # Pr(Y <= 499) for Y ~ Bin(1000, 0.9999) is near 1e-1700: it underflows
+        # to 0.0, but the claim is still issued and its coverage is defined
+        report = naive_interval_coverage(0.9999, 0.5, 1000, Fraction(1, 2))
+        assert report.claim_rate == 0.0
+        assert report.conditional_coverage == 0.0
+
     def test_monte_carlo_claim_simulation(self):
         # simulate the claim rule directly and confirm the 0/1 dichotomy
         from berncert.binom import SeededStream, draw_bernoulli
