@@ -12,20 +12,28 @@ in the hundreds; the pmf keeps a relative error of a few 1e-16 for values
 down to 1e-300.
 
 One routine, `_cdf_sf`, gives cdf and survival function.  It sums the tail
-from the requested index away from the mode: terms come from the ratio
-recurrence in numpy chunks, each chunk re-anchored at a saddle-point value,
-and the sum stops once a term falls below 1e-17 of the partial sum.  The
+from the requested index away from the mode: terms come one at a time from
+the ratio recurrence, re-anchored at a saddle-point value every 256 terms,
+and the sum stops at the first term below 1e-17 of the partial sum.  The
 other value is its complement, taken only across the mode, of a tail of at
-most about 1/2, so it loses no relative accuracy.  Tail inversion is
-Newton's method on the log tail, safeguarded by a shrinking bracket.
+most about 1/2, so it loses no relative accuracy.  `binom_pmf_vector` takes
+its values from the same recurrence.  Tail inversion is Newton's method on
+the log tail, safeguarded by a shrinking bracket.
+
+The scalar functions compute on Python floats and load no numpy; numpy is
+imported only inside the functions that make an array or a random stream.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    from collections.abc import Iterator
+
+    import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -49,10 +57,10 @@ _TWO_PI = 2.0 * math.pi
 # below this the ratio x / M in bd0 could overflow
 _TINY_MEAN = 1e-290
 
-# terms per numpy chunk of a tail sum; each chunk starts from a saddle-point
-# value, so recurrence rounding compounds over at most this many steps
+# the recurrence restarts from a saddle-point value every _CHUNK terms, so
+# its rounding compounds over at most this many steps
 _CHUNK = 256
-# a tail sum stops once a term is below this fraction of the partial sum
+# a tail sum stops at the first term below this fraction of the partial sum
 _TAIL_STOP = 1e-17
 # Newton stops after a step below this fraction of the iterate; convergence
 # is quadratic, so the error left is of the order of its square
@@ -73,6 +81,11 @@ def check_trials(n: int, name: str = "n") -> int:
     if n < 1:
         raise ValueError(f"{name} must be a positive integer, got {n}")
     return n
+
+
+def _fmt(x: float) -> str:
+    """12 significant digits: how the CLI prints and the CSV stores a float."""
+    return f"{x:.12g}"
 
 
 def _two_prod(a: float, b: float) -> tuple[float, float]:
@@ -196,37 +209,28 @@ def _mode(n: int, b: float) -> int:
     return min(int((n + 1) * b), n)
 
 
-def _terms(n: int, p: float, qh: float, ql: float, k: int, step: int, count: int) -> np.ndarray:
-    """pmf(k), pmf(k + step), ..., `count` values moving away from the mode
-    (step = +1 above it, -1 below it).  Values past the first one that
-    underflows are left at zero: they are smaller still."""
-    out = np.zeros(count)
+def _terms(n: int, p: float, qh: float, ql: float, k: int, step: int, end: int) -> Iterator[float]:
+    """Yield pmf(k), pmf(k + step), ..., pmf(end), moving away from the mode
+    (step = +1 above it, -1 below it), by the ratio recurrence re-anchored
+    at a saddle-point value every `_CHUNK` terms.  Stops early at an anchor
+    that underflows: the values past it are smaller still."""
     if step > 0:
         factor = _dd_div(p, 0.0, qh, ql)[0]
     else:
         factor = _dd_div(qh, ql, p, 0.0)[0]
-    for start in range(0, count, _CHUNK):
-        k0 = k + step * start
-        anchor = _pmf(n, k0, p, qh, ql)
-        if anchor == 0.0:
-            break
-        size = min(_CHUNK, count - start)
-        out[start] = anchor
-        if size == 1:
-            continue
-        chunk = out[start : start + size]
+    for k0 in range(k, end + step, step * _CHUNK):
+        t = _pmf(n, k0, p, qh, ql)
+        if t == 0.0:
+            return
+        yield t
         # pmf(i + 1) / pmf(i) = (n - i) p / ((i + 1) q) for i = k0, k0 + 1, ...;
         # pmf(i - 1) / pmf(i) = i q / ((n - i + 1) p) for i = k0, k0 - 1, ...
-        if step > 0:
-            num = np.arange(n - k0, n - k0 - size + 1, -1, dtype=float)
-            den = np.arange(k0 + 1, k0 + size, dtype=float)
-        else:
-            num = np.arange(k0, k0 - size + 1, -1, dtype=float)
-            den = np.arange(n - k0 + 1, n - k0 + size, dtype=float)
-        np.divide(num, den, out=chunk[1:])
-        chunk[1:] *= factor
-        np.cumprod(chunk, out=chunk)
-    return out
+        num, den = (float(n - k0), float(k0 + 1)) if step > 0 else (float(k0), float(n - k0 + 1))
+        for _ in range(min(_CHUNK - 1, abs(end - k0))):
+            t *= num / den * factor
+            num -= 1.0
+            den += 1.0
+            yield t
 
 
 def _cdf_sf(n: int, b: float, j: int) -> tuple[float, float]:
@@ -243,13 +247,11 @@ def _cdf_sf(n: int, b: float, j: int) -> tuple[float, float]:
     lower = j < _mode(n, b)
     k, step, end = (j, -1, 0) if lower else (j + 1, 1, n)
     total = 0.0
-    while True:
-        count = min(_CHUNK, abs(end - k) + 1)
-        terms = _terms(n, b, qh, ql, k, step, count)
-        total += float(terms.sum())
-        k += step * count
-        if k - step == end or terms[-1] <= _TAIL_STOP * total:
-            return (total, 1.0 - total) if lower else (1.0 - total, total)
+    for t in _terms(n, b, qh, ql, k, step, end):
+        total += t
+        if t <= _TAIL_STOP * total:
+            break
+    return (total, 1.0 - total) if lower else (1.0 - total, total)
 
 
 def binom_pmf(n: int, b: float, y: int) -> float:
@@ -269,17 +271,21 @@ def binom_pmf(n: int, b: float, y: int) -> float:
 def binom_pmf_vector(n: int, b: float) -> np.ndarray:
     """All pmf values Pr(Y = y) for y = 0..n as a float array, by the ratio
     recurrence outward from the mode."""
+    import numpy as np
+
     n = check_trials(n)
     b = check_prob(b, "b")
+    out = np.zeros(n + 1)
     if b in (0.0, 1.0):
-        out = np.zeros(n + 1)
         out[0 if b == 0.0 else n] = 1.0
         return out
     qh, ql = _complement(b)
     mode = _mode(n, b)
-    down = _terms(n, b, qh, ql, mode, -1, mode + 1)
-    up = _terms(n, b, qh, ql, mode, 1, n - mode + 1)
-    return np.concatenate((down[:0:-1], up))
+    down = list(_terms(n, b, qh, ql, mode, -1, 0))
+    up = list(_terms(n, b, qh, ql, mode, 1, n))
+    out[mode - len(down) + 1 : mode + 1] = down[::-1]
+    out[mode + 1 : mode + len(up)] = up[1:]
+    return out
 
 
 def binom_cdf(n: int, b: float, j: int) -> float:
@@ -321,7 +327,10 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
     the root from one side.  The derivative of the tail in b is
     -n pmf_{n-1}(y) (upper) or n pmf_{n-1}(y - 1) (lower).  A step that
     leaves the bracket, which shrinks at every step, is replaced by
-    bisection.  Iteration stops after a step below 1e-11 of b.
+    bisection.  Iteration stops after a step below 1e-11 of b, or once no
+    double is left strictly inside the bracket; the root then lies between
+    two adjacent doubles and the end that widens the interval is returned:
+    the upper end for side="upper", the lower end for side="lower".
     """
     n = check_trials(n)
     y = int(y)
@@ -360,6 +369,8 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
             lo = b
         else:
             hi = b
+        if hi <= math.nextafter(lo, 1.0):  # no double left inside the bracket
+            return hi if upper else lo
         if slope > 0.0:
             newton = -math.expm1(math.log1p(-b) - h / slope) if upper else b * math.exp(-h / slope)
             if abs(newton - b) <= _NEWTON_RTOL * b and lo <= newton <= hi:
@@ -393,6 +404,8 @@ class SeededStream:
     stream_id: int = 0
 
     def rng(self) -> np.random.Generator:
+        import numpy as np
+
         return np.random.default_rng(
             np.random.SeedSequence([self.master_seed & _MASK64, self.stream_id & _MASK64])
         )
@@ -407,4 +420,4 @@ def draw_bernoulli(stream: SeededStream, b: float, count: int) -> np.ndarray:
     count = int(count)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    return (stream.rng().random(count) < b).astype(np.int64)
+    return (stream.rng().random(count) < b).astype("int64")

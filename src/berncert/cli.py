@@ -12,8 +12,8 @@ import json
 import sys
 from fractions import Fraction
 
+from .binom import _fmt
 from .conformal import PacParams, theorem1_bound
-from .experiments import AppendixConfig, _fmt, emit_csv, run_appendix
 from .indicator import (
     ClaimNeverIssuedError,
     IndicatorModel,
@@ -158,6 +158,9 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_simulate_appendix(args) -> int:
+    # the sweep alone needs experiments and numpy; the other commands load neither
+    from .experiments import AppendixConfig, emit_csv, run_appendix
+
     config = AppendixConfig(
         q_min=args.q_min,
         q_max=args.q_max,

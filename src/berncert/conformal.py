@@ -10,11 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .binom import SeededStream, binom_cdf, check_prob
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class NonconformityMeasure:
@@ -38,6 +39,8 @@ class IndicatorINM(NonconformityMeasure):
         self.target_prob = None if target_prob is None else check_prob(target_prob, "target_prob")
 
     def score_many(self, points) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self._in_target(np.asarray(points)), dtype=float)
 
 
@@ -166,6 +169,8 @@ def indicator_coverage_event(
     1 - Bin(n_test, b)/n_test when `n_test` is given.  Returns h_hat and its
     decomposition by predicted set.
     """
+    import numpy as np
+
     J = params.J
     if J >= params.n:
         return (1.0 if params.coverage_E >= 1.0 else 0.0), {"empty": 1.0}
@@ -183,6 +188,8 @@ def score_threshold(scores: np.ndarray, J: int) -> np.ndarray:
     set: the (J + 1)-th largest calibration score, +inf when J < 0 and -inf
     when J >= N.  A candidate is in the set iff its score is <= this, which
     is the exact test of `inp_contains`."""
+    import numpy as np
+
     n = scores.shape[1]
     if J < 0:
         return np.full(len(scores), np.inf)
@@ -209,6 +216,8 @@ def estimate_SE_probability(
     matrix per chunk, with inner coverage the share of test scores at or
     below `score_threshold`.  Chunk k draws from `stream.substream(k)`.
     """
+    import numpy as np
+
     n_cal, n_test = int(n_cal), int(n_test)
     if n_cal < 1 or n_test < 1:
         raise ValueError("n_cal and n_test must be >= 1")

@@ -7,11 +7,9 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
-
-from .binom import SeededStream
+from .binom import SeededStream, _fmt
 from .conformal import PacBound, PacParams, check_epsilon, indicator_coverage_event, theorem1_bound
 from .indicator import (
     IndicatorModel,
@@ -20,6 +18,9 @@ from .indicator import (
     inp_closed_form,
 )
 from .intervals import IntervalEstimate, clopper_pearson
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MODES = ("monte_carlo", "exact_inner", "fully_exact")
 
@@ -137,10 +138,6 @@ def run_appendix(config: AppendixConfig) -> list[ExperimentRow]:
     return rows
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def emit_csv(rows: list[ExperimentRow], path) -> None:
     """Byte-stable CSV: fixed 12-significant-digit formatting, LF endings."""
     if not rows:
@@ -179,6 +176,8 @@ def linear_contraction_system(
     """Scalar map x <- rate*x with unsafe set {|x| > threshold} and uniform
     initial states.  With the defaults the contraction never enters the
     unsafe set after step 0, so the unsafe probability is exactly 1/2."""
+    import numpy as np
+
     return ToySafetySystem(
         step=lambda x: rate * x,
         horizon=horizon,
@@ -189,6 +188,8 @@ def linear_contraction_system(
 
 def rollout_unsafe(system: ToySafetySystem, x0: np.ndarray) -> np.ndarray:
     """Boolean mask: trajectory from each initial state enters the unsafe set."""
+    import numpy as np
+
     x = np.asarray(x0, dtype=float)
     hit = system.unsafe(x)
     for _ in range(system.horizon):

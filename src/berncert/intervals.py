@@ -6,8 +6,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-import numpy as np
-
 from .binom import (
     SeededStream,
     binom_cdf,
@@ -208,6 +206,8 @@ def pac_form_check(
     mc_trials = int(mc_trials)
     if mc_trials < 1:
         raise ValueError(f"mc_trials must be >= 1, got {mc_trials}")
+    import numpy as np
+
     rng = stream.rng()
     contains = np.array([estimator.interval(y).contains(b) for y in range(n + 1)])
     hits = 0

@@ -2,6 +2,7 @@
 
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -140,6 +141,29 @@ class TestTailInvert:
     def test_round_trip_lower(self, n, y, t):
         b = binom_tail_invert(n, y, t, "lower")
         assert 1 - binom_cdf(n, b, y - 1) == pytest.approx(t, abs=1e-10)
+
+    # roots between two adjacent doubles, where no Newton step from either
+    # one lands inside the collapsed bracket
+    @pytest.mark.parametrize(
+        "n,y,t", [(11, 6, 0.2716760504048823), (124, 32, 0.005), (47, 19, 0.4031792535164339)]
+    )
+    def test_collapsed_bracket_returns_conservative_end(self, n, y, t):
+        b = binom_tail_invert(n, y, t, "upper")
+        # the upper end: the cdf crosses the target between b's lower neighbour and b
+        assert binom_cdf(n, b, y) <= t <= binom_cdf(n, math.nextafter(b, 0.0), y)
+
+    def test_seeded_sweep_converges(self):
+        """2000 random cases, each inverted without ArithmeticError.  A
+        collapsed bracket is rare (about 1 case in 3e4 at n <= 300 and
+        Clopper-Pearson targets); the seed is one whose cases hold one,
+        (47, 19, 0.4031792535164339, "upper")."""
+        rng = random.Random(45)
+        for _ in range(2000):
+            n = rng.randint(1, 300)
+            side = rng.choice(("lower", "upper"))
+            y = rng.randint(1, n) if side == "lower" else rng.randint(0, n - 1)
+            t = rng.choice((0.005, 0.025, rng.random()))
+            assert 0.0 <= binom_tail_invert(n, y, t, side) <= 1.0
 
 
 # ---------------------------------------------------------------- kernel accuracy
@@ -285,17 +309,41 @@ print(" ".join(sorted(loaded - set(sys.stdlib_module_names))))
 """
 
 
-def test_import_does_not_load_mpmath():
-    """Importing the package and its CLI loads no third-party module beyond
-    the declared dependency numpy: mpmath and scipy are for tests only.
-    Modules loaded before the import (site hooks) are not counted."""
+CLI_PROBE = """
+import sys
+from berncert.cli import main
+code = main(sys.argv[1:])
+print(code, "numpy" in sys.modules)
+"""
+
+
+def _probe(code: str, *argv: str) -> str:
     src = os.path.dirname(os.path.dirname(os.path.abspath(berncert.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE],
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
         capture_output=True, text=True, env=env, check=True, timeout=60,
     ).stdout
-    assert out.split() == ["berncert", "numpy"]
+
+
+def test_import_does_not_load_mpmath():
+    """Importing the package and its CLI loads no third-party module: numpy
+    is loaded by the functions that make arrays, and mpmath and scipy are for
+    tests only.  Modules loaded before the import (site hooks) are not
+    counted."""
+    assert _probe(IMPORT_PROBE).split() == ["berncert"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bpci", "--n", "1000000", "--successes", "300000"),
+        ("cp-bound", "--n", "2", "--epsilon", "2/3", "--coverage", "0.5"),
+        ("counterexample", "--b", "0.3", "--coverage", "0.5", "--epsilon", "2/3", "--n", "2", "--show-cases"),
+    ],
+)
+def test_scalar_commands_do_not_load_numpy(argv):
+    assert _probe(CLI_PROBE, *argv).splitlines()[-1] == "0 False"
 
 
 class TestSeededStream:

@@ -39,6 +39,13 @@ class TestBpci:
         # re-printing the parsed record is the identity
         assert json.dumps(record, sort_keys=True) == out.strip()
 
+    def test_collapsed_bracket_exits_0(self, capsys):
+        # alpha / 2 puts the upper end between two adjacent doubles
+        args = ["bpci", "--n", "11", "--successes", "6", "--alpha", "0.5433521008097646"]
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert "upper = 0.6736606202466\n" in out
+
     def test_method_is_constant(self, capsys):
         args = ["bpci", "--n", "10", "--successes", "3"]
         code, out, _ = run_cli(capsys, *args)

@@ -2,11 +2,14 @@
 
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import berncert
 from berncert.binom import SeededStream
 from berncert.experiments import (
     CSV_HEADER,
@@ -102,6 +105,28 @@ class TestRunAppendix:
         monkeypatch.setenv("BERN_CERT_THREADS", "4")
         parallel = run_appendix(config)
         assert serial == parallel
+
+    FIRST_IMPORT_IN_THREADS = """
+import sys
+sys.setswitchinterval(1e-6)
+from berncert.experiments import AppendixConfig, run_appendix
+assert "numpy" not in sys.modules
+rows = run_appendix(AppendixConfig(q_min=10, q_max=14, n_cal=500, master_seed=9))
+print(repr([(r.q, r.regime, r.h_hat, r.frac_fullspace) for r in rows]))
+"""
+
+    def test_first_numpy_import_in_worker_threads(self):
+        """In a fresh interpreter numpy is first imported by the sweep's
+        worker threads, eight of them at once; the rows are those of a
+        serial run."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(berncert.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, BERN_CERT_THREADS="8")
+        out = subprocess.run(
+            [sys.executable, "-c", self.FIRST_IMPORT_IN_THREADS],
+            capture_output=True, text=True, env=env, check=True, timeout=60,
+        ).stdout
+        rows = run_appendix(AppendixConfig(q_min=10, q_max=14, n_cal=500, master_seed=9))
+        assert out.strip() == repr([(r.q, r.regime, r.h_hat, r.frac_fullspace) for r in rows])
 
     # (q, regime, h_hat, frac_fullspace, frac_qbar_covering) for q = 38..40,
     # n_cal = 300, n_test = 200, master_seed = 17
