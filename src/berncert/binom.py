@@ -18,7 +18,9 @@ and the sum stops at the first term below 1e-17 of the partial sum.  The
 other value is its complement, taken only across the mode, of a tail of at
 most about 1/2, so it loses no relative accuracy.  `binom_pmf_vector` takes
 its values from the same recurrence.  Tail inversion is Newton's method on
-the log tail, safeguarded by a shrinking bracket.
+the log tail, safeguarded by a shrinking bracket.  Its slope needs pmf_n(y),
+which is the first term of the tail sum the same step has just taken, or one
+ratio step from it, so each step pays for one saddle-point anchor, not two.
 
 The scalar functions compute on Python floats and load no numpy; numpy is
 imported only inside the functions that make an array or a random stream.
@@ -233,25 +235,30 @@ def _terms(n: int, p: float, qh: float, ql: float, k: int, step: int, end: int) 
             yield t
 
 
-def _cdf_sf(n: int, b: float, j: int) -> tuple[float, float]:
-    """(Pr(Y <= j), Pr(Y > j)) for Y ~ Bin(n, b); total on integers j.  Sums
-    only the tail on the far side of the mode from j (module docstring)."""
+def _cdf_sf(n: int, b: float, j: int) -> tuple[float, float, int, float]:
+    """(Pr(Y <= j), Pr(Y > j), k, Pr(Y = k)) for Y ~ Bin(n, b); total on
+    integers j.  Sums only the tail on the far side of the mode from j
+    (module docstring); k is the index of its first term, j below the mode
+    and j + 1 above it, and Pr(Y = k) that term, 0.0 where no tail is summed
+    or its first term underflows."""
     n = check_trials(n)
     b = check_prob(b, "b")
     j = int(j)
     if j < 0 or j >= n:
-        return (0.0, 1.0) if j < 0 else (1.0, 0.0)
+        return (0.0, 1.0, j, 0.0) if j < 0 else (1.0, 0.0, j, 0.0)
     if b in (0.0, 1.0):
-        return (1.0, 0.0) if b == 0.0 else (0.0, 1.0)
+        return (1.0, 0.0, j, 0.0) if b == 0.0 else (0.0, 1.0, j, 0.0)
     qh, ql = _complement(b)
     lower = j < _mode(n, b)
     k, step, end = (j, -1, 0) if lower else (j + 1, 1, n)
-    total = 0.0
-    for t in _terms(n, b, qh, ql, k, step, end):
+    terms = _terms(n, b, qh, ql, k, step, end)
+    # the first term is positive, so it never meets the stopping rule
+    first = total = next(terms, 0.0)
+    for t in terms:
         total += t
         if t <= _TAIL_STOP * total:
             break
-    return (total, 1.0 - total) if lower else (1.0 - total, total)
+    return (total, 1.0 - total, k, first) if lower else (1.0 - total, total, k, first)
 
 
 def binom_pmf(n: int, b: float, y: int) -> float:
@@ -325,12 +332,21 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
     log(1 - b) (upper).  Both are concave, as the beta densities involved
     are log-concave, so after at most one overshoot the iterates approach
     the root from one side.  The derivative of the tail in b is
-    -n pmf_{n-1}(y) (upper) or n pmf_{n-1}(y - 1) (lower).  A step that
-    leaves the bracket, which shrinks at every step, is replaced by
-    bisection.  Iteration stops after a step below 1e-11 of b, or once no
-    double is left strictly inside the bracket; the root then lies between
-    two adjacent doubles and the end that widens the interval is returned:
-    the upper end for side="upper", the lower end for side="lower".
+    -n pmf_{n-1}(y) (upper) or n pmf_{n-1}(y - 1) (lower), and
+    n pmf_{n-1}(y) (1 - b) = (n - y) pmf_n(y), n pmf_{n-1}(y - 1) b =
+    y pmf_n(y); so the slopes of the log tail are (n - y) pmf_n(y) / tail
+    and y pmf_n(y) / tail.  pmf_n(y) is the first term of the tail sum
+    `_cdf_sf` has just taken, or is one ratio step from it when that sum
+    starts at y - 1 or y + 1.  A step that leaves the bracket, which shrinks
+    at every step, is replaced by bisection.
+
+    Iteration stops after a step below 1e-11 of b and returns that Newton
+    iterate, which may lie an ulp or so on either side of the root: below
+    the few-ulp rounding of the tail itself, which cannot place it more
+    closely.  It also stops once no double is left strictly inside the
+    bracket; the root then lies between two adjacent doubles and only this
+    exit returns the end that widens the interval: the upper end for
+    side="upper", the lower end for side="lower".
     """
     n = check_trials(n)
     y = int(y)
@@ -353,15 +369,16 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
     log_target = math.log(target)
     lo, hi = 0.0, 1.0
     for _ in range(_NEWTON_MAX_STEPS):
-        qh, ql = _complement(b)
-        if upper:
-            tail = binom_cdf(n, b, y)
-            # d log tail / d log(1 - b)
-            slope = n * _pmf(n - 1, y, b, qh, ql) * qh / tail if tail > 0.0 else 0.0
-        else:
-            tail = binom_sf(n, b, y - 1)
-            # d log tail / d log b
-            slope = n * _pmf(n - 1, y - 1, b, qh, ql) * b / tail if tail > 0.0 else 0.0
+        cdf, sf, k, pk = _cdf_sf(n, b, y if upper else y - 1)
+        tail = cdf if upper else sf
+        # pmf_n(y) from the tail sum's first term pk = pmf_n(k), k in {y - 1, y, y + 1};
+        # left to right, so that a subnormal b cannot make the ratio overflow
+        if k > y:
+            pk = pk * (y + 1) * (1.0 - b) / ((n - y) * b)
+        elif k < y:
+            pk = pk * (n - y + 1) * b / (y * (1.0 - b))
+        # d log tail / d log(1 - b) (upper) or d log b (lower)
+        slope = pk * (n - y if upper else y) / tail if tail > 0.0 else 0.0
         h = math.log(tail) - log_target if tail > 0.0 else -math.inf
         if h == 0.0:
             return b

@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import berncert
+import berncert.binom
 from berncert.binom import (
     SeededStream,
+    _cdf_sf,
     binom_cdf,
     binom_pmf,
     binom_pmf_vector,
@@ -99,6 +101,12 @@ class TestCdf:
         j = min(j, n)
         diff = binom_cdf(n, b, j) - binom_cdf(n, b, j - 1)
         assert diff == pytest.approx(binom_pmf(n, b, j), abs=1e-12)
+        if 0.0 < b < 1.0 and j < n:
+            # the tail sum starts at j below the mode and at j + 1 above it,
+            # from the same saddle-point anchor that binom_pmf returns
+            _, _, k, first = _cdf_sf(n, b, j)
+            assert k == (j if j < min(int((n + 1) * b), n) else j + 1)
+            assert first == binom_pmf(n, b, k)
 
     @given(n=st.integers(1, 25), b=st.floats(0, 1))
     @settings(max_examples=50)
@@ -151,6 +159,29 @@ class TestTailInvert:
         b = binom_tail_invert(n, y, t, "upper")
         # the upper end: the cdf crosses the target between b's lower neighbour and b
         assert binom_cdf(n, b, y) <= t <= binom_cdf(n, math.nextafter(b, 0.0), y)
+
+    @pytest.mark.parametrize(
+        "n,y,t,side",
+        [(10, 3, 0.025, "upper"), (10, 3, 0.025, "lower"), (200, 0, 0.005, "upper"),
+         (200, 200, 0.005, "lower"), (256, 90, 0.3, "upper"), (256, 90, 0.3, "lower")],
+    )
+    def test_one_anchor_per_tail_evaluation(self, monkeypatch, n, y, t, side):
+        """The Newton slope comes from the first term of the tail sum just
+        taken, so the inversion computes no saddle-point anchor beyond those
+        the tail sums make: at n <= 256 one each."""
+        counts = {"pmf": 0, "tail": 0}
+
+        def counted(name, f):
+            def wrapper(*args):
+                counts[name] += 1
+                return f(*args)
+            return wrapper
+
+        monkeypatch.setattr(berncert.binom, "_pmf", counted("pmf", berncert.binom._pmf))
+        monkeypatch.setattr(berncert.binom, "_cdf_sf", counted("tail", berncert.binom._cdf_sf))
+        binom_tail_invert(n, y, t, side)
+        assert counts["tail"] > 0
+        assert counts["pmf"] == counts["tail"]
 
     def test_seeded_sweep_converges(self):
         """2000 random cases, each inverted without ArithmeticError.  A

@@ -77,6 +77,15 @@ class TestClopperPearson:
             assert a.lower <= b.lower + 1e-12
             assert a.upper <= b.upper + 1e-12
 
+    # targets down to the subnormal range, where a slope carried through
+    # more than one ratio step at a subnormal b loses its precision
+    @pytest.mark.parametrize(
+        "n,y,alpha", [(3000, 1, 4e-320), (2, 1, 1e-308), (10**6, 1, 1e-300), (10, 3, 1e-300)]
+    )
+    def test_extreme_targets(self, n, y, alpha):
+        iv = clopper_pearson(n, y, alpha)
+        assert iv.lower <= y / n <= iv.upper
+
     def test_interval_estimate_invariant(self):
         with pytest.raises(ValueError):
             IntervalEstimate(lower=0.6, upper=0.4, alpha=0.05, n=10, y=3)
