@@ -23,7 +23,6 @@ from .conformal import (
 from .indicator import (
     ClaimNeverIssuedError,
     ExactSEResult,
-    IndicatorModel,
     PredictionSetKind,
     enumerate_example1,
     exact_SE_probability,

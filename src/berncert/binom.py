@@ -24,6 +24,11 @@ ratio step from it, so each step pays for one saddle-point anchor, not two.
 
 The scalar functions compute on Python floats and load no numpy; numpy is
 imported only inside the functions that make an array or a random stream.
+
+Three checkers here validate every argument of the package: `check_int`
+for counts (integral floats pass), `check_prob` for probabilities in
+[0, 1] and `check_level` for levels in (0, 1).  Anything else raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -70,19 +75,32 @@ _NEWTON_RTOL = 1e-11
 _NEWTON_MAX_STEPS = 200
 
 
+def check_int(k, name: str, lo: float = -math.inf, hi: float = math.inf) -> int:
+    """Validate that ``k`` is an integer in [lo, hi] and return it as an int.
+    Integral floats such as 3.0 pass; 2.5, NaN, inf and strings do not."""
+    try:
+        i = int(k)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != k or not lo <= i <= hi:
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {k!r}")
+    return i
+
+
 def check_prob(p: float, name: str = "probability") -> float:
     """Validate that ``p`` lies in [0, 1] and return it as a float."""
     p = float(p)
-    if not (0.0 <= p <= 1.0) or math.isnan(p):
+    if not 0.0 <= p <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
     return p
 
 
-def check_trials(n: int, name: str = "n") -> int:
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"{name} must be a positive integer, got {n}")
-    return n
+def check_level(a: float, name: str) -> float:
+    """Validate that ``a`` lies strictly inside (0, 1) and return it as a float."""
+    a = float(a)
+    if not 0.0 < a < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {a!r}")
+    return a
 
 
 def _fmt(x: float) -> str:
@@ -241,9 +259,9 @@ def _cdf_sf(n: int, b: float, j: int) -> tuple[float, float, int, float]:
     (module docstring); k is the index of its first term, j below the mode
     and j + 1 above it, and Pr(Y = k) that term, 0.0 where no tail is summed
     or its first term underflows."""
-    n = check_trials(n)
+    n = check_int(n, "n", 1)
     b = check_prob(b, "b")
-    j = int(j)
+    j = check_int(j, "j")
     if j < 0 or j >= n:
         return (0.0, 1.0, j, 0.0) if j < 0 else (1.0, 0.0, j, 0.0)
     if b in (0.0, 1.0):
@@ -263,11 +281,9 @@ def _cdf_sf(n: int, b: float, j: int) -> tuple[float, float, int, float]:
 
 def binom_pmf(n: int, b: float, y: int) -> float:
     """Pr(Y = y) for Y ~ Bin(n, b), by the saddle-point formula."""
-    n = check_trials(n)
+    n = check_int(n, "n", 1)
     b = check_prob(b, "b")
-    y = int(y)
-    if not (0 <= y <= n):
-        raise ValueError(f"y must lie in [0, {n}], got {y}")
+    y = check_int(y, "y", 0, n)
     if b == 0.0:
         return 1.0 if y == 0 else 0.0
     if b == 1.0:
@@ -280,7 +296,7 @@ def binom_pmf_vector(n: int, b: float) -> np.ndarray:
     recurrence outward from the mode."""
     import numpy as np
 
-    n = check_trials(n)
+    n = check_int(n, "n", 1)
     b = check_prob(b, "b")
     out = np.zeros(n + 1)
     if b in (0.0, 1.0):
@@ -348,13 +364,9 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
     exit returns the end that widens the interval: the upper end for
     side="upper", the lower end for side="lower".
     """
-    n = check_trials(n)
-    y = int(y)
-    if not (0 <= y <= n):
-        raise ValueError(f"y must lie in [0, {n}], got {y}")
-    target = float(target)
-    if not (0.0 < target < 1.0):
-        raise ValueError(f"target must lie in (0, 1), got {target}")
+    n = check_int(n, "n", 1)
+    y = check_int(y, "y", 0, n)
+    target = check_level(target, "target")
     if side not in ("lower", "upper"):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
     upper = side == "upper"
@@ -434,7 +446,5 @@ class SeededStream:
 def draw_bernoulli(stream: SeededStream, b: float, count: int) -> np.ndarray:
     """i.i.d. 0/1 draws with success probability b."""
     b = check_prob(b, "b")
-    count = int(count)
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    count = check_int(count, "count", 0)
     return (stream.rng().random(count) < b).astype("int64")

@@ -16,7 +16,6 @@ from .binom import _fmt
 from .conformal import PacParams, theorem1_bound
 from .indicator import (
     ClaimNeverIssuedError,
-    IndicatorModel,
     enumerate_example1,
     exact_SE_probability,
     naive_interval_coverage,
@@ -131,15 +130,15 @@ def _cmd_cp_bound(args) -> int:
 def _cmd_counterexample(args) -> int:
     if args.show_cases and args.n != 2:
         raise ValueError(f"--show-cases needs n = 2, got n = {args.n}")
-    model = IndicatorModel(b=float(args.b), n=args.n)
-    result = exact_SE_probability(model, args.epsilon, float(args.coverage))
-    print(f"b = {_fmt(model.b)}, E = {_fmt(float(args.coverage))}, epsilon = {args.epsilon}, n = {model.n}")
+    b, E = float(args.b), float(args.coverage)
+    result = exact_SE_probability(b, args.n, args.epsilon, E)
+    print(f"b = {_fmt(b)}, E = {_fmt(E)}, epsilon = {args.epsilon}, n = {args.n}")
     print(f"prob_SE = {_fmt(result.prob_SE)}")
     print(f"  full-space prediction: {_fmt(result.prob_fullspace)}")
     print(f"  complement prediction, covering: {_fmt(result.prob_qbar_covering)}")
     print(f"bound (1 - delta) = {_fmt(result.bound.confidence)}")
     if args.show_cases:
-        table = enumerate_example1(model.b, args.epsilon, float(args.coverage))
+        table = enumerate_example1(b, args.epsilon, E)
         for case in table.cases:
             print(
                 f"  case [{case.label}] prob={_fmt(case.probability)} "
@@ -147,7 +146,7 @@ def _cmd_counterexample(args) -> int:
                 f"in_SE={case.in_SE}"
             )
     try:
-        naive = naive_interval_coverage(model.b, float(args.coverage), model.n, args.epsilon)
+        naive = naive_interval_coverage(b, E, args.n, args.epsilon)
     except ClaimNeverIssuedError:
         print("naive interval rule: claim never issued (undefined conditional coverage)")
         return 0

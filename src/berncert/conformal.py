@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .binom import SeededStream, binom_cdf, check_prob
+from .binom import SeededStream, binom_cdf, check_int, check_prob
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,7 +78,7 @@ def inp_contains(cal: CalibrationScores, candidate_score: float, epsilon) -> boo
 
 def score_rank_threshold(epsilon, n: int) -> int:
     """Largest J with (J + 1)/(n + 1) <= epsilon, i.e. floor(epsilon*(n+1) - 1)."""
-    return math.floor(Fraction(epsilon) * (n + 1) - 1)
+    return math.floor(Fraction(epsilon) * (check_int(n, "n", 1) + 1) - 1)
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,7 @@ class PacParams:
     def __post_init__(self):
         object.__setattr__(self, "epsilon", check_epsilon(self.epsilon))
         object.__setattr__(self, "coverage_E", check_prob(self.coverage_E, "coverage_E"))
-        if int(self.n) < 1:
-            raise ValueError(f"calibration size must be >= 1, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", check_int(self.n, "calibration size", 1))
         object.__setattr__(self, "J", score_rank_threshold(self.epsilon, self.n))
 
     def complement_covers(self, b: float) -> bool:
@@ -171,6 +169,8 @@ def indicator_coverage_event(
     """
     import numpy as np
 
+    b, n_cal = check_prob(b, "b"), check_int(n_cal, "n_cal", 1)
+    n_test = None if n_test is None else check_int(n_test, "n_test", 1)
     J = params.J
     if J >= params.n:
         return (1.0 if params.coverage_E >= 1.0 else 0.0), {"empty": 1.0}
@@ -218,9 +218,7 @@ def estimate_SE_probability(
     """
     import numpy as np
 
-    n_cal, n_test = int(n_cal), int(n_test)
-    if n_cal < 1 or n_test < 1:
-        raise ValueError("n_cal and n_test must be >= 1")
+    n_cal, n_test = check_int(n_cal, "n_cal", 1), check_int(n_test, "n_test", 1)
     bound = theorem1_bound(params)
     if isinstance(inm, IndicatorINM) and inm.target_prob is not None:
         h_hat, decomposition = indicator_coverage_event(params, inm.target_prob, n_cal, stream.rng())

@@ -9,14 +9,9 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
-from .binom import SeededStream, _fmt
+from .binom import SeededStream, _fmt, check_int
 from .conformal import PacBound, PacParams, check_epsilon, indicator_coverage_event, theorem1_bound
-from .indicator import (
-    IndicatorModel,
-    PredictionSetKind,
-    exact_SE_probability,
-    inp_closed_form,
-)
+from .indicator import PredictionSetKind, exact_SE_probability, inp_closed_form
 from .intervals import IntervalEstimate, clopper_pearson
 
 if TYPE_CHECKING:
@@ -40,16 +35,14 @@ class AppendixConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not (0 <= self.q_min <= self.q_max):
-            raise ValueError(f"need 0 <= q_min <= q_max, got [{self.q_min}, {self.q_max}]")
+        object.__setattr__(self, "q_min", check_int(self.q_min, "q_min", 0))
+        object.__setattr__(self, "q_max", check_int(self.q_max, "q_max", self.q_min))
+        for name in ("n_cal", "n_test", "n_calibration_size"):
+            object.__setattr__(self, name, check_int(getattr(self, name), name, 1))
         for q in (self.q_min, self.q_max):
             E = self.E_of(q)
             if not (0.0 < E < 1.0):
                 raise ValueError(f"E = {E} at q = {q} falls outside (0, 1)")
-        if self.n_cal < 1 or self.n_test < 1:
-            raise ValueError("n_cal and n_test must be >= 1")
-        if self.n_calibration_size < 1:
-            raise ValueError("calibration size must be >= 1")
         object.__setattr__(self, "epsilon", check_epsilon(self.epsilon))
 
     @staticmethod
@@ -87,7 +80,7 @@ CSV_HEADER = ",".join(CSV_FIELDS)
 
 def _run_row(config: AppendixConfig, q: int, regime_idx: int) -> ExperimentRow:
     regime, E, b = config.regimes_of(q)[regime_idx]
-    exact = exact_SE_probability(IndicatorModel(b=b, n=config.n_calibration_size), config.epsilon, E)
+    exact = exact_SE_probability(b, config.n_calibration_size, config.epsilon, E)
     if config.mode == "fully_exact":
         h_hat = exact.prob_SE
         frac_full = exact.prob_fullspace
@@ -221,8 +214,7 @@ def run_safety_demo(
     The interval estimate is the correct certificate for the unsafe
     probability; the conformal side reports the realized prediction and its
     coverage-event bound, which says nothing about the parameter itself."""
-    if n_cal < 1:
-        raise ValueError(f"n_cal must be >= 1, got {n_cal}")
+    n_cal = check_int(n_cal, "n_cal", 1)
     rng = stream.rng()
     x0 = system.sample_initial(rng, n_cal)
     scores = rollout_unsafe(system, x0).astype(int)

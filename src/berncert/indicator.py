@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .binom import binom_cdf, binom_sf, check_prob, check_trials
+from .binom import binom_cdf, binom_sf, check_int, check_prob
 from .conformal import PacBound, PacParams, check_epsilon, score_rank_threshold, theorem1_bound
 
 
@@ -18,16 +18,6 @@ class PredictionSetKind(Enum):
     Q_COMPLEMENT = "Q_complement"
     FULL_SPACE = "full_space"
     EMPTY = "empty"
-
-
-@dataclass(frozen=True)
-class IndicatorModel:
-    b: float  # probability of the target set Q
-    n: int  # calibration size
-
-    def __post_init__(self):
-        check_prob(self.b, "b")
-        check_trials(self.n)
 
 
 class ClaimNeverIssuedError(ValueError):
@@ -41,10 +31,8 @@ def inp_closed_form(n: int, ones_count: int, epsilon) -> PredictionSetKind:
     Score-0 candidates have p = 1 and are included whenever epsilon < 1;
     score-1 candidates have p = (ones_count + 1)/(n + 1).
     """
-    n = check_trials(n)
-    ones_count = int(ones_count)
-    if not (0 <= ones_count <= n):
-        raise ValueError(f"ones_count must lie in [0, {n}], got {ones_count}")
+    n = check_int(n, "n", 1)
+    ones_count = check_int(ones_count, "ones_count", 0, n)
     J = score_rank_threshold(check_epsilon(epsilon), n)
     if J >= n:
         return PredictionSetKind.EMPTY
@@ -70,17 +58,19 @@ def _closed_form_params(epsilon, coverage_E: float, n: int) -> PacParams:
     return params
 
 
-def exact_SE_probability(model: IndicatorModel, epsilon, coverage_E: float) -> ExactSEResult:
-    """Exact probability that the realized predictor attains coverage >= 1 - E.
+def exact_SE_probability(b: float, n: int, epsilon, coverage_E: float) -> ExactSEResult:
+    """Exact probability that the realized predictor, calibrated on n points
+    whose target set Q has probability b, attains coverage >= 1 - E.
 
     Inner coverage is 1 for the full space and 1 - b for the complement
     prediction, so the event holds always when b <= E and exactly when the
     full space is predicted when b > E.
     """
-    params = _closed_form_params(epsilon, coverage_E, model.n)
+    b = check_prob(b, "b")
+    params = _closed_form_params(epsilon, coverage_E, n)
     # predictor is the full space iff ones_count >= J + 1
-    prob_fullspace = binom_sf(model.n, model.b, params.J)
-    if params.complement_covers(model.b):
+    prob_fullspace = binom_sf(params.n, b, params.J)
+    if params.complement_covers(b):
         prob_qbar_covering = 1.0 - prob_fullspace
         prob_SE = 1.0
     else:
@@ -158,10 +148,10 @@ def naive_interval_coverage(b: float, coverage_E: float, n: int, epsilon) -> Nai
     is then still issued, and its conditional coverage is returned.
     """
     b = check_prob(b, "b")
-    params = _closed_form_params(epsilon, coverage_E, check_trials(n))
+    params = _closed_form_params(epsilon, coverage_E, n)
     if b == 1.0 or params.J < 0:
         raise ClaimNeverIssuedError(
-            f"the complement prediction is never issued for b={b}, n={n}, epsilon={epsilon}"
+            f"the complement prediction is never issued for b={b}, n={params.n}, epsilon={epsilon}"
         )
     return NaiveIntervalReport(
         conditional_coverage=1.0 if params.complement_covers(b) else 0.0,

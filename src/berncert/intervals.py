@@ -12,8 +12,9 @@ from .binom import (
     binom_pmf_vector,
     binom_sf,
     binom_tail_invert,
+    check_int,
+    check_level,
     check_prob,
-    check_trials,
 )
 
 
@@ -41,13 +42,9 @@ def clopper_pearson(n: int, y: int, alpha: float) -> IntervalEstimate:
 
     Endpoints at y=0 and y=n are pinned to 0 and 1 (one-sided convention).
     """
-    n = check_trials(n)
-    y = int(y)
-    if not (0 <= y <= n):
-        raise ValueError(f"successes must lie in [0, {n}], got {y}")
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    n = check_int(n, "n", 1)
+    y = check_int(y, "successes", 0, n)
+    alpha = check_level(alpha, "alpha")
     lower = 0.0 if y == 0 else binom_tail_invert(n, y, alpha / 2, "lower")
     upper = 1.0 if y == n else binom_tail_invert(n, y, alpha / 2, "upper")
     return IntervalEstimate(lower=lower, upper=upper, alpha=alpha, n=n, y=y)
@@ -57,14 +54,12 @@ class ClopperPearson:
     """Interval estimator y -> Clopper-Pearson interval for fixed (n, alpha)."""
 
     def __init__(self, n: int, alpha: float):
-        self.n = check_trials(n)
-        if not (0.0 < alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-        self.alpha = float(alpha)
+        self.n = check_int(n, "n", 1)
+        self.alpha = check_level(alpha, "alpha")
         self._cache: dict[int, IntervalEstimate] = {}
 
     def interval(self, y: int) -> IntervalEstimate:
-        y = int(y)
+        y = check_int(y, "y", 0, self.n)
         if y not in self._cache:
             self._cache[y] = clopper_pearson(self.n, y, self.alpha)
         return self._cache[y]
@@ -74,11 +69,12 @@ class FullInterval:
     """Trivial estimator returning [0, 1] for every outcome; used in tests."""
 
     def __init__(self, n: int, alpha: float = 0.0):
-        self.n = n
+        self.n = check_int(n, "n", 1)
         self.alpha = alpha
 
     def interval(self, y: int) -> IntervalEstimate:
-        return IntervalEstimate(lower=0.0, upper=1.0, alpha=self.alpha, n=self.n, y=int(y))
+        y = check_int(y, "y", 0, self.n)
+        return IntervalEstimate(lower=0.0, upper=1.0, alpha=self.alpha, n=self.n, y=y)
 
 
 @dataclass
@@ -88,11 +84,21 @@ class CoverageReport:
     covering_set: frozenset[int]
 
 
+def _intervals(estimator, n: int) -> list[IntervalEstimate]:
+    """The estimator's intervals for y = 0..n, refused unless each is built
+    for this n: the coverage at one n says nothing of an estimator for another."""
+    ivs = [estimator.interval(y) for y in range(n + 1)]
+    other = next((iv.n for iv in ivs if iv.n != n), None)
+    if other is not None:
+        raise ValueError(f"the estimator's intervals are for n = {other}, not for the n = {n} judged")
+    return ivs
+
+
 def coverage_probability(estimator, b: float, n: int) -> CoverageReport:
     """Exact coverage at b by enumerating all n+1 outcomes."""
-    n = check_trials(n)
+    n = check_int(n, "n", 1)
     b = check_prob(b, "b")
-    covering = frozenset(y for y in range(n + 1) if estimator.interval(y).contains(b))
+    covering = frozenset(y for y, iv in enumerate(_intervals(estimator, n)) if iv.contains(b))
     if len(covering) == n + 1:
         coverage = 1.0  # covering every outcome is certain coverage
     else:
@@ -118,8 +124,7 @@ def endpoint_augmented_grid(estimator, n: int, step: float = 0.001, eps: float =
     No verdict uses them: `verify_conservative_validity` is exact.
     """
     points = {round(k * step, 12) for k in range(int(round(1.0 / step)) + 1)}
-    for y in range(n + 1):
-        iv = estimator.interval(y)
+    for iv in _intervals(estimator, check_int(n, "n", 1)):
         for p in (iv.lower, iv.upper):
             for q in (p - eps, p, p + eps):
                 if 0.0 <= q <= 1.0:
@@ -155,7 +160,7 @@ def _coverage_infimum(estimator, n: int) -> tuple[float, float]:
     and, up to rounding, the same coverage.  A piece with no double inside
     it still counts towards the infimum; its b is then its other end.
     """
-    ivs = [estimator.interval(y) for y in range(n + 1)]
+    ivs = _intervals(estimator, n)
     lowers = [iv.lower for iv in ivs]
     uppers = [iv.upper for iv in ivs]
     if any(prev > nxt for ends in (lowers, uppers) for prev, nxt in zip(ends, ends[1:])):
@@ -183,10 +188,12 @@ def verify_conservative_validity(estimator, n: int, alpha: float) -> ValidityRep
     over b in [0, 1], found from O(n) binomial tails at the interval
     endpoints (see `_coverage_infimum`), and `worst_b` is a b at which
     `coverage_probability` reproduces it.  This needs endpoints that are
-    nondecreasing in y, as those of Clopper-Pearson are; for any other
-    estimator it raises ValueError and gives no verdict.
+    nondecreasing in y, as those of Clopper-Pearson are, and built for this
+    n; for any other estimator it raises ValueError and gives no verdict.
     """
-    worst_b, worst_cov = _coverage_infimum(estimator, check_trials(n))
+    n = check_int(n, "n", 1)
+    alpha = check_level(alpha, "alpha")
+    worst_b, worst_cov = _coverage_infimum(estimator, n)
     return ValidityReport(
         valid=worst_cov >= 1.0 - alpha,
         worst_b=worst_b,
@@ -201,15 +208,13 @@ def pac_form_check(
 ) -> float:
     """Monte Carlo coverage: fraction of simulated calibration sets whose
     interval contains b.  Converges to the exact enumeration value."""
-    n = check_trials(n)
+    n = check_int(n, "n", 1)
     b = check_prob(b, "b")
-    mc_trials = int(mc_trials)
-    if mc_trials < 1:
-        raise ValueError(f"mc_trials must be >= 1, got {mc_trials}")
+    mc_trials = check_int(mc_trials, "mc_trials", 1)
     import numpy as np
 
     rng = stream.rng()
-    contains = np.array([estimator.interval(y).contains(b) for y in range(n + 1)])
+    contains = np.array([iv.contains(b) for iv in _intervals(estimator, n)])
     hits = 0
     chunk = 1 << 16
     for start in range(0, mc_trials, chunk):

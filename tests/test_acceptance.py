@@ -22,7 +22,6 @@ from berncert.experiments import (
 )
 from berncert.indicator import (
     ClaimNeverIssuedError,
-    IndicatorModel,
     exact_SE_probability,
     naive_interval_coverage,
 )
@@ -43,7 +42,7 @@ def test_criterion_1_exact_special_case_grid():
     ok = True
     for b in grid:
         for E in grid:
-            r = exact_SE_probability(IndicatorModel(b, 2), eps, E)
+            r = exact_SE_probability(b, 2, eps, E)
             expected = 1.0 if b <= E else b * b
             if abs(r.prob_SE - expected) > 1e-12 or r.prob_SE < E * E - 1e-15:
                 ok = False
@@ -81,7 +80,7 @@ def test_criterion_2_brute_force_property_suite():
                 coverage = np.where(fullspace, 1.0, 1.0 - b)
                 for E in prob_grid:
                     brute = float(weights[coverage >= 1.0 - E].sum())
-                    result = exact_SE_probability(IndicatorModel(b, n), eps, E)
+                    result = exact_SE_probability(b, n, eps, E)
                     worst = max(worst, abs(brute - result.prob_SE))
                     if result.prob_SE < result.bound.confidence - 1e-12:
                         bound_ok = False

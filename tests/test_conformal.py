@@ -246,7 +246,7 @@ class TestEstimateSE:
 
     def test_theorem1_respected_on_grid(self):
         # exact closed form always dominates the bound for small n
-        from berncert.indicator import IndicatorModel, exact_SE_probability
+        from berncert.indicator import exact_SE_probability
 
         eps_grid = [Fraction(k, 20) for k in range(21)] + [Fraction(1, 3), Fraction(2, 3)]
         for n in range(1, 13):
@@ -255,7 +255,7 @@ class TestEstimateSE:
                     continue
                 for E in (0.1, 0.5, 0.9):
                     for b in (0.0, 0.3, 0.8, 1.0):
-                        result = exact_SE_probability(IndicatorModel(b, n), eps, E)
+                        result = exact_SE_probability(b, n, eps, E)
                         assert result.prob_SE >= result.bound.confidence - 1e-12
 
 

@@ -21,7 +21,6 @@ from berncert.conformal import (
 from berncert.indicator import (
     ClaimNeverIssuedError,
     Example1Table,
-    IndicatorModel,
     PredictionSetKind,
     enumerate_example1,
     exact_SE_probability,
@@ -85,19 +84,19 @@ class TestInpClosedForm:
 
 class TestExactSE:
     def test_paper_scale_example_b_above(self):
-        result = exact_SE_probability(IndicatorModel(0.5, 2), Fraction(2, 3), 0.4)
+        result = exact_SE_probability(0.5, 2, Fraction(2, 3), 0.4)
         assert result.prob_SE == pytest.approx(0.25, abs=1e-14)
         assert result.prob_fullspace == pytest.approx(0.25, abs=1e-14)
         assert result.prob_qbar_covering == 0.0
 
     def test_paper_scale_example_b_below(self):
-        result = exact_SE_probability(IndicatorModel(0.3, 2), Fraction(2, 3), 0.5)
+        result = exact_SE_probability(0.3, 2, Fraction(2, 3), 0.5)
         assert result.prob_SE == 1.0
         assert result.prob_fullspace == pytest.approx(0.09, abs=1e-14)
         assert result.prob_qbar_covering == pytest.approx(0.91, abs=1e-14)
 
     def test_derived_n5_value(self):
-        result = exact_SE_probability(IndicatorModel(0.7, 5), 0.5, 0.6)
+        result = exact_SE_probability(0.7, 5, 0.5, 0.6)
         assert result.prob_SE == pytest.approx(0.83692, abs=1e-12)
         # cross-check against the independent enumeration oracle
         assert result.prob_SE == pytest.approx(brute_force_SE(0.7, 5, 0.5, 0.6), abs=1e-12)
@@ -105,7 +104,7 @@ class TestExactSE:
     def test_decomposition_sums(self):
         for b in (0.2, 0.6):
             for E in (0.3, 0.7):
-                r = exact_SE_probability(IndicatorModel(b, 4), Fraction(2, 5), E)
+                r = exact_SE_probability(b, 4, Fraction(2, 5), E)
                 assert r.prob_SE == pytest.approx(
                     r.prob_fullspace + r.prob_qbar_covering
                     if b <= E
@@ -116,7 +115,7 @@ class TestExactSE:
 
     def test_epsilon_one_rejected(self):
         with pytest.raises(ValueError):
-            exact_SE_probability(IndicatorModel(0.5, 2), 1, 0.4)
+            exact_SE_probability(0.5, 2, 1, 0.4)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_matches_brute_force(self, n):
@@ -124,13 +123,13 @@ class TestExactSE:
         for b in (0.1, 0.5, 0.9):
             for eps in eps_grid:
                 for E in (0.2, 0.5, 0.8):
-                    exact = exact_SE_probability(IndicatorModel(b, n), eps, E).prob_SE
+                    exact = exact_SE_probability(b, n, eps, E).prob_SE
                     brute = brute_force_SE(b, n, eps, E)
                     assert exact == pytest.approx(brute, abs=1e-12)
 
     def test_tightness_when_b_above_E(self):
         # the bound is met only through trivial full-space predictions
-        r = exact_SE_probability(IndicatorModel(0.7, 6), Fraction(1, 2), 0.5)
+        r = exact_SE_probability(0.7, 6, Fraction(1, 2), 0.5)
         assert r.prob_qbar_covering == 0.0
         assert r.prob_SE == r.prob_fullspace
 
@@ -139,7 +138,7 @@ class TestExactSE:
         # the full space needs ones_count >= J + 1 = 39 of 40 at b = 0.01:
         # a probability of about 4e-78, which 1 - Pr(Y <= J) would round to 0
         b = 0.01
-        r = exact_SE_probability(IndicatorModel(b, 40), Fraction(39, 41), 0.005)
+        r = exact_SE_probability(b, 40, Fraction(39, 41), 0.005)
         bf = Fraction(b)
         exact = sum(math.comb(40, k) * bf**k * (1 - bf) ** (40 - k) for k in (39, 40))
         assert r.prob_fullspace == pytest.approx(float(exact), rel=1e-13)
@@ -177,7 +176,7 @@ class TestExample1Enumeration:
             for eps in eps_grid:
                 for E in (0.1, 0.5, 0.9):
                     table = enumerate_example1(b, eps, E)
-                    closed = exact_SE_probability(IndicatorModel(b, 2), eps, E)
+                    closed = exact_SE_probability(b, 2, eps, E)
                     assert table.prob_SE == pytest.approx(closed.prob_SE, abs=1e-14)
 
 
@@ -189,7 +188,7 @@ class TestKnifeEdge:
 
     @pytest.mark.parametrize("b, E", CASES)
     def test_closed_forms_agree(self, b, E):
-        closed = exact_SE_probability(IndicatorModel(b, 2), Fraction(2, 3), E)
+        closed = exact_SE_probability(b, 2, Fraction(2, 3), E)
         assert closed.prob_SE == closed.prob_fullspace
         # b^2 against the kernel's pmf: equal up to rounding, not 1 against b^2
         table = enumerate_example1(b, Fraction(2, 3), E)

@@ -300,6 +300,31 @@ class TestValidityCertificate:
             verify_conservative_validity(est, 10, 0.05)
         assert "grid" not in str(excinfo.value)
 
+    @pytest.mark.parametrize("est", [ClopperPearson(10, 0.05), FullInterval(n=10)])
+    @pytest.mark.parametrize("alpha", [1.5, math.nan, -3.0, 0.0, 1.0])
+    def test_level_outside_unit_interval_refused(self, est, alpha):
+        # alpha = 1.5 would judge anything valid, NaN anything invalid
+        with pytest.raises(ValueError, match="alpha"):
+            verify_conservative_validity(est, 10, alpha)
+
+    def test_report_carries_checked_n(self):
+        report = verify_conservative_validity(ClopperPearson(10, 0.05), np.int64(10), 0.05)
+        assert type(report.n) is int and report.n == 10
+        assert type(report.alpha) is float
+
+    def test_estimator_for_another_n_refused(self):
+        est = ClopperPearson(20, 0.05)
+        with pytest.raises(ValueError, match="n = 20, not for the n = 10"):
+            verify_conservative_validity(est, 10, 0.05)
+        with pytest.raises(ValueError, match="n = 20"):
+            coverage_probability(est, 0.3, 10)
+        with pytest.raises(ValueError, match="n = 20"):
+            pac_form_check(est, 0.3, 10, 100, SeededStream(1))
+        with pytest.raises(ValueError, match="n = 20"):
+            endpoint_augmented_grid(est, 10)
+        # the same estimator judged at its own n is certified
+        assert verify_conservative_validity(est, 20, 0.05).valid
+
 
 class TestPacFormCheck:
     def test_full_interval_exact_one(self):
