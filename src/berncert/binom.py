@@ -34,8 +34,7 @@ ValueError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from collections.abc import Iterator
@@ -87,20 +86,31 @@ def check_int(k, name: str, lo: float = -math.inf, hi: float = math.inf) -> int:
     return i
 
 
+def _real(x) -> float:
+    """x as a float, or NaN where x is not a real number: strings and bytes
+    are text, not numbers, although float() parses them."""
+    if isinstance(x, (str, bytes)):
+        return math.nan
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
 def check_prob(p: float, name: str = "probability") -> float:
     """Validate that ``p`` lies in [0, 1] and return it as a float."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
+    x = p if type(p) is float else _real(p)  # the kernel passes floats: no call
+    if not 0.0 <= x <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
-    return p
+    return x
 
 
 def check_level(a: float, name: str) -> float:
     """Validate that ``a`` lies strictly inside (0, 1) and return it as a float."""
-    a = float(a)
-    if not 0.0 < a < 1.0:
+    x = a if type(a) is float else _real(a)
+    if not 0.0 < x < 1.0:
         raise ValueError(f"{name} must lie in (0, 1), got {a!r}")
-    return a
+    return x
 
 
 def _fmt(x: float) -> str:
@@ -421,8 +431,7 @@ def _mix64(a: int, b: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class SeededStream:
+class SeededStream(NamedTuple):
     """Value-semantics random stream: (master_seed, stream_id) fully determines it.
 
     Substreams are derived by mixing the stream id, so parallel consumers get

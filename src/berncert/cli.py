@@ -3,6 +3,9 @@ counterexample oracle, and the experiment harness.
 
 Probabilities may be given as decimals or exact fractions ("2/3"); fractions
 are kept exact, which matters for knife-edge significance levels.
+
+The other commands import what they compute with inside their handlers, so
+`bpci` loads only `binom` and `intervals`.
 """
 
 from __future__ import annotations
@@ -13,13 +16,6 @@ import sys
 from fractions import Fraction
 
 from .binom import _fmt
-from .conformal import PacParams, theorem1_bound
-from .indicator import (
-    ClaimNeverIssuedError,
-    enumerate_example1,
-    exact_SE_probability,
-    naive_interval_coverage,
-)
 from .intervals import clopper_pearson
 
 
@@ -103,6 +99,8 @@ def _cmd_bpci(args) -> int:
 
 
 def _cmd_cp_bound(args) -> int:
+    from .conformal import PacParams, theorem1_bound
+
     params = PacParams(epsilon=args.epsilon, coverage_E=float(args.coverage), n=args.n)
     bound = theorem1_bound(params)
     if args.json:
@@ -128,6 +126,10 @@ def _cmd_cp_bound(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
+    from .indicator import (
+        ClaimNeverIssuedError, enumerate_example1, exact_SE_probability, naive_interval_coverage,
+    )
+
     if args.show_cases and args.n != 2:
         raise ValueError(f"--show-cases needs n = 2, got n = {args.n}")
     b, E = float(args.b), float(args.coverage)
@@ -157,7 +159,7 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_simulate_appendix(args) -> int:
-    # the sweep alone needs experiments and numpy; the other commands load neither
+    # the sweep alone needs numpy
     from .experiments import AppendixConfig, emit_csv, run_appendix
 
     config = AppendixConfig(
@@ -197,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
-        return 2
+        return 3  # 2 is argparse's usage error
 
 
 if __name__ == "__main__":

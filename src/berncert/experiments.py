@@ -9,7 +9,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
-from .binom import SeededStream, _fmt, check_int
+from .binom import SeededStream, _fmt, check_int, check_prob
 from .conformal import PacBound, PacParams, check_epsilon, indicator_coverage_event, theorem1_bound
 from .indicator import PredictionSetKind, exact_SE_probability, inp_closed_form
 from .intervals import IntervalEstimate, clopper_pearson
@@ -39,6 +39,7 @@ class AppendixConfig:
         object.__setattr__(self, "q_max", check_int(self.q_max, "q_max", self.q_min))
         for name in ("n_cal", "n_test", "n_calibration_size"):
             object.__setattr__(self, name, check_int(getattr(self, name), name, 1))
+        object.__setattr__(self, "alpha_frac", check_prob(self.alpha_frac, "alpha_frac"))
         for q in (self.q_min, self.q_max):
             E = self.E_of(q)
             if not (0.0 < E < 1.0):

@@ -158,12 +158,3 @@ def naive_interval_coverage(b: float, coverage_E: float, n: int, epsilon) -> Nai
         claim_rate=binom_cdf(params.n, b, params.J),
     )
 
-
-def indicator_sampler(b: float):
-    """Point sampler over {0, 1} matching an indicator measure with P(Q) = b."""
-    b = check_prob(b, "b")
-
-    def sample(rng, count):
-        return (rng.random(count) < b).astype(int)
-
-    return sample

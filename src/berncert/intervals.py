@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .binom import (
     SeededStream,
@@ -18,20 +18,31 @@ from .binom import (
 )
 
 
-@dataclass(frozen=True)
-class IntervalEstimate:
+class _Interval(NamedTuple):
     lower: float
     upper: float
     alpha: float
     n: int
     y: int
 
-    def __post_init__(self):
-        if not (0.0 <= self.lower <= self.upper <= 1.0):
+
+class IntervalEstimate(_Interval):
+    """[lower, upper] for b from y successes in n trials at level alpha: a
+    named tuple whose endpoints are checked when it is made."""
+
+    __slots__ = ()
+
+    def __new__(cls, lower: float, upper: float, alpha: float, n: int, y: int):
+        if not (0.0 <= lower <= upper <= 1.0):
             raise ValueError(
-                f"invalid interval [{self.lower}, {self.upper}]: endpoints must "
+                f"invalid interval [{lower}, {upper}]: endpoints must "
                 "satisfy 0 <= lower <= upper <= 1"
             )
+        return super().__new__(cls, lower, upper, alpha, n, y)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks the endpoints too
+        return cls(*iterable)
 
     def contains(self, b: float) -> bool:
         return self.lower <= b <= self.upper
@@ -65,20 +76,7 @@ class ClopperPearson:
         return self._cache[y]
 
 
-class FullInterval:
-    """Trivial estimator returning [0, 1] for every outcome; used in tests."""
-
-    def __init__(self, n: int, alpha: float = 0.0):
-        self.n = check_int(n, "n", 1)
-        self.alpha = alpha
-
-    def interval(self, y: int) -> IntervalEstimate:
-        y = check_int(y, "y", 0, self.n)
-        return IntervalEstimate(lower=0.0, upper=1.0, alpha=self.alpha, n=self.n, y=y)
-
-
-@dataclass
-class CoverageReport:
+class CoverageReport(NamedTuple):
     b: float
     coverage: float
     covering_set: frozenset[int]
@@ -107,8 +105,7 @@ def coverage_probability(estimator, b: float, n: int) -> CoverageReport:
     return CoverageReport(b=b, coverage=coverage, covering_set=covering)
 
 
-@dataclass
-class ValidityReport:
+class ValidityReport(NamedTuple):
     valid: bool
     worst_b: float
     worst_coverage: float

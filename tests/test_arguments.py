@@ -28,16 +28,16 @@ from berncert.conformal import (
     score_rank_threshold,
 )
 from berncert.experiments import AppendixConfig, linear_contraction_system, run_safety_demo
-from berncert.indicator import exact_SE_probability, indicator_sampler, inp_closed_form, naive_interval_coverage
+from berncert.indicator import exact_SE_probability, inp_closed_form, naive_interval_coverage
 from berncert.intervals import (
     ClopperPearson,
-    FullInterval,
     clopper_pearson,
     coverage_probability,
     endpoint_augmented_grid,
     pac_form_check,
     verify_conservative_validity,
 )
+from helpers import FullInterval, indicator_sampler
 
 PARAMS = PacParams(epsilon=Fraction(1, 2), coverage_E=0.3, n=10)
 
@@ -100,6 +100,22 @@ ENTRY_POINTS = {
 
 OUT_OF_RANGE = [(name, k) for name, (_, ks) in ENTRY_POINTS.items() for k in ks]
 
+# name -> call taking a probability or a level p, with p = 0.3 a valid input
+PROBABILITIES = {
+    "binom_pmf b": lambda p: binom_pmf(10, p, 2),
+    "binom_cdf b": lambda p: binom_cdf(10, p, 2),
+    "binom_sf b": lambda p: binom_sf(10, p, 2),
+    "binom_pmf_vector b": lambda p: binom_pmf_vector(10, p),
+    "binom_tail_invert target": lambda p: binom_tail_invert(10, 3, p, "upper"),
+    "draw_bernoulli b": lambda p: draw_bernoulli(SeededStream(1), p, 5),
+    "clopper_pearson alpha": lambda p: clopper_pearson(10, 3, p),
+    "ClopperPearson alpha": lambda p: ClopperPearson(10, p).interval(3),
+    "coverage_probability b": lambda p: coverage_probability(ClopperPearson(10, 0.05), p, 10),
+    "verify_conservative_validity alpha": lambda p: verify_conservative_validity(ClopperPearson(5, 0.05), 5, p),
+    "exact_SE_probability b": lambda p: exact_SE_probability(p, 10, Fraction(1, 2), 0.2),
+    "AppendixConfig alpha_frac": lambda p: AppendixConfig(alpha_frac=p),
+}
+
 
 @pytest.mark.parametrize("name", ENTRY_POINTS)
 def test_integral_forms_agree(name):
@@ -124,6 +140,20 @@ def test_out_of_range_refused(name, k):
         call(k)
 
 
+@pytest.mark.parametrize("name", PROBABILITIES)
+def test_probability_forms_agree(name):
+    call = PROBABILITIES[name]
+    results = [repr(call(p)) for p in (0.3, Fraction(3, 10), np.float64(0.3))]
+    assert results[1:] == results[:-1]
+
+
+@pytest.mark.parametrize("text", ["0.3", b"0.3"], ids=repr)
+@pytest.mark.parametrize("name", PROBABILITIES)
+def test_probability_text_refused(name, text):
+    with pytest.raises(ValueError, match="must lie in"):
+        PROBABILITIES[name](text)
+
+
 class TestCheckers:
     def test_check_int(self):
         assert check_int(3.0, "k") == 3 and type(check_int(np.int64(3), "k")) is int
@@ -137,9 +167,9 @@ class TestCheckers:
     def test_check_prob_and_level(self):
         assert check_prob(0.0) == 0.0 and check_prob(1) == 1.0
         assert check_level(Fraction(1, 2), "a") == 0.5
-        for bad in (-0.1, 1.1, math.nan, math.inf):
+        for bad in (-0.1, 1.1, math.nan, math.inf, "0.3", b"0.3", None, 10**400):
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
                 check_prob(bad)
-        for bad in (0.0, 1.0, -3.0, 1.5, math.nan):
+        for bad in (0.0, 1.0, -3.0, 1.5, math.nan, "0.05", b"0.05", None):
             with pytest.raises(ValueError, match=r"a must lie in \(0, 1\)"):
                 check_level(bad, "a")

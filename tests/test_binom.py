@@ -344,7 +344,14 @@ CLI_PROBE = """
 import sys
 from berncert.cli import main
 code = main(sys.argv[1:])
-print(code, "numpy" in sys.modules)
+print(code, "numpy" in sys.modules, "dataclasses" in sys.modules)
+print(*sorted(name for name in sys.modules if name.partition(".")[0] == "berncert"))
+"""
+
+NAMESPACE_PROBE = """
+import sys
+import berncert
+print(*sorted(name for name in sys.modules if name.partition(".")[0] == "berncert"))
 """
 
 
@@ -374,7 +381,25 @@ def test_import_does_not_load_mpmath():
     ],
 )
 def test_scalar_commands_do_not_load_numpy(argv):
-    assert _probe(CLI_PROBE, *argv).splitlines()[-1] == "0 False"
+    *_, status, loaded = _probe(CLI_PROBE, *argv).splitlines()
+    assert status.split()[:2] == ["0", "False"]
+    if argv[0] == "bpci":
+        # the interval needs the kernel and the estimator, and nothing that
+        # costs start-up: no other submodule, no dataclasses (and its inspect)
+        assert loaded.split() == ["berncert", "berncert.binom", "berncert.cli", "berncert.intervals"]
+        assert status.split()[2] == "False"
+
+
+def test_lazy_namespace():
+    """Each public name is its submodule's object, resolved on first use: a
+    bare import loads no submodule, and an unknown name is an AttributeError."""
+    assert _probe(NAMESPACE_PROBE).split() == ["berncert"]
+    for name in berncert.__all__:
+        obj = getattr(berncert, name)
+        assert obj.__module__.startswith("berncert.")
+        assert getattr(sys.modules[obj.__module__], name) is obj
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(berncert, "no_such_name")
 
 
 class TestSeededStream:

@@ -21,7 +21,7 @@ from berncert.conformal import (
     score_threshold,
     theorem1_bound,
 )
-from berncert.indicator import indicator_sampler
+from helpers import indicator_sampler
 
 scores_strategy = st.lists(
     st.floats(-10, 10, allow_nan=False), min_size=1, max_size=20

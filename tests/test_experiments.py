@@ -49,6 +49,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             AppendixConfig(mode="guess")
 
+    @pytest.mark.parametrize("alpha_frac", [2.0, -0.1, float("nan"), "0.005"], ids=repr)
+    def test_alpha_frac_outside_unit_interval_rejected(self, alpha_frac):
+        # refused by the config itself, not later by a row's b
+        with pytest.raises(ValueError, match=r"alpha_frac must lie in \[0, 1\]"):
+            AppendixConfig(alpha_frac=alpha_frac, q_min=0, q_max=0, mode="fully_exact")
+
 
 class TestRunAppendix:
     def test_fully_exact_closed_forms(self):

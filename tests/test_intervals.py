@@ -13,7 +13,6 @@ from scipy.stats import beta as beta_dist
 from berncert.binom import SeededStream
 from berncert.intervals import (
     ClopperPearson,
-    FullInterval,
     IntervalEstimate,
     clopper_pearson,
     coverage_probability,
@@ -21,6 +20,7 @@ from berncert.intervals import (
     pac_form_check,
     verify_conservative_validity,
 )
+from helpers import FullInterval
 
 
 def beta_quantile_interval(n, y, alpha):
@@ -89,6 +89,8 @@ class TestClopperPearson:
     def test_interval_estimate_invariant(self):
         with pytest.raises(ValueError):
             IntervalEstimate(lower=0.6, upper=0.4, alpha=0.05, n=10, y=3)
+        with pytest.raises(ValueError):
+            clopper_pearson(10, 3, 0.05)._replace(lower=0.9)
 
 
 class TestClopperPearsonAccuracy:
