@@ -25,15 +25,16 @@ ratio step from it, so each step pays for one saddle-point anchor, not two.
 The scalar functions compute on Python floats and load no numpy; numpy is
 imported only inside the functions that make an array or a random stream.
 
-Three checkers here validate every argument of the package: `check_int`
+Four checkers here validate every argument of the package: `check_int`
 for counts (integral floats pass), `check_prob` for probabilities in
-[0, 1] and `check_level` for levels in (0, 1).  Anything else raises
-ValueError.
+[0, 1], `check_level` for levels in (0, 1) and `check_epsilon` for exact
+significance levels in [0, 1].  Anything else raises ValueError.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -111,6 +112,18 @@ def check_level(a: float, name: str) -> float:
     if not 0.0 < x < 1.0:
         raise ValueError(f"{name} must lie in (0, 1), got {a!r}")
     return x
+
+
+def check_epsilon(epsilon) -> Fraction:
+    """Validate a significance level in [0, 1] and return it as an exact
+    Fraction.  Text is refused here too, although Fraction() parses it."""
+    try:
+        eps = epsilon if type(epsilon) is Fraction else Fraction(epsilon)  # callers keep Fractions
+    except (TypeError, ValueError, OverflowError):
+        eps = None
+    if eps is None or isinstance(epsilon, (str, bytes)) or not 0 <= eps <= 1:
+        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon!r}")
+    return eps
 
 
 def _fmt(x: float) -> str:

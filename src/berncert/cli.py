@@ -15,18 +15,15 @@ import json
 import sys
 from fractions import Fraction
 
-from .binom import _fmt
+from .binom import _fmt, check_epsilon
 from .intervals import clopper_pearson
 
 
 def prob_arg(text: str) -> Fraction:
     try:
-        value = Fraction(text)
+        return check_epsilon(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a probability: {text!r}") from exc
-    if not (0 <= value <= 1):
-        raise argparse.ArgumentTypeError(f"probability must lie in [0, 1]: {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"not a probability in [0, 1]: {text!r}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .binom import SeededStream, binom_cdf, check_int, check_prob
+from .binom import SeededStream, binom_cdf, check_epsilon, check_int, check_prob
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,8 +49,7 @@ class CalibrationScores:
     scores: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.scores) == 0:
-            raise ValueError("calibration set must be nonempty")
+        check_int(len(self.scores), "calibration size", 1)
 
     @property
     def n(self) -> int:
@@ -63,14 +62,6 @@ def p_value(cal: CalibrationScores, candidate_score: float) -> Fraction:
     return Fraction(count + 1, cal.n + 1)
 
 
-def check_epsilon(epsilon) -> Fraction:
-    """Validate a significance level in [0, 1] and return it as an exact Fraction."""
-    eps = Fraction(epsilon)
-    if not (0 <= eps <= 1):
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-    return eps
-
-
 def inp_contains(cal: CalibrationScores, candidate_score: float, epsilon) -> bool:
     """Membership in the predicted set: p-value strictly greater than epsilon."""
     return p_value(cal, candidate_score) > check_epsilon(epsilon)
@@ -78,7 +69,7 @@ def inp_contains(cal: CalibrationScores, candidate_score: float, epsilon) -> boo
 
 def score_rank_threshold(epsilon, n: int) -> int:
     """Largest J with (J + 1)/(n + 1) <= epsilon, i.e. floor(epsilon*(n+1) - 1)."""
-    return math.floor(Fraction(epsilon) * (check_int(n, "n", 1) + 1) - 1)
+    return math.floor(check_epsilon(epsilon) * (check_int(n, "n", 1) + 1) - 1)
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
-from .binom import SeededStream, _fmt, check_int, check_prob
-from .conformal import PacBound, PacParams, check_epsilon, indicator_coverage_event, theorem1_bound
+from .binom import SeededStream, _fmt, check_epsilon, check_int, check_level, check_prob
+from .conformal import PacBound, PacParams, indicator_coverage_event, theorem1_bound
 from .indicator import PredictionSetKind, exact_SE_probability, inp_closed_form
 from .intervals import IntervalEstimate, clopper_pearson
 
@@ -41,9 +41,7 @@ class AppendixConfig:
             object.__setattr__(self, name, check_int(getattr(self, name), name, 1))
         object.__setattr__(self, "alpha_frac", check_prob(self.alpha_frac, "alpha_frac"))
         for q in (self.q_min, self.q_max):
-            E = self.E_of(q)
-            if not (0.0 < E < 1.0):
-                raise ValueError(f"E = {E} at q = {q} falls outside (0, 1)")
+            check_level(self.E_of(q), f"E at q = {q}")
         object.__setattr__(self, "epsilon", check_epsilon(self.epsilon))
 
     @staticmethod

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .binom import binom_cdf, binom_sf, check_int, check_prob
-from .conformal import PacBound, PacParams, check_epsilon, score_rank_threshold, theorem1_bound
+from .conformal import PacBound, PacParams, score_rank_threshold, theorem1_bound
 
 
 class PredictionSetKind(Enum):
@@ -33,7 +33,7 @@ def inp_closed_form(n: int, ones_count: int, epsilon) -> PredictionSetKind:
     """
     n = check_int(n, "n", 1)
     ones_count = check_int(ones_count, "ones_count", 0, n)
-    J = score_rank_threshold(check_epsilon(epsilon), n)
+    J = score_rank_threshold(epsilon, n)
     if J >= n:
         return PredictionSetKind.EMPTY
     if ones_count > J:

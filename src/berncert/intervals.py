@@ -141,21 +141,20 @@ def _coverage_infimum(estimator, n: int) -> tuple[float, float]:
     """(inf of coverage over b in [0, 1], a b next to where it is approached)
     for an estimator whose endpoints are nondecreasing in y.
 
-    Between consecutive distinct endpoints c < d (0 and 1 included) the
-    covering set is fixed: {y : lower_y <= c and upper_y >= d}, which for
-    monotone endpoints is the range lo..hi.  On that piece the coverage
-    Pr(lo <= Y <= hi) has derivative n [pmf_{n-1}(lo - 1) - pmf_{n-1}(hi)]
-    in b; the ratio of the two terms is a power of (1 - b)/b, so the sign
-    changes at most once, from + to -, and the infimum on the piece is the
-    smaller of its limits at c and d.  The intervals are closed, so the
-    covering set at a breakpoint contains those of both pieces beside it,
-    and the coverage there is at least both one-sided limits.  The smallest
-    limit over all pieces is therefore the infimum over [0, 1].
+    Between consecutive endpoints the covering set is a range lo..hi of y,
+    and Pr(lo <= Y <= hi) has derivative n [pmf_{n-1}(lo - 1) - pmf_{n-1}(hi)]
+    in b, which changes sign at most once, from + to -.  So the infimum is a
+    one-sided limit at an endpoint c (0 and 1 included); the coverage at c
+    itself, with closed intervals, is at least both.  Unless c is an upper
+    endpoint, the covering set just above c contains the one just below, at
+    the same b, so that limit cannot be the least; unless c is a lower
+    endpoint, the limit below cannot.  The limits left are those just above
+    0 and each upper endpoint and just below 1 and each lower endpoint: at
+    most 2n + 2, two tails each, visited in ascending c, below first.
 
-    The b returned is the double next to the limiting breakpoint on the
-    piece's side, where `coverage_probability` sees the piece's covering set
-    and, up to rounding, the same coverage.  A piece with no double inside
-    it still counts towards the infimum; its b is then its other end.
+    The b returned is the double next to c on the limit's side, where
+    `coverage_probability` sees that covering set and, up to rounding, the
+    same coverage; it is the neighbouring endpoint if no double lies between.
     """
     ivs = _intervals(estimator, n)
     lowers = [iv.lower for iv in ivs]
@@ -163,18 +162,19 @@ def _coverage_infimum(estimator, n: int) -> tuple[float, float]:
     if any(prev > nxt for ends in (lowers, uppers) for prev, nxt in zip(ends, ends[1:])):
         raise ValueError(
             "the exact validity certificate needs interval endpoints that are "
-            "nondecreasing in y: only then is the covering set of each piece "
-            "between endpoints a range of y, whose coverage is least at an end"
+            "nondecreasing in y: only then is each covering set a range of y, "
+            "whose coverage is least at an endpoint"
         )
-    breaks = sorted({0.0, 1.0, *lowers, *uppers})
+    # (c, 1.0) is the limit just above c, covering the y with lower_y <= c < upper_y;
+    # (c, -1.0) the one just below, covering those with lower_y < c <= upper_y
+    limits = {(0.0, 1.0), (1.0, -1.0), *[(c, -1.0) for c in lowers if c > 0.0]}
+    limits.update((c, 1.0) for c in uppers if c < 1.0)
     worst_b, worst_cov = 0.0, 2.0
-    for c, d in zip(breaks, breaks[1:]):
-        lo = bisect_left(uppers, d)  # first y with upper_y >= d
-        hi = bisect_right(lowers, c) - 1  # last y with lower_y <= c
-        for end, inside in ((c, d), (d, c)):
-            cov = _range_probability(n, end, lo, hi)
-            if cov < worst_cov:
-                worst_b, worst_cov = math.nextafter(end, inside), cov
+    for c, side in sorted(limits):
+        cut = bisect_right if side > 0.0 else bisect_left
+        cov = _range_probability(n, c, cut(uppers, c), cut(lowers, c) - 1)
+        if cov < worst_cov:
+            worst_b, worst_cov = math.nextafter(c, side), cov
     return worst_b, worst_cov
 
 
@@ -182,8 +182,8 @@ def verify_conservative_validity(estimator, n: int, alpha: float) -> ValidityRep
     """Is the coverage of `estimator` at least 1 - alpha for every b?
 
     The verdict is exact: `worst_coverage` is the infimum of the coverage
-    over b in [0, 1], found from O(n) binomial tails at the interval
-    endpoints (see `_coverage_infimum`), and `worst_b` is a b at which
+    over b in [0, 1], the least of at most 2n + 2 one-sided limits at the
+    interval endpoints (see `_coverage_infimum`), and `worst_b` is a b at which
     `coverage_probability` reproduces it.  This needs endpoints that are
     nondecreasing in y, as those of Clopper-Pearson are, and built for this
     n; for any other estimator it raises ValueError and gives no verdict.

@@ -1,7 +1,10 @@
-"""Estimators and samplers that only the tests use."""
+"""Estimators, samplers and references that only the tests use."""
+
+import math
+from bisect import bisect_left, bisect_right
 
 from berncert.binom import check_int
-from berncert.intervals import IntervalEstimate
+from berncert.intervals import IntervalEstimate, _range_probability
 
 
 class FullInterval:
@@ -23,3 +26,23 @@ def indicator_sampler(b: float):
         return (rng.random(count) < b).astype(int)
 
     return sample
+
+
+def piecewise_coverage_infimum(estimator, n: int) -> tuple[float, float]:
+    """(worst_b, worst_coverage) as the verdict once computed them: both
+    one-sided limits at the ends of every piece between consecutive distinct
+    endpoints, the first least one kept.  A float reference, made of the
+    same `_range_probability` calls, for the bits of the verdict."""
+    ivs = [estimator.interval(y) for y in range(n + 1)]
+    lowers = [iv.lower for iv in ivs]
+    uppers = [iv.upper for iv in ivs]
+    breaks = sorted({0.0, 1.0, *lowers, *uppers})
+    worst_b, worst_cov = 0.0, 2.0
+    for c, d in zip(breaks, breaks[1:]):
+        lo = bisect_left(uppers, d)  # first y with upper_y >= d
+        hi = bisect_right(lowers, c) - 1  # last y with lower_y <= c
+        for end, inside in ((c, d), (d, c)):
+            cov = _range_probability(n, end, lo, hi)
+            if cov < worst_cov:
+                worst_b, worst_cov = math.nextafter(end, inside), cov
+    return worst_b, worst_cov

@@ -1,7 +1,10 @@
 """Argument contract: every public entry point that takes a count checks it
 with `binom.check_int`.  A count must be an integer; an integral float or a
-numpy integer is the same count, and anything else raises ValueError."""
+numpy integer is the same count, and anything else raises ValueError.
+Probabilities, levels and significance levels epsilon go through
+`check_prob`, `check_level` and `check_epsilon` in the same way."""
 
+import argparse
 import math
 from fractions import Fraction
 
@@ -15,20 +18,29 @@ from berncert.binom import (
     binom_pmf_vector,
     binom_sf,
     binom_tail_invert,
+    check_epsilon,
     check_int,
     check_level,
     check_prob,
     draw_bernoulli,
 )
+from berncert.cli import prob_arg
 from berncert.conformal import (
+    CalibrationScores,
     IndicatorINM,
     PacParams,
     estimate_SE_probability,
     indicator_coverage_event,
+    inp_contains,
     score_rank_threshold,
 )
 from berncert.experiments import AppendixConfig, linear_contraction_system, run_safety_demo
-from berncert.indicator import exact_SE_probability, inp_closed_form, naive_interval_coverage
+from berncert.indicator import (
+    enumerate_example1,
+    exact_SE_probability,
+    inp_closed_form,
+    naive_interval_coverage,
+)
 from berncert.intervals import (
     ClopperPearson,
     clopper_pearson,
@@ -117,6 +129,22 @@ PROBABILITIES = {
 }
 
 
+# name -> call taking a significance level epsilon e, with e = 1/2 a valid input
+EPSILONS = {
+    "check_epsilon": check_epsilon,
+    "score_rank_threshold epsilon": lambda e: score_rank_threshold(e, 3),
+    "PacParams epsilon": lambda e: PacParams(epsilon=e, coverage_E=0.3, n=10),
+    "inp_contains epsilon": lambda e: inp_contains(CalibrationScores((0.0, 1.0, 1.0)), 1.0, e),
+    "inp_closed_form epsilon": lambda e: inp_closed_form(10, 3, e),
+    "exact_SE_probability epsilon": lambda e: exact_SE_probability(0.3, 10, e, 0.2),
+    "enumerate_example1 epsilon": lambda e: enumerate_example1(0.3, e, 0.2),
+    "naive_interval_coverage epsilon": lambda e: naive_interval_coverage(0.3, 0.2, 3, e),
+    "AppendixConfig epsilon": lambda e: AppendixConfig(epsilon=e),
+    "run_safety_demo epsilon": lambda e: run_safety_demo(
+        linear_contraction_system(), 5, 0.05, e, 0.3, SeededStream(5)),
+}
+
+
 @pytest.mark.parametrize("name", ENTRY_POINTS)
 def test_integral_forms_agree(name):
     call, _ = ENTRY_POINTS[name]
@@ -152,6 +180,31 @@ def test_probability_forms_agree(name):
 def test_probability_text_refused(name, text):
     with pytest.raises(ValueError, match="must lie in"):
         PROBABILITIES[name](text)
+
+
+@pytest.mark.parametrize("name", EPSILONS)
+def test_epsilon_forms_agree(name):
+    call = EPSILONS[name]
+    results = [repr(call(e)) for e in (Fraction(1, 2), 0.5, np.float64(0.5))]
+    assert results[1:] == results[:-1]
+
+
+@pytest.mark.parametrize("bad", ["2/3", b"2/3", None, math.inf, math.nan, 1.5], ids=repr)
+@pytest.mark.parametrize("name", EPSILONS)
+def test_epsilon_refused(name, bad):
+    with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\]"):
+        EPSILONS[name](bad)
+
+
+@pytest.mark.parametrize("text", ["1.5", "-1/3", "nan", "inf", "1/0", "x"])
+def test_cli_probability_refused(text):
+    with pytest.raises(argparse.ArgumentTypeError, match=repr(text)):
+        prob_arg(text)
+
+
+def test_cli_probability_exact():
+    assert prob_arg("2/3") == Fraction(2, 3) and prob_arg("0.1") == Fraction(1, 10)
+    assert prob_arg("0") == 0 and prob_arg("1") == 1
 
 
 class TestCheckers:

@@ -2,14 +2,17 @@
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from statistics import NormalDist
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import betaincinv
 from scipy.stats import beta as beta_dist
 
+import berncert.binom
 from berncert.binom import SeededStream
 from berncert.intervals import (
     ClopperPearson,
@@ -20,7 +23,7 @@ from berncert.intervals import (
     pac_form_check,
     verify_conservative_validity,
 )
-from helpers import FullInterval
+from helpers import FullInterval, piecewise_coverage_infimum
 
 
 def beta_quantile_interval(n, y, alpha):
@@ -258,11 +261,43 @@ class SwappedClopperPearson:
         return self.cp.interval({1: 2, 2: 1}.get(y, y))
 
 
+class TableEstimator:
+    """Intervals [lowers[y], uppers[y]] for n trials, from two lists."""
+
+    def __init__(self, n, lowers, uppers):
+        self.table = [IntervalEstimate(lower=lo, upper=up, alpha=0.05, n=n, y=y)
+                      for y, (lo, up) in enumerate(zip(lowers, uppers))]
+
+    def interval(self, y):
+        return self.table[y]
+
+
+@st.composite
+def grid_estimators(draw):
+    """(estimator, n) with monotone endpoints on the k/8 grid, so that lower
+    and upper endpoints coincide, with point intervals and ends at 0 and 1."""
+    n = draw(st.integers(1, 12))
+    eighths = st.lists(st.integers(0, 8), min_size=n + 1, max_size=n + 1)
+    lowers = sorted(draw(eighths))
+    uppers = accumulate((min(8, lo + w) for lo, w in zip(lowers, draw(eighths))), max)
+    return TableEstimator(n, [k / 8 for k in lowers], [k / 8 for k in uppers]), n
+
+
+CP_INFIMUM_NS = [1, 2, 5, 10, 25, 60]
+CP_INFIMUM_ALPHAS = [0.01, 0.05, 0.2]
+ORACLE_CASES = (
+    [(ClopperPearson(n, a), n, a) for n in (1, 3, 10, 25) for a in (0.01, 0.1)]
+    + [(ClippedWald(n, a), n, a) for n in (4, 10, 25) for a in (0.01, 0.1)]
+    + [(LopsidedClopperPearson(n, a, b), n, (a + b) / 2) for n in (3, 10, 25)
+       for a, b in ((0.01, 0.2), (0.2, 0.01))]
+)
+
+
 class TestValidityCertificate:
     """The verdict is the exact infimum of the coverage over [0, 1]."""
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 10, 25, 60])
-    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
+    @pytest.mark.parametrize("n", CP_INFIMUM_NS)
+    @pytest.mark.parametrize("alpha", CP_INFIMUM_ALPHAS)
     def test_clopper_pearson_infimum(self, n, alpha):
         est = ClopperPearson(n, alpha)
         report = verify_conservative_validity(est, n, alpha)
@@ -273,13 +308,7 @@ class TestValidityCertificate:
         for near in (math.nextafter(b, 0.0), b, math.nextafter(b, 1.0)):
             assert coverage_probability(est, near, n).coverage >= report.worst_coverage - 1e-12
 
-    @pytest.mark.parametrize(
-        "est, n, alpha",
-        [(ClopperPearson(n, a), n, a) for n in (1, 3, 10, 25) for a in (0.01, 0.1)]
-        + [(ClippedWald(n, a), n, a) for n in (4, 10, 25) for a in (0.01, 0.1)]
-        + [(LopsidedClopperPearson(n, a, b), n, (a + b) / 2) for n in (3, 10, 25)
-           for a, b in ((0.01, 0.2), (0.2, 0.01))],
-    )
+    @pytest.mark.parametrize("est, n, alpha", ORACLE_CASES)
     def test_matches_rational_oracle(self, est, n, alpha):
         report = verify_conservative_validity(est, n, alpha)
         assert abs(report.worst_coverage - coverage_infimum_oracle(est, n)) <= 1e-12
@@ -288,6 +317,47 @@ class TestValidityCertificate:
         exact = float(exact_coverage([y for y in range(n + 1) if est.interval(y).contains(b)], n, b))
         assert abs(report.worst_coverage - exact) <= 1e-12
         assert abs(coverage_probability(est, b, n).coverage - exact) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "est, n",
+        [(ClopperPearson(n, a), n) for n in CP_INFIMUM_NS for a in CP_INFIMUM_ALPHAS]
+        + [(est, n) for est, n, _ in ORACLE_CASES],
+    )
+    def test_bits_match_piecewise_reference(self, est, n):
+        """The limits left out can never be the first least one: worst_b and
+        worst_coverage are those of the loop over both ends of every piece."""
+        report = verify_conservative_validity(est, n, 0.05)
+        assert (report.worst_b, report.worst_coverage) == piecewise_coverage_infimum(est, n)
+
+    def test_tail_sums_per_verdict(self, monkeypatch):
+        """At most 2n + 2 one-sided limits of two tail sums each; both ends of
+        every piece would take 8n + 4."""
+        n = 200
+        est = ClopperPearson(n, 0.05)
+        for y in range(n + 1):
+            est.interval(y)  # the table's own tail sums are not the verdict's
+        calls = 0
+        cdf_sf = berncert.binom._cdf_sf
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return cdf_sf(*args)
+
+        monkeypatch.setattr(berncert.binom, "_cdf_sf", counted)
+        assert verify_conservative_validity(est, n, 0.05).valid
+        assert 0 < calls <= 4 * (n + 1)
+
+    @given(case=grid_estimators())
+    @settings(max_examples=300)
+    def test_dominance_on_grid_estimators(self, case):
+        """Tied lower and upper endpoints, point intervals and ends at 0 and 1,
+        where Clopper-Pearson's distinct interior endpoints do not reach."""
+        est, n = case
+        report = verify_conservative_validity(est, n, 0.05)
+        assert abs(report.worst_coverage - coverage_infimum_oracle(est, n)) <= 1e-12
+        assert abs(coverage_probability(est, report.worst_b, n).coverage - report.worst_coverage) <= 1e-12
+        assert (report.worst_b, report.worst_coverage) == piecewise_coverage_infimum(est, n)
 
     @pytest.mark.parametrize("n", [5, 30, 31])
     @pytest.mark.parametrize("alpha", [0.01, 0.05])
