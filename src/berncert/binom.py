@@ -9,16 +9,20 @@ Computation of Binomial Probabilities", 2000; the algorithm behind R's
 `bd0` and the logs are evaluated in double-double arithmetic, so the
 exponent is exact to far below one unit in the last place even where it is
 in the hundreds; the pmf keeps a relative error of a few 1e-16 for values
-down to 1e-300.
+down to 1e-300.  The anchor is straight-line code: each Dekker product,
+Knuth sum and double-double quotient is written out in place, with the
+splits of the constants made once at import, and it gives the same bits as
+the form with one call per step that the tests keep as a reference.
 
 One routine, `_cdf_sf`, gives cdf and survival function.  It sums the tail
-from the requested index away from the mode: terms come one at a time from
-the ratio recurrence, re-anchored at a saddle-point value every 256 terms,
+from the requested index away from the mode in one loop over the ratio
+recurrence (`_tail`), re-anchored at a saddle-point value every 256 terms,
 and the sum stops at the first term below 1e-17 of the partial sum.  The
 other value is its complement, taken only across the mode, of a tail of at
 most about 1/2, so it loses no relative accuracy.  `binom_pmf_vector` takes
-its values from the same recurrence.  Tail inversion is Newton's method on
-the log tail, safeguarded by a shrinking bracket.  Its slope needs pmf_n(y),
+its values from the same loop.  The public functions check the arguments;
+`_cdf_sf` and `_tail` trust them.  Tail inversion is Newton's method on the
+log tail, safeguarded by a shrinking bracket.  Its slope needs pmf_n(y),
 which is the first term of the tail sum the same step has just taken, or one
 ratio step from it, so each step pays for one saddle-point anchor, not two.
 
@@ -34,12 +38,11 @@ significance levels in [0, 1].  Anything else raises ValueError.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
 
+TYPE_CHECKING = False  # typing is not imported at run time: it costs start-up
 if TYPE_CHECKING:
-    from collections.abc import Iterator
-
     import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -60,6 +63,11 @@ _LN2_HI, _LN2_LO = 0.6931471805599453, 2.3190468138462996e-17
 _THIRD_HI, _THIRD_LO = 0.3333333333333333, 1.850371707708594e-17
 _SQRT_HALF = 0.7071067811865476
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
+# Veltkamp halves of _THIRD_HI and _LN2_HI, for Dekker's products with them
+_THIRD_HI_H = _SPLIT * _THIRD_HI - (_SPLIT * _THIRD_HI - _THIRD_HI)
+_THIRD_HI_L = _THIRD_HI - _THIRD_HI_H
+_LN2_HI_H = _SPLIT * _LN2_HI - (_SPLIT * _LN2_HI - _LN2_HI)
+_LN2_HI_L = _LN2_HI - _LN2_HI_H
 _TWO_PI = 2.0 * math.pi
 # below this the ratio x / M in bd0 could overflow
 _TINY_MEAN = 1e-290
@@ -131,32 +139,12 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    """a * b as an unevaluated sum hi + lo, exact (Dekker)."""
-    p = a * b
-    t = _SPLIT * a
-    ah = t - (t - a)
-    al = a - ah
-    t = _SPLIT * b
-    bh = t - (t - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    """a + b as hi + lo, exact (Knuth)."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _dd_div(ah: float, al: float, bh: float, bl: float) -> tuple[float, float]:
-    """(ah + al) / (bh + bl) in double-double."""
-    q = ah / bh
-    ph, pl = _two_prod(q, bh)
-    r = (((ah - ph) - pl) + al - q * bl) / bh
-    s = q + r
-    return s, r - (s - q)
+# The double-double routines write each exact step out in place, as a call
+# costs more than the few flops it would wrap.  Dekker's product a * b = p + e
+# splits a = ah + al by ah = t - (t - a) with t = _SPLIT * a, and b alike, then
+# e = ((ah * bh - p) + ah * bl + al * bh) + al * bl; Knuth's sum a + b = s + e
+# has bb = s - a, e = (a - (s - bb)) + (b - bb); a double-double quotient is
+# q = ah / bh plus (((ah - p) - e) + al - q * bl) / bh, with p + e = q * bh.
 
 
 def _log_dd(rh: float, rl: float) -> tuple[float, float]:
@@ -171,26 +159,54 @@ def _log_dd(rh: float, rl: float) -> tuple[float, float]:
         m *= 2.0
         k -= 1
     ml = math.ldexp(rl, -k)
-    dh, dl = _two_sum(m, 1.0)
-    uh, ul = _dd_div(m - 1.0, ml, dh, dl + ml)  # m - 1 is exact
-    u2h, u2l = _two_prod(uh, uh)
-    u2l += 2.0 * uh * ul
+    # m + 1 = dh + dl (Knuth), then u = (m - 1 + ml) / (dh + dl + ml); m - 1 is exact
+    dh = m + 1.0
+    bb = dh - m
+    dl = (m - (dh - bb)) + (1.0 - bb)
+    m -= 1.0
+    q = m / dh
+    p = q * dh
+    qh = (t := _SPLIT * q) - (t - q)
+    ql = q - qh
+    bh = (t := _SPLIT * dh) - (t - dh)
+    bl = dh - bh
+    e = ((qh * bh - p) + qh * bl + ql * bh) + ql * bl
+    r = (((m - p) - e) + ml - q * (dl + ml)) / dh
+    uh = q + r
+    ul = r - (uh - q)
+    # u^2 (Dekker)
+    u2h = uh * uh
+    ah = (t := _SPLIT * uh) - (t - uh)
+    al = uh - ah
+    u2l = (((ah * ah - u2h) + ah * al + al * ah) + al * al) + 2.0 * uh * ul
     rest, t, j = 0.0, u2h * u2h, 5.0
     while t > 1e-17 * rest:
         rest += t / j
         t *= u2h
         j += 2.0
-    # s = 1 + u^2/3 + rest
-    ch, cl = _two_prod(u2h, _THIRD_HI)
+    # s = 1 + u^2/3 + rest, with u^2 * _THIRD_HI by Dekker
+    ch = u2h * _THIRD_HI
+    vh = (t := _SPLIT * u2h) - (t - u2h)
+    vl = u2h - vh
+    cl = ((vh * _THIRD_HI_H - ch) + vh * _THIRD_HI_L + vl * _THIRD_HI_H) + vl * _THIRD_HI_L
     cl += u2h * _THIRD_LO + u2l * _THIRD_HI
     sh = 1.0 + ch
     sl = (ch - (sh - 1.0)) + cl + rest
-    # log m = 2u s, plus k log 2
-    ph, pl = _two_prod(uh, sh)
-    pl += uh * sl + ul * sh
-    kh, kl = _two_prod(float(k), _LN2_HI)
-    hi, lo = _two_sum(kh, 2.0 * ph)
-    return hi, lo + kl + float(k) * _LN2_LO + 2.0 * pl
+    # log m = 2u s (Dekker's u * sh), plus k log 2 (Dekker's k * _LN2_HI and Knuth's sum)
+    ph = uh * sh
+    bh = (t := _SPLIT * sh) - (t - sh)
+    bl = sh - bh
+    pl = (((ah * bh - ph) + ah * bl + al * bh) + al * bl) + (uh * sl + ul * sh)
+    kf = float(k)
+    kh = kf * _LN2_HI
+    bh = (t := _SPLIT * kf) - (t - kf)
+    bl = kf - bh
+    kl = ((bh * _LN2_HI_H - kh) + bh * _LN2_HI_L + bl * _LN2_HI_H) + bl * _LN2_HI_L
+    ph *= 2.0
+    hi = kh + ph
+    bb = hi - kh
+    lo = (kh - (hi - bb)) + (ph - bb)
+    return hi, lo + kl + kf * _LN2_LO + 2.0 * pl
 
 
 def _bd0(x: float, mh: float, ml: float) -> tuple[float, float]:
@@ -200,14 +216,32 @@ def _bd0(x: float, mh: float, ml: float) -> tuple[float, float]:
     if mh < _TINY_MEAN:  # x / M would overflow: log x - log M instead
         ah, al = _log_dd(x, 0.0)
         bh, bl = _log_dd(mh, ml)
-        lh, ll = _two_sum(ah, -bh)
-        ll += al - bl
-    else:
-        lh, ll = _log_dd(*_dd_div(x, 0.0, mh, ml))
-    ph, pl = _two_prod(x, lh)
-    s, e = _two_sum(ph, mh)
-    hi, e2 = _two_sum(s, -x)
-    return hi, e2 + e + pl + x * ll + ml
+        lh = ah - bh
+        bb = lh - ah
+        ll = ((ah - (lh - bb)) + (-bh - bb)) + (al - bl)
+    else:  # x / M in double-double; its low dividend part is 0
+        q = x / mh
+        p = q * mh
+        qh = (t := _SPLIT * q) - (t - q)
+        ql = q - qh
+        bh = (t := _SPLIT * mh) - (t - mh)
+        bl = mh - bh
+        r = (((x - p) - (((qh * bh - p) + qh * bl + ql * bh) + ql * bl)) - q * ml) / mh
+        lh = q + r
+        lh, ll = _log_dd(lh, r - (lh - q))
+    # x log(x/M) (Dekker), then + M (Knuth) and - x (Knuth)
+    ph = x * lh
+    ah = (t := _SPLIT * x) - (t - x)
+    al = x - ah
+    bh = (t := _SPLIT * lh) - (t - lh)
+    bl = lh - bh
+    pl = ((ah * bh - ph) + ah * bl + al * bh) + al * bl
+    s = ph + mh
+    bb = s - ph
+    e = (ph - (s - bb)) + (mh - bb)
+    hi = s - x
+    bb = hi - s
+    return hi, (s - (hi - bb)) + (-x - bb) + e + pl + x * ll + ml
 
 
 def _stirlerr(k: float) -> float:
@@ -216,12 +250,6 @@ def _stirlerr(k: float) -> float:
         return _STIRLERR[int(k) - 1]
     kk = k * k
     return (_S0 - (_S1 - (_S2 - (_S3 - _S4 / kk) / kk) / kk) / kk) / k
-
-
-def _exp_dd(hi: float, lo: float) -> float:
-    """exp(hi + lo); lo need not be below one ulp of hi."""
-    hi, lo = _two_sum(hi, lo)
-    return math.exp(hi) * (1.0 + lo)
 
 
 def _complement(b: float) -> tuple[float, float]:
@@ -233,73 +261,100 @@ def _complement(b: float) -> tuple[float, float]:
 def _pmf(n: int, x: int, p: float, qh: float, ql: float) -> float:
     """Pr(Y = x) for Y ~ Bin(n, p), 0 < p < 1, q = qh + ql = 1 - p exactly."""
     nf = float(n)
+    nh = (t := _SPLIT * nf) - (t - nf)  # n's Veltkamp halves, for each Dekker product with n
+    nl = nf - nh
     if x == 0 or x == n:  # q^n or p^n, as exp(n log q) or exp(n log p)
         lh, ll = _log_dd(qh, ql) if x == 0 else _log_dd(p, 0.0)
-        eh, el = _two_prod(nf, lh)
-        return _exp_dd(eh, el + nf * ll)
+        eh = nf * lh
+        bh = (t := _SPLIT * lh) - (t - lh)
+        bl = lh - bh
+        el = (((nh * bh - eh) + nh * bl + nl * bh) + nl * bl) + nf * ll
+        # exp(eh + el), el made the low part of a Knuth sum first
+        s = eh + el
+        bb = s - eh
+        return math.exp(s) * (1.0 + ((eh - (s - bb)) + (el - bb)))
     xf = float(x)
     yf = nf - xf
-    mh, ml = _two_prod(nf, p)
-    ah, al = _bd0(xf, mh, ml)
-    mh, ml = _two_prod(nf, qh)
-    bh, bl = _bd0(yf, mh, ml + nf * ql)
-    lh, ll = _two_sum(-ah, -bh)
+    # bd0 at the means M = n p and n q, each made exact by Dekker
+    mh = nf * p
+    bh = (t := _SPLIT * p) - (t - p)
+    bl = p - bh
+    ah, al = _bd0(xf, mh, ((nh * bh - mh) + nh * bl + nl * bh) + nl * bl)
+    mh = nf * qh
+    bh = (t := _SPLIT * qh) - (t - qh)
+    bl = qh - bh
+    bh, bl = _bd0(yf, mh, (((nh * bh - mh) + nh * bl + nl * bh) + nl * bl) + nf * ql)
+    # exp(-bd0(x) - bd0(y) + stirlerr terms), the sum kept by Knuth
+    lh = -ah - bh
+    bb = lh + ah
+    ll = (-ah - (lh - bb)) + (-bh - bb)
     ll += (_stirlerr(nf) - _stirlerr(xf) - _stirlerr(yf)) - al - bl
-    return _exp_dd(lh, ll) / math.sqrt(_TWO_PI * xf * yf / nf)
+    s = lh + ll
+    bb = s - lh
+    return math.exp(s) * (1.0 + ((lh - (s - bb)) + (ll - bb))) / math.sqrt(_TWO_PI * xf * yf / nf)
 
 
 def _mode(n: int, b: float) -> int:
     return min(int((n + 1) * b), n)
 
 
-def _terms(n: int, p: float, qh: float, ql: float, k: int, step: int, end: int) -> Iterator[float]:
-    """Yield pmf(k), pmf(k + step), ..., pmf(end), moving away from the mode
-    (step = +1 above it, -1 below it), by the ratio recurrence re-anchored
-    at a saddle-point value every `_CHUNK` terms.  Stops early at an anchor
-    that underflows: the values past it are smaller still."""
-    if step > 0:
-        factor = _dd_div(p, 0.0, qh, ql)[0]
-    else:
-        factor = _dd_div(qh, ql, p, 0.0)[0]
-    for k0 in range(k, end + step, step * _CHUNK):
+def _tail(n: int, p: float, qh: float, ql: float, k: int, step: int, stop: float,
+          terms: list | None = None) -> tuple[float, float]:
+    """(sum, pmf(k)) of pmf(k) + pmf(k + step) + ... away from the mode (step
+    = +1 above it, -1 below it), by the ratio recurrence re-anchored at a
+    saddle-point value every `_CHUNK` terms.  The sum stops after the first
+    term at most `stop` times the partial sum, at the end of the range, or at
+    an anchor that underflows (pmf(k) is then 0.0): the values past it are
+    smaller still.  Each term summed is appended to `terms` if it is a list."""
+    # the ratio p / q above the mode, q / p below it: the high part of a double-double quotient
+    ah, al, dh, dl = (p, 0.0, qh, ql) if step > 0 else (qh, ql, p, 0.0)
+    f = ah / dh
+    g = f * dh
+    fh = (t := _SPLIT * f) - (t - f)
+    fl = f - fh
+    bh = (t := _SPLIT * dh) - (t - dh)
+    bl = dh - bh
+    e = ((fh * bh - g) + fh * bl + fl * bh) + fl * bl
+    factor = f + ((((ah - g) - e) + al - f * dl) / dh)
+    last = n if step > 0 else 0
+    total = first = 0.0
+    for k0 in range(k, last + step, step * _CHUNK):
         t = _pmf(n, k0, p, qh, ql)
         if t == 0.0:
-            return
-        yield t
+            break
+        if k0 == k:
+            first = t
         # pmf(i + 1) / pmf(i) = (n - i) p / ((i + 1) q) for i = k0, k0 + 1, ...;
         # pmf(i - 1) / pmf(i) = i q / ((n - i + 1) p) for i = k0, k0 - 1, ...
         num, den = (float(n - k0), float(k0 + 1)) if step > 0 else (float(k0), float(n - k0 + 1))
-        for _ in range(min(_CHUNK - 1, abs(end - k0))):
+        for _ in range(min(_CHUNK, abs(last - k0) + 1)):
+            total += t
+            if terms is not None:
+                terms.append(t)
+            if t <= stop * total:
+                return total, first
             t *= num / den * factor
             num -= 1.0
             den += 1.0
-            yield t
+    return total, first
 
 
 def _cdf_sf(n: int, b: float, j: int) -> tuple[float, float, int, float]:
-    """(Pr(Y <= j), Pr(Y > j), k, Pr(Y = k)) for Y ~ Bin(n, b); total on
-    integers j.  Sums only the tail on the far side of the mode from j
-    (module docstring); k is the index of its first term, j below the mode
-    and j + 1 above it, and Pr(Y = k) that term, 0.0 where no tail is summed
-    or its first term underflows."""
-    n = check_int(n, "n", 1)
-    b = check_prob(b, "b")
-    j = check_int(j, "j")
+    """(Pr(Y <= j), Pr(Y > j), k, Pr(Y = k)) for Y ~ Bin(n, b), on checked
+    arguments; total on integers j.  Sums only the tail on the far side of
+    the mode from j (module docstring); k is the index of its first term, j
+    below the mode and j + 1 above it, and Pr(Y = k) that term, 0.0 where no
+    tail is summed or its first term underflows."""
     if j < 0 or j >= n:
         return (0.0, 1.0, j, 0.0) if j < 0 else (1.0, 0.0, j, 0.0)
     if b in (0.0, 1.0):
         return (1.0, 0.0, j, 0.0) if b == 0.0 else (0.0, 1.0, j, 0.0)
     qh, ql = _complement(b)
-    lower = j < _mode(n, b)
-    k, step, end = (j, -1, 0) if lower else (j + 1, 1, n)
-    terms = _terms(n, b, qh, ql, k, step, end)
-    # the first term is positive, so it never meets the stopping rule
-    first = total = next(terms, 0.0)
-    for t in terms:
-        total += t
-        if t <= _TAIL_STOP * total:
-            break
-    return (total, 1.0 - total, k, first) if lower else (1.0 - total, total, k, first)
+    if j < _mode(n, b):
+        total, first = _tail(n, b, qh, ql, j, -1, _TAIL_STOP)
+        return total, 1.0 - total, j, first
+    total, first = _tail(n, b, qh, ql, j + 1, 1, _TAIL_STOP)
+    return 1.0 - total, total, j + 1, first
 
 
 def binom_pmf(n: int, b: float, y: int) -> float:
@@ -327,8 +382,10 @@ def binom_pmf_vector(n: int, b: float) -> np.ndarray:
         return out
     qh, ql = _complement(b)
     mode = _mode(n, b)
-    down = list(_terms(n, b, qh, ql, mode, -1, 0))
-    up = list(_terms(n, b, qh, ql, mode, 1, n))
+    down, up = [], []
+    # a stopping fraction below 0 takes every term up to an underflowing anchor
+    _tail(n, b, qh, ql, mode, -1, -1.0, down)
+    _tail(n, b, qh, ql, mode, 1, -1.0, up)
     out[mode - len(down) + 1 : mode + 1] = down[::-1]
     out[mode + 1 : mode + len(up)] = up[1:]
     return out
@@ -336,12 +393,12 @@ def binom_pmf_vector(n: int, b: float) -> np.ndarray:
 
 def binom_cdf(n: int, b: float, j: int) -> float:
     """Pr(Y <= j) for Y ~ Bin(n, b); total on integers (j < 0 -> 0, j >= n -> 1)."""
-    return _cdf_sf(n, b, j)[0]
+    return _cdf_sf(check_int(n, "n", 1), check_prob(b, "b"), check_int(j, "j"))[0]
 
 
 def binom_sf(n: int, b: float, j: int) -> float:
     """Pr(Y > j) for Y ~ Bin(n, b); total on integers (j < 0 -> 1, j >= n -> 0)."""
-    return _cdf_sf(n, b, j)[1]
+    return _cdf_sf(check_int(n, "n", 1), check_prob(b, "b"), check_int(j, "j"))[1]
 
 
 def _normal_quantile(t: float) -> float:
@@ -444,15 +501,14 @@ def _mix64(a: int, b: int) -> int:
     return x
 
 
-class SeededStream(NamedTuple):
+class SeededStream(namedtuple("SeededStream", "master_seed stream_id", defaults=(0,))):
     """Value-semantics random stream: (master_seed, stream_id) fully determines it.
 
     Substreams are derived by mixing the stream id, so parallel consumers get
     independent streams regardless of evaluation order.
     """
 
-    master_seed: int
-    stream_id: int = 0
+    __slots__ = ()
 
     def rng(self) -> np.random.Generator:
         import numpy as np

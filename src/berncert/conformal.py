@@ -10,11 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Sequence
 
 from .binom import SeededStream, binom_cdf, check_epsilon, check_int, check_prob
 
+TYPE_CHECKING = False  # typing is not imported at run time: it costs start-up
 if TYPE_CHECKING:
+    from collections.abc import Callable, Sequence
+
     import numpy as np
 
 

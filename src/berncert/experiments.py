@@ -7,14 +7,16 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable
 
 from .binom import SeededStream, _fmt, check_epsilon, check_int, check_level, check_prob
 from .conformal import PacBound, PacParams, indicator_coverage_event, theorem1_bound
 from .indicator import PredictionSetKind, exact_SE_probability, inp_closed_form
 from .intervals import IntervalEstimate, clopper_pearson
 
+TYPE_CHECKING = False  # typing is not imported at run time: it costs start-up
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     import numpy as np
 
 MODES = ("monte_carlo", "exact_inner", "fully_exact")

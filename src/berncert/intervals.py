@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import NamedTuple
+from collections import namedtuple
 
 from .binom import (
     SeededStream,
@@ -18,15 +18,7 @@ from .binom import (
 )
 
 
-class _Interval(NamedTuple):
-    lower: float
-    upper: float
-    alpha: float
-    n: int
-    y: int
-
-
-class IntervalEstimate(_Interval):
+class IntervalEstimate(namedtuple("IntervalEstimate", "lower upper alpha n y")):
     """[lower, upper] for b from y successes in n trials at level alpha: a
     named tuple whose endpoints are checked when it is made."""
 
@@ -76,10 +68,8 @@ class ClopperPearson:
         return self._cache[y]
 
 
-class CoverageReport(NamedTuple):
-    b: float
-    coverage: float
-    covering_set: frozenset[int]
+# the coverage at b, a float, and the frozenset of outcomes y whose interval covers b
+CoverageReport = namedtuple("CoverageReport", "b coverage covering_set")
 
 
 def _intervals(estimator, n: int) -> list[IntervalEstimate]:
@@ -105,12 +95,8 @@ def coverage_probability(estimator, b: float, n: int) -> CoverageReport:
     return CoverageReport(b=b, coverage=coverage, covering_set=covering)
 
 
-class ValidityReport(NamedTuple):
-    valid: bool
-    worst_b: float
-    worst_coverage: float
-    alpha: float
-    n: int
+# valid: bool; worst_b, worst_coverage, alpha: floats; n: int
+ValidityReport = namedtuple("ValidityReport", "valid worst_b worst_coverage alpha n")
 
 
 def endpoint_augmented_grid(estimator, n: int, step: float = 0.001, eps: float = 1e-9) -> list[float]:

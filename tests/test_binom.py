@@ -16,6 +16,7 @@ import berncert.binom
 from berncert.binom import (
     SeededStream,
     _cdf_sf,
+    _pmf,
     binom_cdf,
     binom_pmf,
     binom_pmf_vector,
@@ -23,6 +24,8 @@ from berncert.binom import (
     binom_tail_invert,
     draw_bernoulli,
 )
+from berncert.intervals import clopper_pearson
+from helpers import ref_cdf_sf, ref_pmf
 
 
 def exact_pmf(n: int, b: float, y: int) -> float:
@@ -115,6 +118,11 @@ class TestCdf:
         assert all(a <= c + 1e-15 for a, c in zip(values, values[1:]))
 
 
+# roots between two adjacent doubles, where no Newton step from either one
+# lands inside the collapsed bracket
+COLLAPSED_BRACKET_CASES = [(11, 6, 0.2716760504048823), (124, 32, 0.005), (47, 19, 0.4031792535164339)]
+
+
 class TestTailInvert:
     def test_upper_closed_form(self):
         # (1 - b)^10 = 0.05
@@ -150,11 +158,7 @@ class TestTailInvert:
         b = binom_tail_invert(n, y, t, "lower")
         assert 1 - binom_cdf(n, b, y - 1) == pytest.approx(t, abs=1e-10)
 
-    # roots between two adjacent doubles, where no Newton step from either
-    # one lands inside the collapsed bracket
-    @pytest.mark.parametrize(
-        "n,y,t", [(11, 6, 0.2716760504048823), (124, 32, 0.005), (47, 19, 0.4031792535164339)]
-    )
+    @pytest.mark.parametrize("n,y,t", COLLAPSED_BRACKET_CASES)
     def test_collapsed_bracket_returns_conservative_end(self, n, y, t):
         b = binom_tail_invert(n, y, t, "upper")
         # the upper end: the cdf crosses the target between b's lower neighbour and b
@@ -331,6 +335,61 @@ class TestKernelAccuracy:
         assert binom_sf(4, 1.0, 3) == 1.0
 
 
+# b from the smallest subnormal to the largest double below 1, with draws
+# crowded within 1e-12 of either end
+KERNEL_B = st.one_of(
+    st.floats(5e-324, 1.0 - 2.0**-53),
+    st.floats(5e-324, 1e-12),
+    st.floats(1.0 - 1e-12, 1.0 - 2.0**-53),
+)
+
+
+@st.composite
+def kernel_arguments(draw):
+    n = draw(st.integers(1, 10**6))
+    return n, draw(KERNEL_B), draw(st.integers(-1, n))
+
+
+def _same_bits(n, b, j):
+    """`_cdf_sf` at (n, b, j) and, for 0 <= j <= n, `_pmf` at x = j are the
+    reference kernel's values to the last bit."""
+    assert repr(_cdf_sf(n, b, j)) == repr(ref_cdf_sf(n, b, j)), (n, b, j)
+    if j >= 0:
+        qh = 1.0 - b
+        args = (n, j, b, qh, (1.0 - qh) - b)
+        assert repr(_pmf(*args)) == repr(ref_pmf(*args)), args
+
+
+class TestReferenceKernel:
+    """The kernel writes its double-double steps in place and sums its tails
+    in a plain loop; `helpers` keeps the form with one call per step and a
+    generator of terms.  Both must give the same bits."""
+
+    @given(args=kernel_arguments())
+    @settings(max_examples=300)
+    def test_matches_reference_kernel(self, args):
+        _same_bits(*args)
+
+    def test_matches_reference_on_kernel_grid(self):
+        for n, b, j in kernel_cases():
+            _same_bits(n, b, j)
+            _same_bits(n, b, j - 1)
+
+    def test_clopper_pearson_matches_reference_tails(self, monkeypatch):
+        """Endpoints from the kernel and from the reference tail sums are the
+        same doubles: the collapsed-bracket cases of `TestTailInvert` (alpha
+        twice their target) and 200 seeded cases."""
+        rng = random.Random(13)
+        cases = [(n, y, 2 * t) for n, y, t in COLLAPSED_BRACKET_CASES]
+        for _ in range(200):
+            n = rng.choice((rng.randint(1, 40), rng.randint(1, 3000), rng.randint(1, 10**5)))
+            cases.append((n, rng.randint(0, n), rng.choice((0.05, 0.01, rng.uniform(1e-6, 0.999)))))
+        got = [clopper_pearson(*case) for case in cases]
+        monkeypatch.setattr(berncert.binom, "_cdf_sf", ref_cdf_sf)
+        want = [clopper_pearson(*case) for case in cases]
+        assert [repr(iv[:2]) for iv in got] == [repr(iv[:2]) for iv in want]
+
+
 IMPORT_PROBE = """
 import sys
 before = set(sys.modules)
@@ -344,7 +403,7 @@ CLI_PROBE = """
 import sys
 from berncert.cli import main
 code = main(sys.argv[1:])
-print(code, "numpy" in sys.modules, "dataclasses" in sys.modules)
+print(code, *(name in sys.modules for name in ("numpy", "dataclasses", "typing")))
 print(*sorted(name for name in sys.modules if name.partition(".")[0] == "berncert"))
 """
 
@@ -355,11 +414,11 @@ print(*sorted(name for name in sys.modules if name.partition(".")[0] == "berncer
 """
 
 
-def _probe(code: str, *argv: str) -> str:
+def _probe(code: str, *argv: str, flags: tuple[str, ...] = ()) -> str:
     src = os.path.dirname(os.path.dirname(os.path.abspath(berncert.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
-        [sys.executable, "-c", code, *argv],
+        [sys.executable, *flags, "-c", code, *argv],
         capture_output=True, text=True, env=env, check=True, timeout=60,
     ).stdout
 
@@ -388,6 +447,14 @@ def test_scalar_commands_do_not_load_numpy(argv):
         # costs start-up: no other submodule, no dataclasses (and its inspect)
         assert loaded.split() == ["berncert", "berncert.binom", "berncert.cli", "berncert.intervals"]
         assert status.split()[2] == "False"
+
+
+def test_bpci_does_not_load_typing():
+    """`typing` costs start-up, and the package imports it only for type
+    checkers.  -S keeps the site hook, which may load it first, out of the run."""
+    argv = ("bpci", "--n", "300", "--successes", "40", "--json")
+    *_, status, _ = _probe(CLI_PROBE, *argv, flags=("-S",)).splitlines()
+    assert status.split() == ["0", "False", "False", "False"]
 
 
 def test_lazy_namespace():
