@@ -8,7 +8,7 @@ that floating point would silently flip.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .binom import SeededStream, binom_cdf, check_epsilon, check_int, check_prob
@@ -46,12 +46,17 @@ class IndicatorINM(NonconformityMeasure):
         return np.asarray(self._in_target(np.asarray(points)), dtype=float)
 
 
-@dataclass(frozen=True)
-class CalibrationScores:
-    scores: tuple[float, ...]
+# scores: tuple of floats, at least one
+class CalibrationScores(namedtuple("CalibrationScores", "scores")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_int(len(self.scores), "calibration size", 1)
+    def __new__(cls, scores):
+        check_int(len(scores), "calibration size", 1)
+        return super().__new__(cls, scores)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks the size too
+        return cls(*iterable)
 
     @property
     def n(self) -> int:
@@ -74,18 +79,23 @@ def score_rank_threshold(epsilon, n: int) -> int:
     return math.floor(check_epsilon(epsilon) * (check_int(n, "n", 1) + 1) - 1)
 
 
-@dataclass(frozen=True)
-class PacParams:
-    epsilon: Fraction
-    coverage_E: float
-    n: int
-    J: int = field(init=False)
+# epsilon: Fraction; coverage_E: float; n: int; J: int, derived from epsilon and n
+class PacParams(namedtuple("PacParams", "epsilon coverage_E n J")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "epsilon", check_epsilon(self.epsilon))
-        object.__setattr__(self, "coverage_E", check_prob(self.coverage_E, "coverage_E"))
-        object.__setattr__(self, "n", check_int(self.n, "calibration size", 1))
-        object.__setattr__(self, "J", score_rank_threshold(self.epsilon, self.n))
+    def __new__(cls, epsilon, coverage_E: float, n: int):
+        epsilon = check_epsilon(epsilon)
+        coverage_E = check_prob(coverage_E, "coverage_E")
+        n = check_int(n, "calibration size", 1)
+        return super().__new__(cls, epsilon, coverage_E, n, score_rank_threshold(epsilon, n))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks, and recomputes J
+        epsilon, coverage_E, n, *_ = iterable
+        return cls(epsilon, coverage_E, n)
+
+    def __getnewargs__(self):  # copy and pickle call __new__, which derives J
+        return self[:3]
 
     def complement_covers(self, b: float) -> bool:
         """Does the complement of a target set of measure b, whose inner
@@ -98,11 +108,8 @@ class PacParams:
         return b <= self.coverage_E
 
 
-@dataclass(frozen=True)
-class PacBound:
-    delta: float
-    confidence: float
-    params: PacParams
+# delta, confidence: floats; params: PacParams
+PacBound = namedtuple("PacBound", "delta confidence params")
 
 
 def theorem1_bound(params: PacParams) -> PacBound:
@@ -115,13 +122,8 @@ def theorem1_bound(params: PacParams) -> PacBound:
     return PacBound(delta=delta, confidence=1.0 - delta, params=params)
 
 
-@dataclass
-class GuaranteeReport:
-    h_hat: float
-    bound: PacBound
-    decomposition: dict[str, float]
-    n_cal: int
-    n_test: int
+# h_hat: float; bound: PacBound; decomposition: dict of str to float; n_cal, n_test: ints
+GuaranteeReport = namedtuple("GuaranteeReport", "h_hat bound decomposition n_cal n_test")
 
 
 # elements of one chunk's score matrix in `estimate_SE_probability`; a

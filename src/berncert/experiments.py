@@ -4,47 +4,54 @@ discrete-time safety-certification demo.  Emits analysis-ready CSV rows."""
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .binom import SeededStream, _fmt, check_epsilon, check_int, check_level, check_prob
-from .conformal import PacBound, PacParams, indicator_coverage_event, theorem1_bound
-from .indicator import PredictionSetKind, exact_SE_probability, inp_closed_form
-from .intervals import IntervalEstimate, clopper_pearson
+from .conformal import PacParams, indicator_coverage_event, theorem1_bound
+from .indicator import exact_SE_probability, inp_closed_form
+from .intervals import clopper_pearson
 
 TYPE_CHECKING = False  # typing is not imported at run time: it costs start-up
 if TYPE_CHECKING:
-    from collections.abc import Callable
-
     import numpy as np
 
 MODES = ("monte_carlo", "exact_inner", "fully_exact")
 
 
-@dataclass(frozen=True)
-class AppendixConfig:
-    q_min: int = 0
-    q_max: int = 98
-    alpha_frac: float = 0.005
-    epsilon: Fraction = Fraction(2, 3)
-    n_cal: int = 50_000
-    n_test: int = 50_000
-    n_calibration_size: int = 2
-    master_seed: int = 0
-    mode: str = "exact_inner"
+# q_min, q_max: ints; alpha_frac: float; epsilon: Fraction; n_cal, n_test,
+# n_calibration_size, master_seed: ints; mode: one of MODES
+class AppendixConfig(
+    namedtuple(
+        "AppendixConfig",
+        "q_min q_max alpha_frac epsilon n_cal n_test n_calibration_size master_seed mode",
+        defaults=(0, 98, 0.005, Fraction(2, 3), 50_000, 50_000, 2, 0, "exact_inner"),
+    )
+):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        object.__setattr__(self, "q_min", check_int(self.q_min, "q_min", 0))
-        object.__setattr__(self, "q_max", check_int(self.q_max, "q_max", self.q_min))
-        for name in ("n_cal", "n_test", "n_calibration_size"):
-            object.__setattr__(self, name, check_int(getattr(self, name), name, 1))
-        object.__setattr__(self, "alpha_frac", check_prob(self.alpha_frac, "alpha_frac"))
-        for q in (self.q_min, self.q_max):
-            check_level(self.E_of(q), f"E at q = {q}")
-        object.__setattr__(self, "epsilon", check_epsilon(self.epsilon))
+    def __new__(cls, *args, **kwargs):
+        raw = super().__new__(cls, *args, **kwargs)  # binds the arguments, defaults included
+        if raw.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {raw.mode!r}")
+        q_min = check_int(raw.q_min, "q_min", 0)
+        q_max = check_int(raw.q_max, "q_max", q_min)
+        n_cal = check_int(raw.n_cal, "n_cal", 1)
+        n_test = check_int(raw.n_test, "n_test", 1)
+        n_calibration_size = check_int(raw.n_calibration_size, "n_calibration_size", 1)
+        master_seed = check_int(raw.master_seed, "master_seed")
+        alpha_frac = check_prob(raw.alpha_frac, "alpha_frac")
+        for q in (q_min, q_max):
+            check_level(cls.E_of(q), f"E at q = {q}")
+        epsilon = check_epsilon(raw.epsilon)
+        return super().__new__(
+            cls, q_min, q_max, alpha_frac, epsilon, n_cal, n_test, n_calibration_size, master_seed, raw.mode
+        )
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
     @staticmethod
     def E_of(q: int) -> float:
@@ -58,24 +65,13 @@ class AppendixConfig:
         return [("b_le_E", E, b_le), ("b_gt_E", E, b_gt)]
 
 
-@dataclass(frozen=True)
-class ExperimentRow:
-    q: int
-    E: float
-    b: float
-    regime: str
-    mode: str
-    h_hat: float
-    exact_prob_SE: float
-    bound_Esq: float
-    frac_fullspace: float
-    frac_qbar_covering: float
-    n_cal: int
-    n_test: int
-    seed: int
-
-
-CSV_FIELDS = tuple(field.name for field in fields(ExperimentRow))
+# q: int; E, b: floats; regime, mode: strs; h_hat, exact_prob_SE, bound_Esq,
+# frac_fullspace, frac_qbar_covering: floats; n_cal, n_test, seed: ints
+ExperimentRow = namedtuple(
+    "ExperimentRow",
+    "q E b regime mode h_hat exact_prob_SE bound_Esq frac_fullspace frac_qbar_covering n_cal n_test seed",
+)
+CSV_FIELDS = ExperimentRow._fields
 CSV_HEADER = ",".join(CSV_FIELDS)
 
 
@@ -138,8 +134,7 @@ def emit_csv(rows: list[ExperimentRow], path) -> None:
         raise ValueError("rows must be nonempty")
     lines = [CSV_HEADER]
     for r in rows:
-        cells = (getattr(r, name) for name in CSV_FIELDS)
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in cells))
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in r))
     try:
         with open(path, "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -147,17 +142,14 @@ def emit_csv(rows: list[ExperimentRow], path) -> None:
         raise OSError(f"failed to write CSV to {path}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class ToySafetySystem:
+# step, unsafe: array -> array; horizon: int; sample_initial: (Generator, count) -> array
+class ToySafetySystem(namedtuple("ToySafetySystem", "step horizon unsafe sample_initial")):
     """Deterministic discrete-time system with a boolean unsafe predicate.
 
     `step` and `unsafe` operate on state arrays; a trajectory is unsafe if it
     touches the unsafe set at any step 0..horizon."""
 
-    step: Callable[[np.ndarray], np.ndarray]
-    horizon: int
-    unsafe: Callable[[np.ndarray], np.ndarray]
-    sample_initial: Callable[[np.random.Generator, int], np.ndarray]
+    __slots__ = ()
 
 
 def linear_contraction_system(
@@ -192,14 +184,9 @@ def rollout_unsafe(system: ToySafetySystem, x0: np.ndarray) -> np.ndarray:
     return hit
 
 
-@dataclass
-class SafetyDemoReport:
-    n_cal: int
-    n_unsafe: int
-    interval: IntervalEstimate
-    prediction: PredictionSetKind
-    pac_bound: PacBound
-    note: str
+# n_cal, n_unsafe: ints; interval: IntervalEstimate; prediction: PredictionSetKind;
+# pac_bound: PacBound; note: str
+SafetyDemoReport = namedtuple("SafetyDemoReport", "n_cal n_unsafe interval prediction pac_bound note")
 
 
 def run_safety_demo(

@@ -7,11 +7,11 @@ the measure b of the target set matters, so everything here is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .binom import binom_cdf, binom_sf, check_int, check_prob
-from .conformal import PacBound, PacParams, score_rank_threshold, theorem1_bound
+from .conformal import PacParams, score_rank_threshold, theorem1_bound
 
 
 class PredictionSetKind(Enum):
@@ -41,12 +41,8 @@ def inp_closed_form(n: int, ones_count: int, epsilon) -> PredictionSetKind:
     return PredictionSetKind.Q_COMPLEMENT
 
 
-@dataclass(frozen=True)
-class ExactSEResult:
-    prob_SE: float
-    prob_fullspace: float
-    prob_qbar_covering: float
-    bound: PacBound
+# prob_SE, prob_fullspace, prob_qbar_covering: floats; bound: PacBound
+ExactSEResult = namedtuple("ExactSEResult", "prob_SE prob_fullspace prob_qbar_covering bound")
 
 
 def _closed_form_params(epsilon, coverage_E: float, n: int) -> PacParams:
@@ -84,19 +80,11 @@ def exact_SE_probability(b: float, n: int, epsilon, coverage_E: float) -> ExactS
     )
 
 
-@dataclass(frozen=True)
-class Example1Case:
-    label: str
-    probability: float
-    prediction: PredictionSetKind
-    inner_coverage: float
-    in_SE: bool
+# label: str; probability: float; prediction: PredictionSetKind; inner_coverage: float; in_SE: bool
+Example1Case = namedtuple("Example1Case", "label probability prediction inner_coverage in_SE")
 
-
-@dataclass(frozen=True)
-class Example1Table:
-    cases: tuple[Example1Case, ...]
-    prob_SE: float
+# cases: tuple of Example1Case; prob_SE: float
+Example1Table = namedtuple("Example1Table", "cases prob_SE")
 
 
 def enumerate_example1(b: float, epsilon, coverage_E: float) -> Example1Table:
@@ -128,10 +116,8 @@ def enumerate_example1(b: float, epsilon, coverage_E: float) -> Example1Table:
     return Example1Table(cases=tuple(cases), prob_SE=min(prob_SE, 1.0))
 
 
-@dataclass(frozen=True)
-class NaiveIntervalReport:
-    conditional_coverage: float
-    claim_rate: float
+# conditional_coverage, claim_rate: floats
+NaiveIntervalReport = namedtuple("NaiveIntervalReport", "conditional_coverage claim_rate")
 
 
 def naive_interval_coverage(b: float, coverage_E: float, n: int, epsilon) -> NaiveIntervalReport:

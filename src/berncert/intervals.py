@@ -104,7 +104,9 @@ def endpoint_augmented_grid(estimator, n: int, step: float = 0.001, eps: float =
 
     Coverage as a function of b is piecewise with breakpoints exactly at the
     estimator endpoints, and these points sit on and beside each of them.
-    No verdict uses them: `verify_conservative_validity` is exact.
+    No verdict uses them: `verify_conservative_validity` is exact.  It stays
+    only because perfbench's tracer looks the name up; it goes when the
+    tracer stops wrapping it.
     """
     points = {round(k * step, 12) for k in range(int(round(1.0 / step)) + 1)}
     for iv in _intervals(estimator, check_int(n, "n", 1)):
@@ -190,7 +192,11 @@ def pac_form_check(
     estimator, b: float, n: int, mc_trials: int, stream: SeededStream
 ) -> float:
     """Monte Carlo coverage: fraction of simulated calibration sets whose
-    interval contains b.  Converges to the exact enumeration value."""
+    interval contains b.  Converges to the exact enumeration value.
+
+    `coverage_probability` computes the same quantity exactly; this stays
+    only as perfbench's `validity` workload's independent cross-check of it.
+    """
     n = check_int(n, "n", 1)
     b = check_prob(b, "b")
     mc_trials = check_int(mc_trials, "mc_trials", 1)

@@ -107,6 +107,7 @@ ENTRY_POINTS = {
     "AppendixConfig n_cal": (lambda k: AppendixConfig(n_cal=k), [0]),
     "AppendixConfig n_test": (lambda k: AppendixConfig(n_test=k), [0]),
     "AppendixConfig n_calibration_size": (lambda k: AppendixConfig(n_calibration_size=k), [0]),
+    "AppendixConfig master_seed": (lambda k: AppendixConfig(master_seed=k), []),
     "run_safety_demo n_cal": (_safety_demo, [0]),
 }
 

@@ -441,12 +441,19 @@ def test_import_does_not_load_mpmath():
 )
 def test_scalar_commands_do_not_load_numpy(argv):
     *_, status, loaded = _probe(CLI_PROBE, *argv).splitlines()
-    assert status.split()[:2] == ["0", "False"]
+    # no numpy, and no dataclasses (and its inspect), which cost start-up
+    assert status.split()[:3] == ["0", "False", "False"]
     if argv[0] == "bpci":
-        # the interval needs the kernel and the estimator, and nothing that
-        # costs start-up: no other submodule, no dataclasses (and its inspect)
+        # the interval needs the kernel and the estimator, and no other submodule
         assert loaded.split() == ["berncert", "berncert.binom", "berncert.cli", "berncert.intervals"]
-        assert status.split()[2] == "False"
+
+
+def test_simulate_appendix_does_not_load_dataclasses(tmp_path):
+    """Every record is a named tuple, so no command loads `dataclasses`."""
+    argv = ("simulate-appendix", "--mode", "fully-exact", "--q-max", "2", "--out", str(tmp_path / "grid.csv"))
+    *_, status, _ = _probe(CLI_PROBE, *argv).splitlines()
+    code, _, dataclasses_loaded, _ = status.split()
+    assert (code, dataclasses_loaded) == ("0", "False")
 
 
 def test_bpci_does_not_load_typing():
