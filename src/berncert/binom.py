@@ -21,10 +21,13 @@ and the sum stops at the first term below 1e-17 of the partial sum.  The
 other value is its complement, taken only across the mode, of a tail of at
 most about 1/2, so it loses no relative accuracy.  `binom_pmf_vector` takes
 its values from the same loop.  The public functions check the arguments;
-`_cdf_sf` and `_tail` trust them.  Tail inversion is Newton's method on the
+`_cdf_sf` and `_tail` trust them.  Tail inversion is Halley's method on the
 log tail, safeguarded by a shrinking bracket.  Its slope needs pmf_n(y),
 which is the first term of the tail sum the same step has just taken, or one
-ratio step from it, so each step pays for one saddle-point anchor, not two.
+ratio step from it, so each step pays for one saddle-point anchor, not two;
+the second derivative follows from the slope and pmf_n(y)'s own log
+derivative, at no further cost.  Where the tail has a closed-form root
+(y = 0, 1, n - 1 or n) the first tail sum only confirms it.
 
 The scalar functions compute on Python floats and load no numpy; numpy is
 imported only inside the functions that make an array or a random stream.
@@ -77,8 +80,9 @@ _TINY_MEAN = 1e-290
 _CHUNK = 256
 # a tail sum stops at the first term below this fraction of the partial sum
 _TAIL_STOP = 1e-17
-# Newton stops after a step below this fraction of the iterate; convergence
-# is quadratic, so the error left is of the order of its square
+# the inversion stops after a step below this fraction of the iterate;
+# Halley's steps converge cubically, so the error left is of the order of its
+# cube (of its square after one of the plain Newton steps far from the root)
 _NEWTON_RTOL = 1e-11
 _NEWTON_MAX_STEPS = 200
 
@@ -403,7 +407,7 @@ def binom_sf(n: int, b: float, j: int) -> float:
 
 def _normal_quantile(t: float) -> float:
     """z with Pr(Z > z) = t for 0 < t <= 1/2, to about 5e-4 (Abramowitz and
-    Stegun 26.2.23); only a starting point for Newton's method."""
+    Stegun 26.2.23); only a starting point for the inversion."""
     s = math.sqrt(-2.0 * math.log(t))
     return s - (2.515517 + 0.802853 * s + 0.010328 * s * s) / (
         1.0 + 1.432788 * s + 0.189269 * s * s + 0.001308 * s * s * s
@@ -424,25 +428,33 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
     B(1 - target; y + 1, n - y) and B(target; y, n - y + 1).  Degenerate
     cases with no root in (0, 1) return the boundary value 0 or 1.
 
-    Newton's method runs on the log tail as a function of log b (lower) or
-    log(1 - b) (upper).  Both are concave, as the beta densities involved
-    are log-concave, so after at most one overshoot the iterates approach
-    the root from one side.  The derivative of the tail in b is
-    -n pmf_{n-1}(y) (upper) or n pmf_{n-1}(y - 1) (lower), and
-    n pmf_{n-1}(y) (1 - b) = (n - y) pmf_n(y), n pmf_{n-1}(y - 1) b =
-    y pmf_n(y); so the slopes of the log tail are (n - y) pmf_n(y) / tail
-    and y pmf_n(y) / tail.  pmf_n(y) is the first term of the tail sum
-    `_cdf_sf` has just taken, or is one ratio step from it when that sum
-    starts at y - 1 or y + 1.  A step that leaves the bracket, which shrinks
-    at every step, is replaced by bisection.
+    Halley's method runs on the log tail h as a function of log b (lower)
+    or log(1 - b) (upper).  Both are concave, as the beta densities involved
+    are log-concave.  The derivative of the tail in b is -n pmf_{n-1}(y)
+    (upper) or n pmf_{n-1}(y - 1) (lower), and n pmf_{n-1}(y) (1 - b) =
+    (n - y) pmf_n(y), n pmf_{n-1}(y - 1) b = y pmf_n(y); so the slopes s of
+    the log tail are (n - y) pmf_n(y) / tail and y pmf_n(y) / tail.
+    pmf_n(y) is the first term of the tail sum `_cdf_sf` has just taken, or
+    is one ratio step from it when that sum starts at y - 1 or y + 1.  Then
+    h'' = s (a - s), where a is the derivative of log pmf_n(y) in the same
+    variable: (n - y) - y (1 - b) / b (upper) or y - (n - y) b / (1 - b)
+    (lower).  Halley's step is Newton's -h / s divided by 1 - h h'' / (2 s^2);
+    where that divisor lies outside (1/2, 2), far from the root, the step is
+    Newton's.  The start is the root itself where the tail has a closed
+    form: (1 - b)^n at y = 0 and 1 - b^n at y = n - 1 (upper), b^n at y = n
+    and 1 - (1 - b)^n at y = 1 (lower); elsewhere it is a Wilson score
+    bound.  A step that leaves the bracket, which shrinks at every step, is
+    replaced by bisection.
 
-    Iteration stops after a step below 1e-11 of b and returns that Newton
-    iterate, which may lie an ulp or so on either side of the root: below
-    the few-ulp rounding of the tail itself, which cannot place it more
-    closely.  It also stops once no double is left strictly inside the
-    bracket; the root then lies between two adjacent doubles and only this
-    exit returns the end that widens the interval: the upper end for
-    side="upper", the lower end for side="lower".
+    Iteration stops after a step below 1e-11 of b and returns that iterate,
+    which may lie an ulp or so on either side of the root: below the few-ulp
+    rounding of the tail itself, which cannot place it more closely.  Where
+    rounding puts such a step past the far end of the bracket, the next
+    iterate is the double next to b toward the root.  Iteration also stops
+    once no double is left strictly inside the bracket; the root then lies
+    between two adjacent doubles and only this exit returns the end that
+    widens the interval: the upper end for side="upper", the lower end for
+    side="lower".
     """
     n = check_int(n, "n", 1)
     y = check_int(y, "y", 0, n)
@@ -455,10 +467,15 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
     if not upper and y == 0:  # Pr(Y >= 0) == 1 for every b: no root
         return 0.0
 
-    z = _normal_quantile(target) if target < 0.5 else 0.0
-    b = 1.0 - _wilson_lower(n, n - y, z) if upper else _wilson_lower(n, y, z)
-    b = min(max(b, 1e-300), 1.0 - 2.0**-53)
     log_target = math.log(target)
+    if y == (0 if upper else n):  # (1 - b)^n or b^n equals the target
+        b = -math.expm1(log_target / n) if upper else math.exp(log_target / n)
+    elif y == (n - 1 if upper else 1):  # b^n or (1 - b)^n equals 1 - target
+        b = math.exp(math.log1p(-target) / n) if upper else -math.expm1(math.log1p(-target) / n)
+    else:
+        z = _normal_quantile(target) if target < 0.5 else 0.0
+        b = 1.0 - _wilson_lower(n, n - y, z) if upper else _wilson_lower(n, y, z)
+    b = min(max(b, 1e-300), 1.0 - 2.0**-53)
     lo, hi = 0.0, 1.0
     for _ in range(_NEWTON_MAX_STEPS):
         cdf, sf, k, pk = _cdf_sf(n, b, y if upper else y - 1)
@@ -481,10 +498,20 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
         if hi <= math.nextafter(lo, 1.0):  # no double left inside the bracket
             return hi if upper else lo
         if slope > 0.0:
-            newton = -math.expm1(math.log1p(-b) - h / slope) if upper else b * math.exp(-h / slope)
-            if abs(newton - b) <= _NEWTON_RTOL * b and lo <= newton <= hi:
-                return newton
-            b = newton if lo < newton < hi else 0.5 * (lo + hi)
+            # Halley's step is Newton's over d = 1 - h h'' / (2 slope^2), with
+            # h'' = slope (a - slope) and a = d log pmf_n(y) in the same variable
+            a = (n - y) - y * (1.0 - b) / b if upper else y - (n - y) * b / (1.0 - b)
+            d = 1.0 - 0.5 * h * (a - slope) / slope
+            # plain Newton where d is no modest correction (a subnormal b makes it inf)
+            step = h / slope / d if 0.5 < d < 2.0 else h / slope
+            new = -math.expm1(math.log1p(-b) - step) if upper else b * math.exp(-step)
+            if abs(new - b) <= _NEWTON_RTOL * b:
+                if lo <= new <= hi:
+                    return new
+                # rounding put the step past the far end: one double toward the root
+                b = math.nextafter(b, hi if b == lo else lo)
+            else:
+                b = new if lo < new < hi else 0.5 * (lo + hi)
         else:
             b = 0.5 * (lo + hi)
     raise ArithmeticError(f"binom_tail_invert({n}, {y}, {target}, {side!r}) did not converge")

@@ -151,6 +151,13 @@ class ToySafetySystem(namedtuple("ToySafetySystem", "step horizon unsafe sample_
 
     __slots__ = ()
 
+    def __new__(cls, step, horizon: int, unsafe, sample_initial):
+        return super().__new__(cls, step, check_int(horizon, "horizon", 0), unsafe, sample_initial)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
+
 
 def linear_contraction_system(
     rate: float = 0.9,

@@ -35,6 +35,22 @@ class FullInterval:
         return IntervalEstimate(lower=0.0, upper=1.0, alpha=self.alpha, n=self.n, y=y)
 
 
+def count_calls(monkeypatch, module, *names: str) -> dict[str, int]:
+    """Replace each named function of `module` by one that counts its calls;
+    the dict returned maps each name to its count so far."""
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name, f):
+        def wrapper(*args):
+            counts[name] += 1
+            return f(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return counts
+
+
 def indicator_sampler(b: float):
     """Point sampler over {0, 1} matching an indicator measure with P(Q) = b."""
 

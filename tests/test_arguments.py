@@ -109,6 +109,7 @@ ENTRY_POINTS = {
     "AppendixConfig n_calibration_size": (lambda k: AppendixConfig(n_calibration_size=k), [0]),
     "AppendixConfig master_seed": (lambda k: AppendixConfig(master_seed=k), []),
     "run_safety_demo n_cal": (_safety_demo, [0]),
+    "linear_contraction_system horizon": (lambda k: linear_contraction_system(horizon=k).horizon, [-1]),
 }
 
 OUT_OF_RANGE = [(name, k) for name, (_, ks) in ENTRY_POINTS.items() for k in ks]

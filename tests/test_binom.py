@@ -10,6 +10,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import betaincinv
 
 import berncert
 import berncert.binom
@@ -25,7 +26,7 @@ from berncert.binom import (
     draw_bernoulli,
 )
 from berncert.intervals import clopper_pearson
-from helpers import ref_cdf_sf, ref_pmf
+from helpers import count_calls, ref_cdf_sf, ref_pmf
 
 
 def exact_pmf(n: int, b: float, y: int) -> float:
@@ -170,35 +171,79 @@ class TestTailInvert:
          (200, 200, 0.005, "lower"), (256, 90, 0.3, "upper"), (256, 90, 0.3, "lower")],
     )
     def test_one_anchor_per_tail_evaluation(self, monkeypatch, n, y, t, side):
-        """The Newton slope comes from the first term of the tail sum just
+        """The slope comes from the first term of the tail sum just
         taken, so the inversion computes no saddle-point anchor beyond those
         the tail sums make: at n <= 256 one each."""
-        counts = {"pmf": 0, "tail": 0}
-
-        def counted(name, f):
-            def wrapper(*args):
-                counts[name] += 1
-                return f(*args)
-            return wrapper
-
-        monkeypatch.setattr(berncert.binom, "_pmf", counted("pmf", berncert.binom._pmf))
-        monkeypatch.setattr(berncert.binom, "_cdf_sf", counted("tail", berncert.binom._cdf_sf))
+        counts = count_calls(monkeypatch, berncert.binom, "_pmf", "_cdf_sf")
         binom_tail_invert(n, y, t, side)
-        assert counts["tail"] > 0
-        assert counts["pmf"] == counts["tail"]
+        assert counts["_cdf_sf"] > 0
+        assert counts["_pmf"] == counts["_cdf_sf"]
 
     def test_seeded_sweep_converges(self):
         """2000 random cases, each inverted without ArithmeticError.  A
         collapsed bracket is rare (about 1 case in 3e4 at n <= 300 and
         Clopper-Pearson targets); the seed is one whose cases hold one,
         (47, 19, 0.4031792535164339, "upper")."""
-        rng = random.Random(45)
-        for _ in range(2000):
-            n = rng.randint(1, 300)
-            side = rng.choice(("lower", "upper"))
-            y = rng.randint(1, n) if side == "lower" else rng.randint(0, n - 1)
-            t = rng.choice((0.005, 0.025, rng.random()))
-            assert 0.0 <= binom_tail_invert(n, y, t, side) <= 1.0
+        for case in seeded_sweep_cases():
+            assert 0.0 <= binom_tail_invert(*case) <= 1.0
+
+
+def seeded_sweep_cases():
+    """2000 (n, y, target, side) with n <= 300 and the target 0.005, 0.025 or
+    uniform in (0, 1), a third each."""
+    rng = random.Random(45)
+    for _ in range(2000):
+        n = rng.randint(1, 300)
+        side = rng.choice(("lower", "upper"))
+        y = rng.randint(1, n) if side == "lower" else rng.randint(0, n - 1)
+        yield n, y, rng.choice((0.005, 0.025, rng.random())), side
+
+
+# (y, side) as functions of n where the tail has a closed-form root in b
+EXACT_STARTS = {
+    "upper y=0": (lambda n: 0, "upper"),  # (1 - b)^n = t
+    "lower y=n": (lambda n: n, "lower"),  # b^n = t
+    "lower y=1": (lambda n: 1, "lower"),  # (1 - b)^n = 1 - t
+    "upper y=n-1": (lambda n: n - 1, "upper"),  # b^n = 1 - t
+}
+
+
+class TestTailInvertCost:
+    """Tail sums per inversion, each a pure-Python loop and most of the cost."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        return count_calls(monkeypatch, berncert.binom, "_cdf_sf")
+
+    @staticmethod
+    def invert(counts, *args):
+        """binom_tail_invert(*args) and the tail sums it took."""
+        before = counts["_cdf_sf"]
+        b = binom_tail_invert(*args)
+        return b, counts["_cdf_sf"] - before
+
+    @pytest.mark.parametrize("n,y,t", COLLAPSED_BRACKET_CASES)
+    def test_collapsed_bracket(self, counts, n, y, t):
+        """One double toward the root, not a bisection of the whole bracket,
+        once rounding puts a step below tolerance past its far end."""
+        assert self.invert(counts, n, y, t, "upper")[1] <= 6
+
+    def test_seeded_sweep(self, counts):
+        sums = [self.invert(counts, *case)[1] for case in seeded_sweep_cases()]
+        assert max(sums) <= 12
+        assert sum(sums) / len(sums) <= 3.6
+
+    @pytest.mark.parametrize("n", [2, 10, 1000, 10**6])
+    @pytest.mark.parametrize("case", EXACT_STARTS)
+    def test_exact_start(self, counts, n, case):
+        """Where the tail has a closed-form root the inversion starts from it,
+        and the first tail sum confirms it."""
+        y_of, side = EXACT_STARTS[case]
+        y, t = y_of(n), 0.025
+        b, sums = self.invert(counts, n, y, t, side)
+        assert sums == 1
+        ref = betaincinv(y + 1, n - y, 1 - t) if side == "upper" else betaincinv(y, n - y + 1, t)
+        assert abs(b - ref) <= 1e-12 * ref
 
 
 # ---------------------------------------------------------------- kernel accuracy

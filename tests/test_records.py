@@ -80,8 +80,10 @@ def test_pac_params_replace_checks_and_derives_J():
         (AppendixConfig(), {"master_seed": 1.5}, "master_seed"),
         (AppendixConfig(), {"q_max": -1}, "q_max"),
         (AppendixConfig(), {"mode": "exact"}, "mode"),
+        (linear_contraction_system(), {"horizon": 2.5}, "horizon"),
     ],
-    ids=["CalibrationScores scores", "AppendixConfig master_seed", "AppendixConfig q_max", "AppendixConfig mode"],
+    ids=["CalibrationScores scores", "AppendixConfig master_seed", "AppendixConfig q_max", "AppendixConfig mode",
+         "ToySafetySystem horizon"],
 )
 def test_replace_checks(record, change, message):
     with pytest.raises(ValueError, match=message):
