@@ -27,7 +27,11 @@ which is the first term of the tail sum the same step has just taken, or one
 ratio step from it, so each step pays for one saddle-point anchor, not two;
 the second derivative follows from the slope and pmf_n(y)'s own log
 derivative, at no further cost.  Where the tail has a closed-form root
-(y = 0, 1, n - 1 or n) the first tail sum only confirms it.
+(y = 0, 1, n - 1 or n), or two terms (y = 1 for the cdf, y = n - 1 for the
+survival function), whose root a few Newton steps in doubles find, the
+first tail sum only confirms the start.  A target above 1/2 is solved as
+the complementary tail at 1 - t, which is exact, and iterates stay between
+the doubles next to 0 and 1, so a root past them costs one tail sum there.
 
 The scalar functions compute on Python floats and load no numpy; numpy is
 imported only inside the functions that make an array or a random stream.
@@ -85,6 +89,14 @@ _TAIL_STOP = 1e-17
 # cube (of its square after one of the plain Newton steps far from the root)
 _NEWTON_RTOL = 1e-11
 _NEWTON_MAX_STEPS = 200
+# every iterate lies between the doubles next to 0 and 1, so a root past either
+# lies in a bracket with no double inside, which the inversion exits at once
+_B_MIN = math.ulp(0.0)
+_B_MAX = 1.0 - 2.0**-53
+# the two-term solve stops after a step below this fraction of c and of 1 - c;
+# Newton's steps converge quadratically, so the error left is of the order of its square
+_TWO_TERM_RTOL = 1e-8
+_TWO_TERM_MAX_STEPS = 20
 
 
 def check_int(k, name: str, lo: float = -math.inf, hi: float = math.inf) -> int:
@@ -420,6 +432,50 @@ def _wilson_lower(n: int, y: int, z: float) -> float:
     return y * y / (n * (y + z * z / 2.0 + z * s))
 
 
+def _two_term_root(n: int, log_t: float) -> float:
+    """log c for the root c in (0, 1) of (1 - c)^(n - 1) (1 + (n - 1) c) = t,
+    for n >= 3 and log t = log_t <= -log 2: the two-term tail Pr(Y <= 1) at
+    b = c, and Pr(Y >= n - 1) at b = 1 - c.
+
+    Newton's method in u = log c on g(u) = (n - 1) log(1 - c) + log(1 + (n - 1) c)
+    - log t, which decreases and is concave in u; from the right of the root
+    its steps stay there, so c never reaches 1, and a bracket catches what
+    rounding does near the root.  The start is the smaller of two bounds
+    above the root: lambda / n, where e^-lambda (1 + lambda) = t is the
+    Poisson limit (lambda > 1.6 at t <= 1/2, and a binomial cdf at 1 lies
+    below the Poisson one of the same mean there: Anderson and Samuels,
+    "Some inequalities among binomial and Poisson probabilities", 1967), and
+    1 - (t / n)^(1 / (n - 1)), the root with 1 + (n - 1) c raised to n.
+    Both c = e^u and 1 - c = -expm1(u) keep full relative accuracy, so this
+    serves b near 0 and near 1 alike.
+    """
+    nm = float(n - 1)
+    # w = 1 + lambda solves w - log w = s: two fixed-point steps from below,
+    # then a Newton step, which lands above the root of this convex function
+    s = 1.0 - log_t
+    w = s + math.log(s + math.log(s))
+    w -= (w - math.log(w) - s) * w / (w - 1.0)
+    c = (w - 1.0) / n
+    q = math.exp((log_t - math.log(n)) / nm)
+    u = math.log(c) if c < 1.0 - q else math.log1p(-q)
+    lo, hi = -math.inf, 0.0
+    for _ in range(_TWO_TERM_MAX_STEPS):
+        c, q = math.exp(u), -math.expm1(u)
+        # log(1 - c) from c where c is small, from 1 - c where it is not
+        g = nm * (math.log1p(-c) if c < 0.5 else math.log(q)) + math.log1p(nm * c) - log_t
+        if g > 0.0:
+            lo = u
+        else:
+            hi = u
+        # -g / g'(u), with g'(u) = -n (n - 1) c^2 / ((1 - c) (1 + (n - 1) c))
+        du = g * q * (1.0 + nm * c) / ((n * c) * (nm * c))
+        new = u + du
+        if abs(du) * max(1.0, c / q) <= _TWO_TERM_RTOL:
+            return new
+        u = new if lo < new < hi else 0.5 * (lo + hi)
+    raise ArithmeticError(f"the two-term root at n = {n}, log t = {log_t} did not converge")
+
+
 def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
     """Solve a binomial tail equation for the success probability b.
 
@@ -442,9 +498,18 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
     where that divisor lies outside (1/2, 2), far from the root, the step is
     Newton's.  The start is the root itself where the tail has a closed
     form: (1 - b)^n at y = 0 and 1 - b^n at y = n - 1 (upper), b^n at y = n
-    and 1 - (1 - b)^n at y = 1 (lower); elsewhere it is a Wilson score
-    bound.  A step that leaves the bracket, which shrinks at every step, is
-    replaced by bisection.
+    and 1 - (1 - b)^n at y = 1 (lower).  Where it has two terms, (1 - c)^(n
+    - 1) (1 + (n - 1) c) with c = b at y = 1 (upper) and c = 1 - b at y = n
+    - 1 (lower), the start is their root, solved in doubles
+    (`_two_term_root`).  Elsewhere it is a Wilson score bound.  A target t
+    above 1/2, where the log tail is flat and its rounding would move b
+    far, is solved as the other side's tail at 1 - t, exact by Sterbenz's
+    lemma: Pr(Y <= y) = t exactly where Pr(Y >= y + 1) = 1 - t.
+
+    Every iterate lies between the doubles next to 0 and 1: a start or a
+    step past one of them is clamped to it, so where the root lies past the
+    last double one tail sum there shows it.  A step that leaves the
+    bracket, which shrinks at every step, is replaced by bisection.
 
     Iteration stops after a step below 1e-11 of b and returns that iterate,
     which may lie an ulp or so on either side of the root: below the few-ulp
@@ -452,9 +517,10 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
     rounding puts such a step past the far end of the bracket, the next
     iterate is the double next to b toward the root.  Iteration also stops
     once no double is left strictly inside the bracket; the root then lies
-    between two adjacent doubles and only this exit returns the end that
-    widens the interval: the upper end for side="upper", the lower end for
-    side="lower".
+    between two adjacent doubles, or past the last double before 0 or 1,
+    and only this exit returns the end that widens the interval: the upper
+    end for side="upper", the lower end for side="lower", whichever tail a
+    target above 1/2 made it solve.
     """
     n = check_int(n, "n", 1)
     y = check_int(y, "y", 0, n)
@@ -466,16 +532,24 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
         return 1.0
     if not upper and y == 0:  # Pr(Y >= 0) == 1 for every b: no root
         return 0.0
+    wide_end_hi = upper  # the end of a collapsed bracket that widens the interval
+    if target > 0.5:  # Pr(Y <= y) = t iff Pr(Y >= y + 1) = 1 - t, exact by Sterbenz
+        target = 1.0 - target
+        y += 1 if upper else -1
+        upper = not upper
 
     log_target = math.log(target)
     if y == (0 if upper else n):  # (1 - b)^n or b^n equals the target
         b = -math.expm1(log_target / n) if upper else math.exp(log_target / n)
     elif y == (n - 1 if upper else 1):  # b^n or (1 - b)^n equals 1 - target
         b = math.exp(math.log1p(-target) / n) if upper else -math.expm1(math.log1p(-target) / n)
+    elif y == (1 if upper else n - 1):  # two terms, in c = b or 1 - b
+        u = _two_term_root(n, log_target)
+        b = math.exp(u) if upper else -math.expm1(u)
     else:
         z = _normal_quantile(target) if target < 0.5 else 0.0
         b = 1.0 - _wilson_lower(n, n - y, z) if upper else _wilson_lower(n, y, z)
-    b = min(max(b, 1e-300), 1.0 - 2.0**-53)
+    b = min(max(b, _B_MIN), _B_MAX)
     lo, hi = 0.0, 1.0
     for _ in range(_NEWTON_MAX_STEPS):
         cdf, sf, k, pk = _cdf_sf(n, b, y if upper else y - 1)
@@ -496,7 +570,7 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
         else:
             hi = b
         if hi <= math.nextafter(lo, 1.0):  # no double left inside the bracket
-            return hi if upper else lo
+            return hi if wide_end_hi else lo
         if slope > 0.0:
             # Halley's step is Newton's over d = 1 - h h'' / (2 slope^2), with
             # h'' = slope (a - slope) and a = d log pmf_n(y) in the same variable
@@ -510,7 +584,10 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
                     return new
                 # rounding put the step past the far end: one double toward the root
                 b = math.nextafter(b, hi if b == lo else lo)
-            else:
+            elif lo < new < hi:
+                b = new
+            else:  # past the bracket: the double next to 0 or 1 if still inside it, else bisection
+                new = min(max(new, _B_MIN), _B_MAX)
                 b = new if lo < new < hi else 0.5 * (lo + hi)
         else:
             b = 0.5 * (lo + hi)

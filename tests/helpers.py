@@ -3,6 +3,8 @@
 import math
 from bisect import bisect_left, bisect_right
 
+from scipy.special import betainc, betaincc, betaincinv, betaln
+
 from berncert.binom import (
     _CHUNK,
     _LN2_HI,
@@ -226,3 +228,15 @@ def ref_cdf_sf(n: int, b: float, j: int) -> tuple[float, float, int, float]:
         if t <= _TAIL_STOP * total:
             break
     return (total, 1.0 - total, k, first) if lower else (1.0 - total, total, k, first)
+
+
+def polished_beta_quantile(a, b, t, upper):
+    """x with Pr(Beta(a, b) > x) = t (upper) or Pr(Beta(a, b) <= x) = t:
+    betaincinv's root, moved by one Newton step on betaincc or betainc at t
+    itself.  betaincinv alone is off by 1.2e-12 at a = 1000, b = 9000,
+    t = 0.1, and the upper root it solves for is that of the rounded 1 - t,
+    5.7e-12 away at a = 1, b = 1e4, t = 5e-7.  After the step the oracle
+    agrees with Clopper-Pearson to 1.3e-15 over 3e4 random cases at n <= 1e4."""
+    x = float(betaincinv(a, b, 1.0 - t if upper else t))
+    density = math.exp((a - 1) * math.log(x) + (b - 1) * math.log1p(-x) - betaln(a, b))
+    return x + (betaincc(a, b, x) - t) / density if upper else x - (betainc(a, b, x) - t) / density

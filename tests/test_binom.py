@@ -26,7 +26,7 @@ from berncert.binom import (
     draw_bernoulli,
 )
 from berncert.intervals import clopper_pearson
-from helpers import count_calls, ref_cdf_sf, ref_pmf
+from helpers import count_calls, polished_beta_quantile, ref_cdf_sf, ref_pmf
 
 
 def exact_pmf(n: int, b: float, y: int) -> float:
@@ -168,7 +168,8 @@ class TestTailInvert:
     @pytest.mark.parametrize(
         "n,y,t,side",
         [(10, 3, 0.025, "upper"), (10, 3, 0.025, "lower"), (200, 0, 0.005, "upper"),
-         (200, 200, 0.005, "lower"), (256, 90, 0.3, "upper"), (256, 90, 0.3, "lower")],
+         (200, 200, 0.005, "lower"), (200, 1, 0.005, "upper"), (200, 199, 0.005, "lower"),
+         (256, 90, 0.3, "upper"), (256, 90, 0.3, "lower")],
     )
     def test_one_anchor_per_tail_evaluation(self, monkeypatch, n, y, t, side):
         """The slope comes from the first term of the tail sum just
@@ -207,6 +208,60 @@ EXACT_STARTS = {
     "upper y=n-1": (lambda n: n - 1, "upper"),  # b^n = 1 - t
 }
 
+# (y, side) as functions of n where the tail has two terms, solved in doubles
+TWO_TERM_STARTS = {
+    "upper y=1": (lambda n: 1, "upper"),  # (1 - b)^(n - 1) (1 + (n - 1) b) = t
+    "lower y=n-1": (lambda n: n - 1, "lower"),  # b^(n - 1) (1 + (n - 1) (1 - b)) = t
+}
+
+# the root lies above the largest double below 1: Pr(Y <= y) there is still
+# above the target
+PAST_LAST_DOUBLE_CASES = [(40, 38, 1e-200), (18, 1, 1.2111648125347684e-290)]
+
+# targets within 1e-9 of 1, where the log tail is flat
+NEAR_ONE_CASES = [(50, 20, 1 - 1e-10), (200, 60, 1 - 1e-12), (1000, 300, 1 - 3e-11)]
+
+
+@st.composite
+def invert_cases(draw, max_n):
+    """(n, y, target, side) with n <= max_n, y weighted to 0, 1, 2, n - 2,
+    n - 1 and n, and the target log-uniform over (1e-300, 1/2] or its mirror
+    1 - t."""
+    n = draw(st.integers(1, max_n))
+    y = draw(st.one_of(st.sampled_from((0, 1, 2, n - 2, n - 1, n)), st.integers(0, n)))
+    t = min(math.exp(draw(st.floats(math.log(1e-300), math.log(0.5), exclude_min=True))), 0.5)
+    if draw(st.booleans()) and 1.0 - t < 1.0:
+        t = 1.0 - t
+    return n, min(max(y, 0), n), t, draw(st.sampled_from(("lower", "upper")))
+
+
+def mp_tail_root(n, y, t, side, start):
+    """The b where the tail of `side` equals t, by Newton's method on the
+    log tail at 60 digits from a start within about 1e-12 of it; the tail
+    sums stop at terms below 1e-45 of the sum, which bounds its accuracy.
+    Above 1/2 it solves the complementary tail at 1 - t, where log T is not
+    flat."""
+    upper = side == "upper"
+    with mp.workdps(60):
+        t = mp.mpf(t)
+        if t > 0.5:
+            y, upper, t = (y + 1, False, 1 - t) if upper else (y - 1, True, 1 - t)
+        a, c = (y + 1, n - y) if upper else (y, n - y + 1)
+        beta, b = mp.beta(a, c), mp.mpf(start)
+        for _ in range(20):
+            tail = mp_tail_from(n, b, y, -1 if upper else 1)  # Pr(Y <= y) or Pr(Y >= y)
+            # the tail's derivative in b is -+ the Beta(a, c) density
+            density = b ** (a - 1) * (1 - b) ** (c - 1) / beta
+            step = (mp.log(tail) - mp.log(t)) * tail / (-density if upper else density)
+            b -= step
+            if abs(step) <= mp.mpf(10) ** -40 * b:
+                return b
+    raise ArithmeticError(f"no 60-digit root for {(n, y, t, side)}")
+
+
+# relative accuracy of an inversion, as of a Clopper-Pearson endpoint
+RTOL = 1e-12
+
 
 class TestTailInvertCost:
     """Tail sums per inversion, each a pure-Python loop and most of the cost."""
@@ -244,6 +299,65 @@ class TestTailInvertCost:
         assert sums == 1
         ref = betaincinv(y + 1, n - y, 1 - t) if side == "upper" else betaincinv(y, n - y + 1, t)
         assert abs(b - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("n", [3, 10, 1000, 10**6])
+    @pytest.mark.parametrize("case", TWO_TERM_STARTS)
+    def test_two_term_start(self, counts, n, case):
+        """Where the tail has two terms the inversion starts from their root,
+        solved in doubles, and the first tail sum confirms it."""
+        y_of, side = TWO_TERM_STARTS[case]
+        y, t = y_of(n), 0.025
+        b, sums = self.invert(counts, n, y, t, side)
+        assert sums == 1
+        a, c = (y + 1, n - y) if side == "upper" else (y, n - y + 1)
+        ref = polished_beta_quantile(a, c, t, side == "upper")
+        assert abs(b - ref) <= RTOL * ref
+
+    @pytest.mark.parametrize("n,y,t", PAST_LAST_DOUBLE_CASES)
+    def test_root_past_last_double(self, counts, n, y, t):
+        """A step aimed past 1 takes the tail at the largest double below 1
+        first; the root lies past it, so the upper end 1 is returned."""
+        assert binom_cdf(n, 1.0 - 2.0**-53, y) > t
+        b, sums = self.invert(counts, n, y, t, "upper")
+        assert b == 1.0
+        assert sums <= 2
+
+    @pytest.mark.parametrize("n,y,t", NEAR_ONE_CASES)
+    def test_target_near_one(self, counts, n, y, t):
+        """Above 1/2 the complementary tail at 1 - t, exact, is solved."""
+        b, sums = self.invert(counts, n, y, t, "upper")
+        assert sums <= 5
+        root = mp_tail_root(n, y, t, "upper", b)
+        assert abs(b - root) <= RTOL * root
+
+    @given(case=invert_cases(10**6))
+    @settings(max_examples=300)
+    def test_stress(self, case):
+        """No inversion raises, the two-term solve included, and none takes
+        more than 8 tail sums."""
+        with pytest.MonkeyPatch.context() as patch:
+            counts = count_calls(patch, berncert.binom, "_cdf_sf")
+            binom_tail_invert(*case)
+        assert counts["_cdf_sf"] <= 8
+
+    @given(case=invert_cases(10**4))
+    @settings(max_examples=100, derandomize=True)
+    def test_stress_accuracy(self, case):
+        """Each root within RTOL of one solved at 60 digits, or, where it lies
+        past the last double before 0 or 1, that boundary, the end that
+        widens the interval."""
+        n, y, t, side = case
+        b = binom_tail_invert(*case)
+        upper = side == "upper"
+        if y == (n if upper else 0):
+            assert b == (1.0 if upper else 0.0)
+        elif b == (1.0 if upper else 0.0):
+            edge = 1.0 - 2.0**-53 if upper else math.ulp(0.0)
+            with mp.workdps(60):
+                assert mp_tail_from(n, mp.mpf(edge), y, -1 if upper else 1) > t, case
+        else:
+            root = mp_tail_root(n, y, t, side, b)
+            assert abs(b - root) <= RTOL * root, (case, b, float(root))
 
 
 # ---------------------------------------------------------------- kernel accuracy
