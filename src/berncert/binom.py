@@ -24,12 +24,15 @@ its values from the same loop.  The public functions check the arguments;
 `_cdf_sf` and `_tail` trust them.  Tail inversion is Halley's method on the
 log tail, safeguarded by a shrinking bracket.  Its slope needs pmf_n(y),
 which is the first term of the tail sum the same step has just taken, or one
-ratio step from it, so each step pays for one saddle-point anchor, not two;
-the second derivative follows from the slope and pmf_n(y)'s own log
-derivative, at no further cost.  Where the tail has a closed-form root
-(y = 0, 1, n - 1 or n), or two terms (y = 1 for the cdf, y = n - 1 for the
-survival function), whose root a few Newton steps in doubles find, the
-first tail sum only confirms the start.  A target above 1/2 is solved as
+ratio step from it, so a step pays for at most one saddle-point anchor, not
+two; the second derivative follows from the slope and pmf_n(y)'s own log
+derivative, at no further cost.  A sum after a long step pays for none: it
+carries its first term from the last sum's by the exact ratio of the two
+pmfs, where that ratio's exponent is small enough to keep it to a few ulps,
+and a carried sum that lands next to the root is retaken with its anchor.
+Where the tail has a closed-form root (y = 0, 1, n - 1 or n), or two terms
+(y = 1 for the cdf, y = n - 1 for the survival function), whose root a few
+Newton steps in doubles find, the first tail sum only confirms the start.  A target above 1/2 is solved as
 the complementary tail at 1 - t, which is exact, and iterates stay between
 the doubles next to 0 and 1, so a root past them costs one tail sum there.
 
@@ -46,10 +49,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 TYPE_CHECKING = False  # typing is not imported at run time: it costs start-up
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -76,6 +80,8 @@ _THIRD_HI_L = _THIRD_HI - _THIRD_HI_H
 _LN2_HI_H = _SPLIT * _LN2_HI - (_SPLIT * _LN2_HI - _LN2_HI)
 _LN2_HI_L = _LN2_HI - _LN2_HI_H
 _TWO_PI = 2.0 * math.pi
+# 1/5, 1/7, ..., 1/25: the atanh series of _log_dd past its double-double terms
+_A5, _A7, _A9, _A11, _A13, _A15, _A17, _A19, _A21, _A23, _A25 = (1.0 / j for j in range(5, 27, 2))
 # below this the ratio x / M in bd0 could overflow
 _TINY_MEAN = 1e-290
 
@@ -97,6 +103,14 @@ _B_MAX = 1.0 - 2.0**-53
 # Newton's steps converge quadratically, so the error left is of the order of its square
 _TWO_TERM_RTOL = 1e-8
 _TWO_TERM_MAX_STEPS = 20
+# after a step of at least this fraction of b, a tail sum carries its first
+# term from the last sum's (`_carried`) instead of taking a saddle-point anchor;
+# a carried sum with |log(tail / target)| at most _CARRY_END_H is retaken with
+# its anchor, since a few ulps could flip its sign there, and a bracket end must
+# lie on the side of the root that the public tail functions put it
+_CARRY_STEP = 2.0**-13
+_CARRY_END_H = 1e-13
+_NORMAL_MIN = 2.0**-1022  # the smallest normal double
 
 
 def check_int(k, name: str, lo: float = -math.inf, hi: float = math.inf) -> int:
@@ -140,7 +154,11 @@ def check_level(a: float, name: str) -> float:
 
 def check_epsilon(epsilon) -> Fraction:
     """Validate a significance level in [0, 1] and return it as an exact
-    Fraction.  Text is refused here too, although Fraction() parses it."""
+    Fraction.  Text is refused here too, although Fraction() parses it.
+    `fractions` (and its `decimal`) is imported here, not with the module:
+    `bpci` needs neither."""
+    from fractions import Fraction
+
     try:
         eps = epsilon if type(epsilon) is Fraction else Fraction(epsilon)  # callers keep Fractions
     except (TypeError, ValueError, OverflowError):
@@ -168,7 +186,9 @@ def _log_dd(rh: float, rl: float) -> tuple[float, float]:
 
     r = 2^k m with m in [1/sqrt 2, sqrt 2]; log m = 2 atanh(u) with
     u = (m - 1)/(m + 1), |u| <= 0.172.  The terms 2u and 2u^3/3 are kept in
-    double-double; the rest of the series is below 1e-4 of log m.
+    double-double; the rest of the series, below 1e-4 of log m, is one
+    fixed Horner polynomial in u^2 from u^5/5 to u^25/25 (times 2), since at
+    |u| <= 0.172 the first term left out, u^27/27, is below 3e-18 of u^5/5.
     """
     m, k = math.frexp(rh)
     if m < _SQRT_HALF:
@@ -195,11 +215,9 @@ def _log_dd(rh: float, rl: float) -> tuple[float, float]:
     ah = (t := _SPLIT * uh) - (t - uh)
     al = uh - ah
     u2l = (((ah * ah - u2h) + ah * al + al * ah) + al * al) + 2.0 * uh * ul
-    rest, t, j = 0.0, u2h * u2h, 5.0
-    while t > 1e-17 * rest:
-        rest += t / j
-        t *= u2h
-        j += 2.0
+    # rest = u^4/5 + u^6/7 + ... + u^24/25 by Horner's rule in u^2
+    rest = u2h * u2h * (_A5 + u2h * (_A7 + u2h * (_A9 + u2h * (_A11 + u2h * (_A13 + u2h * (
+        _A15 + u2h * (_A17 + u2h * (_A19 + u2h * (_A21 + u2h * (_A23 + u2h * _A25))))))))))
     # s = 1 + u^2/3 + rest, with u^2 * _THIRD_HI by Dekker
     ch = u2h * _THIRD_HI
     vh = (t := _SPLIT * u2h) - (t - u2h)
@@ -315,10 +333,11 @@ def _mode(n: int, b: float) -> int:
 
 
 def _tail(n: int, p: float, qh: float, ql: float, k: int, step: int, stop: float,
-          terms: list | None = None) -> tuple[float, float]:
+          terms: list | None = None, first: float = 0.0) -> tuple[float, float]:
     """(sum, pmf(k)) of pmf(k) + pmf(k + step) + ... away from the mode (step
     = +1 above it, -1 below it), by the ratio recurrence re-anchored at a
-    saddle-point value every `_CHUNK` terms.  The sum stops after the first
+    saddle-point value every `_CHUNK` terms; a positive `first` is pmf(k),
+    known, and stands in for the first anchor.  The sum stops after the first
     term at most `stop` times the partial sum, at the end of the range, or at
     an anchor that underflows (pmf(k) is then 0.0): the values past it are
     smaller still.  Each term summed is appended to `terms` if it is a list."""
@@ -333,9 +352,9 @@ def _tail(n: int, p: float, qh: float, ql: float, k: int, step: int, stop: float
     e = ((fh * bh - g) + fh * bl + fl * bh) + fl * bl
     factor = f + ((((ah - g) - e) + al - f * dl) / dh)
     last = n if step > 0 else 0
-    total = first = 0.0
+    total = 0.0
     for k0 in range(k, last + step, step * _CHUNK):
-        t = _pmf(n, k0, p, qh, ql)
+        t = first if k0 == k and first > 0.0 else _pmf(n, k0, p, qh, ql)
         if t == 0.0:
             break
         if k0 == k:
@@ -355,21 +374,22 @@ def _tail(n: int, p: float, qh: float, ql: float, k: int, step: int, stop: float
     return total, first
 
 
-def _cdf_sf(n: int, b: float, j: int) -> tuple[float, float, int, float]:
+def _cdf_sf(n: int, b: float, j: int, first: float = 0.0) -> tuple[float, float, int, float]:
     """(Pr(Y <= j), Pr(Y > j), k, Pr(Y = k)) for Y ~ Bin(n, b), on checked
     arguments; total on integers j.  Sums only the tail on the far side of
     the mode from j (module docstring); k is the index of its first term, j
     below the mode and j + 1 above it, and Pr(Y = k) that term, 0.0 where no
-    tail is summed or its first term underflows."""
+    tail is summed or its first term underflows.  A positive `first` is
+    Pr(Y = k), known to the caller, and the sum takes no anchor for it."""
     if j < 0 or j >= n:
         return (0.0, 1.0, j, 0.0) if j < 0 else (1.0, 0.0, j, 0.0)
     if b in (0.0, 1.0):
         return (1.0, 0.0, j, 0.0) if b == 0.0 else (0.0, 1.0, j, 0.0)
     qh, ql = _complement(b)
     if j < _mode(n, b):
-        total, first = _tail(n, b, qh, ql, j, -1, _TAIL_STOP)
+        total, first = _tail(n, b, qh, ql, j, -1, _TAIL_STOP, None, first)
         return total, 1.0 - total, j, first
-    total, first = _tail(n, b, qh, ql, j + 1, 1, _TAIL_STOP)
+    total, first = _tail(n, b, qh, ql, j + 1, 1, _TAIL_STOP, None, first)
     return 1.0 - total, total, j + 1, first
 
 
@@ -476,6 +496,41 @@ def _two_term_root(n: int, log_t: float) -> float:
     raise ArithmeticError(f"the two-term root at n = {n}, log t = {log_t} did not converge")
 
 
+def _log_ratio(tail: float, target: float, log_target: float) -> float:
+    """log(tail / target), from the ratio wherever it is a finite normal
+    double, so that its rounding is relative to it and not to |log target|;
+    elsewhere log(tail) - log_target, and -inf at tail = 0."""
+    ratio = tail / target
+    if _NORMAL_MIN <= ratio < math.inf:
+        return math.log(ratio)
+    return math.log(tail) - log_target if tail > 0.0 else -math.inf
+
+
+def _carried(n: int, k: int, b0: float, p0: float, b: float) -> float:
+    """pmf_n(k; b) from p0 = pmf_n(k; b0), or 0.0 where the move is refused.
+
+    pmf_n(k; b) = p0 (b / b0)^k ((1 - b) / (1 - b0))^(n - k)
+    = p0 exp(k log1p(u) + (n - k) log1p(v)), with u = (b - b0) / b0 and
+    v = (b0 - b) / (1 - b0).  The move is admitted where |u| and |v| are at
+    most 1/2 and both products at most 1 in magnitude.  Then b - b0 is exact
+    (Sterbenz), u and v are off by an ulp or two, and each product by a few
+    units of 2^-53 absolute, so the exponent is good to a few ulps of 1 and
+    the result to a few ulps: within 8 ulps of `_pmf` at the same (n, k, b),
+    on a hypothesis draw over n <= 1e6 and b0, b from 5e-324 to 1 - 2^-53
+    (6 ulps at worst over 2e4 admitted moves, subnormal values included).
+    The bounds on u and v keep log1p off -1, where rounding would put a move
+    toward 0 or 1 from far away.  A p0 of 0.0 carries 0.0, as a refusal.
+    """
+    d = b - b0
+    u = d / b0
+    v = -d / (1.0 - b0)
+    if not (-0.5 <= u <= 0.5 and -0.5 <= v <= 0.5):
+        return 0.0
+    e = k * math.log1p(u)
+    f = (n - k) * math.log1p(v)
+    return p0 * math.exp(e + f) if -1.0 <= e <= 1.0 and -1.0 <= f <= 1.0 else 0.0
+
+
 def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
     """Solve a binomial tail equation for the success probability b.
 
@@ -510,6 +565,20 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
     step past one of them is clamped to it, so where the root lies past the
     last double one tail sum there shows it.  A step that leaves the
     bracket, which shrinks at every step, is replaced by bisection.
+
+    h is log(tail / target) wherever that ratio is a finite normal double,
+    so that a tiny target costs h no accuracy; log(tail) - log(target)
+    would lose about 1e-16 |log target| to rounding.  The first tail sum
+    takes its saddle-point anchor.  A sum after a step of at least 2^-13 of
+    b, on the same side of the mode as the last one, takes its first term
+    pmf_n(k) from the last sum's by `_carried` instead, where that admits
+    the move; this saves about a quarter of the anchors at n <= 300, and few
+    at large n, where the move must be short.  A carried sum with |h| <=
+    1e-13 is retaken with its anchor before its sign or its step is used,
+    so that every bracket end next to the root, and so the end a collapsed
+    bracket returns, is judged by the tail `binom_cdf` and `binom_sf` give.
+    The sums after short steps, most of the last sums, do not carry, so the
+    retake is rare: it never fired on 2000 seeded inversions at n <= 300.
 
     Iteration stops after a step below 1e-11 of b and returns that iterate,
     which may lie an ulp or so on either side of the root: below the few-ulp
@@ -551,18 +620,30 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
         b = 1.0 - _wilson_lower(n, n - y, z) if upper else _wilson_lower(n, y, z)
     b = min(max(b, _B_MIN), _B_MAX)
     lo, hi = 0.0, 1.0
+    j = y if upper else y - 1
+    b0, k, pk = b, j, 0.0  # the last sum's iterate, first index and first term
     for _ in range(_NEWTON_MAX_STEPS):
-        cdf, sf, k, pk = _cdf_sf(n, b, y if upper else y - 1)
+        # after a long step on the same side of the mode, the first term is
+        # carried from the last sum's where `_carried` admits the move
+        first = 0.0
+        if abs(b - b0) >= _CARRY_STEP * b0 and k == (j if j < _mode(n, b) else j + 1):
+            first = _carried(n, k, b0, pk, b)
+        cdf, sf, k, pk = _cdf_sf(n, b, j, first)
+        h = _log_ratio(cdf if upper else sf, target, log_target)
+        if first > 0.0 and abs(h) <= _CARRY_END_H:  # a sum that may end the inversion takes its anchor
+            cdf, sf, k, pk = _cdf_sf(n, b, j)
+            h = _log_ratio(cdf if upper else sf, target, log_target)
         tail = cdf if upper else sf
+        b0 = b
         # pmf_n(y) from the tail sum's first term pk = pmf_n(k), k in {y - 1, y, y + 1};
         # left to right, so that a subnormal b cannot make the ratio overflow
+        py = pk
         if k > y:
-            pk = pk * (y + 1) * (1.0 - b) / ((n - y) * b)
+            py = py * (y + 1) * (1.0 - b) / ((n - y) * b)
         elif k < y:
-            pk = pk * (n - y + 1) * b / (y * (1.0 - b))
+            py = py * (n - y + 1) * b / (y * (1.0 - b))
         # d log tail / d log(1 - b) (upper) or d log b (lower)
-        slope = pk * (n - y if upper else y) / tail if tail > 0.0 else 0.0
-        h = math.log(tail) - log_target if tail > 0.0 else -math.inf
+        slope = py * (n - y if upper else y) / tail if tail > 0.0 else 0.0
         if h == 0.0:
             return b
         if (h > 0.0) == upper:

@@ -2,7 +2,8 @@
 counterexample oracle, and the experiment harness.
 
 Probabilities may be given as decimals or exact fractions ("2/3"); fractions
-are kept exact, which matters for knife-edge significance levels.
+are kept exact, which matters for knife-edge significance levels.  `bpci`
+takes its level as the nearest double, parsed without `fractions`.
 
 The other commands import what they compute with inside their handlers, so
 `bpci` loads only `binom` and `intervals`.
@@ -12,17 +13,38 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from fractions import Fraction
 
-from .binom import _fmt, check_epsilon
+from .binom import _fmt, check_epsilon, check_prob
 from .intervals import clopper_pearson
+
+TYPE_CHECKING = False  # typing is not imported at run time: it costs start-up
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# a ratio of integers as Fraction() reads it (argparse has loaded `re` already)
+_RATIO = re.compile(r"\s*([-+]?\d+(?:_\d+)*)/(\d+(?:_\d+)*)\s*")
 
 
 def prob_arg(text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return check_epsilon(Fraction(text))
     except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"not a probability in [0, 1]: {text!r}") from exc
+
+
+def _float_prob_arg(text: str) -> float:
+    """The double nearest the probability `text`, as float(Fraction(text))
+    gives it on the inputs `prob_arg` takes, up to the sign of a zero: "a/b"
+    as int(a) / int(b), which Python rounds correctly, and a decimal as
+    float() reads it."""
+    ratio = _RATIO.fullmatch(text)
+    try:
+        return check_prob(int(ratio[1]) / int(ratio[2]) if ratio else float(text))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"not a probability in [0, 1]: {text!r}") from exc
 
 
@@ -36,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bpci", help="binomial proportion confidence interval")
     p.add_argument("--n", type=int, required=True, help="trial count")
     p.add_argument("--successes", type=int, required=True, help="observed success count")
-    p.add_argument("--alpha", type=prob_arg, default=Fraction(1, 20), help="nominal miscoverage")
+    p.add_argument("--alpha", type=_float_prob_arg, default="1/20", help="nominal miscoverage")
     p.add_argument("--json", action="store_true", help="emit a single-line JSON record")
 
     p = sub.add_parser("cp-bound", help="training-conditional coverage-event bound")
@@ -55,8 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate-appendix", help="E-grid sweep, one CSV row per (q, regime)")
     p.add_argument("--q-min", type=int, default=0)
     p.add_argument("--q-max", type=int, default=98)
-    p.add_argument("--alpha-frac", type=prob_arg, default=Fraction(1, 200))
-    p.add_argument("--epsilon", type=prob_arg, default=Fraction(2, 3))
+    p.add_argument("--alpha-frac", type=prob_arg, default="1/200")
+    p.add_argument("--epsilon", type=prob_arg, default="2/3")
     p.add_argument("--n-cal", type=int, default=5000)
     p.add_argument("--n-test", type=int, default=5000)
     p.add_argument("--cal-size", type=int, default=2)
@@ -71,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bpci(args) -> int:
-    est = clopper_pearson(args.n, args.successes, float(args.alpha))
+    est = clopper_pearson(args.n, args.successes, args.alpha)
     if args.json:
         print(
             json.dumps(

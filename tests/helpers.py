@@ -89,6 +89,9 @@ def piecewise_coverage_infimum(estimator, n: int) -> tuple[float, float]:
 # and tail terms drawn from a generator.  The kernel in `berncert.binom` must
 # return the same bits, operation for operation.
 
+# 1/25, 1/23, ..., 1/5: the atanh series of ref_log_dd, innermost Horner coefficient first
+ATANH_COEFFICIENTS = tuple(1.0 / j for j in range(25, 4, -2))
+
 
 def ref_two_prod(a: float, b: float) -> tuple[float, float]:
     """a * b as an unevaluated sum hi + lo, exact (Dekker)."""
@@ -129,11 +132,11 @@ def ref_log_dd(rh: float, rl: float) -> tuple[float, float]:
     uh, ul = ref_dd_div(m - 1.0, ml, dh, dl + ml)  # m - 1 is exact
     u2h, u2l = ref_two_prod(uh, uh)
     u2l += 2.0 * uh * ul
-    rest, t, j = 0.0, u2h * u2h, 5.0
-    while t > 1e-17 * rest:
-        rest += t / j
-        t *= u2h
-        j += 2.0
+    # rest = u^4/5 + u^6/7 + ... + u^24/25, by Horner's rule in u^2
+    rest = 0.0
+    for coefficient in ATANH_COEFFICIENTS:
+        rest = coefficient + u2h * rest
+    rest *= u2h * u2h
     # s = 1 + u^2/3 + rest
     ch, cl = ref_two_prod(u2h, _THIRD_HI)
     cl += u2h * _THIRD_LO + u2l * _THIRD_HI
@@ -186,16 +189,17 @@ def ref_pmf(n: int, x: int, p: float, qh: float, ql: float) -> float:
     return ref_exp_dd(lh, ll) / math.sqrt(_TWO_PI * xf * yf / nf)
 
 
-def ref_terms(n: int, p: float, qh: float, ql: float, k: int, step: int, end: int):
+def ref_terms(n: int, p: float, qh: float, ql: float, k: int, step: int, end: int,
+              first: float = 0.0):
     """Yield pmf(k), pmf(k + step), ..., pmf(end), moving away from the mode,
     by the ratio recurrence re-anchored every `_CHUNK` terms; stops early at
-    an anchor that underflows."""
+    an anchor that underflows.  A positive `first` is pmf(k), known."""
     if step > 0:
         factor = ref_dd_div(p, 0.0, qh, ql)[0]
     else:
         factor = ref_dd_div(qh, ql, p, 0.0)[0]
     for k0 in range(k, end + step, step * _CHUNK):
-        t = ref_pmf(n, k0, p, qh, ql)
+        t = first if k0 == k and first > 0.0 else ref_pmf(n, k0, p, qh, ql)
         if t == 0.0:
             return
         yield t
@@ -207,9 +211,10 @@ def ref_terms(n: int, p: float, qh: float, ql: float, k: int, step: int, end: in
             yield t
 
 
-def ref_cdf_sf(n: int, b: float, j: int) -> tuple[float, float, int, float]:
+def ref_cdf_sf(n: int, b: float, j: int, first: float = 0.0) -> tuple[float, float, int, float]:
     """(Pr(Y <= j), Pr(Y > j), k, Pr(Y = k)) for Y ~ Bin(n, b), as
-    `berncert.binom._cdf_sf` returns them."""
+    `berncert.binom._cdf_sf` returns them; a positive `first` is Pr(Y = k),
+    known."""
     n = check_int(n, "n", 1)
     b = check_prob(b, "b")
     j = check_int(j, "j")
@@ -220,7 +225,7 @@ def ref_cdf_sf(n: int, b: float, j: int) -> tuple[float, float, int, float]:
     qh, ql = _complement(b)
     lower = j < _mode(n, b)
     k, step, end = (j, -1, 0) if lower else (j + 1, 1, n)
-    terms = ref_terms(n, b, qh, ql, k, step, end)
+    terms = ref_terms(n, b, qh, ql, k, step, end, first)
     # the first term is positive, so it never meets the stopping rule
     first = total = next(terms, 0.0)
     for t in terms:

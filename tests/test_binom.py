@@ -9,14 +9,16 @@ import sys
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings, strategies as st, target
 from scipy.special import betaincinv
 
 import berncert
 import berncert.binom
 from berncert.binom import (
     SeededStream,
+    _carried,
     _cdf_sf,
+    _complement,
     _pmf,
     binom_cdf,
     binom_pmf,
@@ -119,8 +121,32 @@ class TestCdf:
         assert all(a <= c + 1e-15 for a, c in zip(values, values[1:]))
 
 
-# roots between two adjacent doubles, where no Newton step from either one
-# lands inside the collapsed bracket
+@st.composite
+def carry_moves(draw):
+    """(n, k, b0, b) with n <= 1e6, k at the edges or within 40 standard
+    deviations of the mean, b0 from 5e-324 to 1 - 2^-53, and b a move from b0
+    of relative size 1e-9 to 1 or of up to 10 / max(k, n - k), in b0 or in
+    1 - b0, or anywhere."""
+    n = draw(st.integers(1, 10**6))
+    b0 = min(max(draw(st.one_of(
+        st.floats(5e-324, 1.0 - 2.0**-53),
+        st.floats(math.log(5e-324), 0.0).map(math.exp),
+        st.floats(math.log(2.0**-53), 0.0).map(lambda x: 1.0 - math.exp(x)),
+    )), 5e-324), 1.0 - 2.0**-53)
+    mean, sd = n * b0, math.sqrt(n * b0 * (1.0 - b0))
+    k = min(max(draw(st.one_of(st.sampled_from((0, 1, n - 1, n)),
+                               st.floats(-40.0, 40.0).map(lambda z: int(mean + z * sd)))), 0), n)
+    r = draw(st.one_of(st.floats(math.log(1e-9), 0.0).map(math.exp),
+                       st.floats(0.0, 10.0).map(lambda z: z / max(k, n - k, 1))))
+    r *= draw(st.sampled_from((-1.0, 1.0)))
+    b = draw(st.sampled_from((b0 + r * b0, b0 - r * (1.0 - b0), draw(st.floats(0.0, 1.0)))))
+    return n, k, b0, min(max(b, 5e-324), 1.0 - 2.0**-53)
+
+
+# roots between two adjacent doubles.  (124, 32, 0.005) ends through the
+# collapsed-bracket exit, after a converged step that rounding put past the
+# bracket's far end moves one double toward the root; (11, 6, ...) and (47, 19,
+# ...) end through a converged step that lands inside the bracket
 COLLAPSED_BRACKET_CASES = [(11, 6, 0.2716760504048823), (124, 32, 0.005), (47, 19, 0.4031792535164339)]
 
 
@@ -165,6 +191,15 @@ class TestTailInvert:
         # the upper end: the cdf crosses the target between b's lower neighbour and b
         assert binom_cdf(n, b, y) <= t <= binom_cdf(n, math.nextafter(b, 0.0), y)
 
+    @pytest.mark.parametrize("n,y,t", COLLAPSED_BRACKET_CASES)
+    def test_carried_sum_near_root_is_retaken(self, monkeypatch, n, y, t):
+        """A carried sum within 1e-13 of the root in h is retaken with its
+        anchor, so the bracket's ends are judged by the tail `binom_cdf`
+        gives, even where every sum after the first carries its first term.
+        Without the retake, (11, 6, ...) returns its inner end here."""
+        monkeypatch.setattr(berncert.binom, "_CARRY_STEP", 0.0)
+        self.test_collapsed_bracket_returns_conservative_end(n, y, t)
+
     @pytest.mark.parametrize(
         "n,y,t,side",
         [(10, 3, 0.025, "upper"), (10, 3, 0.025, "lower"), (200, 0, 0.005, "upper"),
@@ -172,13 +207,32 @@ class TestTailInvert:
          (256, 90, 0.3, "upper"), (256, 90, 0.3, "lower")],
     )
     def test_one_anchor_per_tail_evaluation(self, monkeypatch, n, y, t, side):
-        """The slope comes from the first term of the tail sum just
-        taken, so the inversion computes no saddle-point anchor beyond those
-        the tail sums make: at n <= 256 one each."""
-        counts = count_calls(monkeypatch, berncert.binom, "_pmf", "_cdf_sf")
+        """The slope comes from the first term of the tail sum just taken,
+        and a sum after a long step carries its first term from the last
+        sum's, so the inversion computes no saddle-point anchor beyond those
+        the sums that carry nothing make: at n <= 256 one each.  At (10, 3,
+        0.025, "upper") the second and third sums carry."""
+        counts = count_calls(monkeypatch, berncert.binom, "_pmf")
+        carried = count_carried_sums(monkeypatch)
         binom_tail_invert(n, y, t, side)
-        assert counts["_cdf_sf"] > 0
-        assert counts["_pmf"] == counts["_cdf_sf"]
+        assert len(carried) > 0
+        assert counts["_pmf"] == len(carried) - sum(carried)
+        if (n, y, t, side) == (10, 3, 0.025, "upper"):
+            assert carried == [False, True, True]
+
+    @given(move=carry_moves())
+    @settings(max_examples=500)
+    def test_carried_term(self, move):
+        """Where `_carried` admits a move, its pmf_n(k; b), carried from
+        `_pmf` at b0, lies within 8 ulps of `_pmf` at b (6 at worst over 2e4
+        admitted moves of a seeded draw).  No move raises: the guard keeps log1p off -1, which
+        rounding reaches on a move to near 0 or 1 from far away."""
+        n, k, b0, b = move
+        got = _carried(n, k, b0, _pmf(n, k, b0, *_complement(b0)), b)
+        if got > 0.0:
+            want = _pmf(n, k, b, *_complement(b))
+            target(abs(got - want) / math.ulp(want), label="ulps")
+            assert abs(got - want) <= 8 * math.ulp(want), (move, got, want)
 
     def test_seeded_sweep_converges(self):
         """2000 random cases, each inverted without ArithmeticError.  A
@@ -187,6 +241,20 @@ class TestTailInvert:
         (47, 19, 0.4031792535164339, "upper")."""
         for case in seeded_sweep_cases():
             assert 0.0 <= binom_tail_invert(*case) <= 1.0
+
+
+def count_carried_sums(monkeypatch) -> list[bool]:
+    """Wrap `_cdf_sf`; the list returned holds, for each tail sum so far,
+    whether it was given its first term."""
+    carried = []
+    cdf_sf = berncert.binom._cdf_sf
+
+    def wrapper(n, b, j, first=0.0):
+        carried.append(first > 0.0)
+        return cdf_sf(n, b, j, first)
+
+    monkeypatch.setattr(berncert.binom, "_cdf_sf", wrapper)
+    return carried
 
 
 def seeded_sweep_cases():
@@ -262,6 +330,10 @@ def mp_tail_root(n, y, t, side, start):
 # relative accuracy of an inversion, as of a Clopper-Pearson endpoint
 RTOL = 1e-12
 
+# targets far below 1, where log(tail) - log(target) would lose about
+# 1e-16 |log target| to rounding; log(tail / target) does not
+TINY_TARGET_CASES = [(3, 2, 1e-300, "lower"), (7009, 2, 1.16e-270, "lower")]
+
 
 class TestTailInvertCost:
     """Tail sums per inversion, each a pure-Python loop and most of the cost."""
@@ -287,6 +359,17 @@ class TestTailInvertCost:
         sums = [self.invert(counts, *case)[1] for case in seeded_sweep_cases()]
         assert max(sums) <= 12
         assert sum(sums) / len(sums) <= 3.6
+
+    def test_seeded_sweep_anchors(self, monkeypatch):
+        """A sum after a long step carries its first term, so the sweep takes
+        fewer saddle-point anchors than tail sums (2.16 and 2.98 per
+        inversion; at n <= 300 each sum that carries nothing takes one)."""
+        counts = count_calls(monkeypatch, berncert.binom, "_pmf", "_cdf_sf")
+        cases = list(seeded_sweep_cases())
+        for case in cases:
+            binom_tail_invert(*case)
+        assert counts["_pmf"] / len(cases) <= 2.3
+        assert counts["_cdf_sf"] / len(cases) <= 3.0
 
     @pytest.mark.parametrize("n", [2, 10, 1000, 10**6])
     @pytest.mark.parametrize("case", EXACT_STARTS)
@@ -329,6 +412,14 @@ class TestTailInvertCost:
         assert sums <= 5
         root = mp_tail_root(n, y, t, "upper", b)
         assert abs(b - root) <= RTOL * root
+
+    @pytest.mark.parametrize("case", TINY_TARGET_CASES)
+    def test_tiny_target(self, case):
+        """Within 1e-15 of a 60-digit root (it was 1.5e-14 and 1.9e-14 with
+        the difference of logs)."""
+        b = binom_tail_invert(*case)
+        root = mp_tail_root(*case, b)
+        assert abs(b - root) <= 1e-15 * root
 
     @given(case=invert_cases(10**6))
     @settings(max_examples=300)
@@ -562,6 +653,7 @@ CLI_PROBE = """
 import sys
 from berncert.cli import main
 code = main(sys.argv[1:])
+print(*(name in sys.modules for name in ("fractions", "decimal")))
 print(code, *(name in sys.modules for name in ("numpy", "dataclasses", "typing")))
 print(*sorted(name for name in sys.modules if name.partition(".")[0] == "berncert"))
 """
@@ -599,12 +691,14 @@ def test_import_does_not_load_mpmath():
     ],
 )
 def test_scalar_commands_do_not_load_numpy(argv):
-    *_, status, loaded = _probe(CLI_PROBE, *argv).splitlines()
+    *_, exact, status, loaded = _probe(CLI_PROBE, *argv).splitlines()
     # no numpy, and no dataclasses (and its inspect), which cost start-up
     assert status.split()[:3] == ["0", "False", "False"]
     if argv[0] == "bpci":
         # the interval needs the kernel and the estimator, and no other submodule
         assert loaded.split() == ["berncert", "berncert.binom", "berncert.cli", "berncert.intervals"]
+        # nor exact rationals: its level is a double
+        assert exact.split() == ["False", "False"]
 
 
 def test_simulate_appendix_does_not_load_dataclasses(tmp_path):

@@ -46,6 +46,20 @@ class TestBpci:
         assert code == 0
         assert "upper = 0.6736606202466\n" in out
 
+    def test_alpha_as_double(self, capsys):
+        """--alpha is read as the double float(Fraction(text)) gives, without
+        `fractions`: a ratio and its decimal give the same interval, and what
+        Fraction() refuses or puts outside [0, 1] is a usage error."""
+        args = ["bpci", "--n", "10", "--successes", "3", "--json"]
+        outs = {text: run_cli(capsys, *args, "--alpha", text) for text in ("1/20", "0.05", " 1_0/20_0 ")}
+        assert len({out for _, out, _ in outs.values()}) == 1
+        assert json.loads(outs["1/20"][1])["alpha"] == 0.05
+        for text in ("3/2", "1/0", "-1/-2", "1 /2", "nan", "inf", "x"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([*args, "--alpha", text])
+            assert excinfo.value.code == 2, text
+        capsys.readouterr()
+
     def test_method_is_constant(self, capsys):
         args = ["bpci", "--n", "10", "--successes", "3"]
         code, out, _ = run_cli(capsys, *args)
