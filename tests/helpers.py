@@ -3,8 +3,10 @@
 import math
 from bisect import bisect_left, bisect_right
 
+import pytest
 from scipy.special import betainc, betaincc, betaincinv, betaln
 
+import berncert.binom
 from berncert.binom import (
     _CHUNK,
     _LN2_HI,
@@ -51,6 +53,19 @@ def count_calls(monkeypatch, module, *names: str) -> dict[str, int]:
     for name in names:
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     return counts
+
+
+def inversion_cost(cases) -> tuple[float, float, int]:
+    """(mean tail sums, mean saddle-point anchors, most tail sums) per
+    `binom_tail_invert(*case)` over the cases: its `_cdf_sf` and `_pmf` calls."""
+    sums = []
+    with pytest.MonkeyPatch.context() as patch:
+        counts = count_calls(patch, berncert.binom, "_cdf_sf", "_pmf")
+        for case in cases:
+            before = counts["_cdf_sf"]
+            berncert.binom.binom_tail_invert(*case)
+            sums.append(counts["_cdf_sf"] - before)
+    return sum(sums) / len(sums), counts["_pmf"] / len(sums), max(sums)
 
 
 def indicator_sampler(b: float):

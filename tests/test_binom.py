@@ -28,7 +28,7 @@ from berncert.binom import (
     draw_bernoulli,
 )
 from berncert.intervals import clopper_pearson
-from helpers import count_calls, polished_beta_quantile, ref_cdf_sf, ref_pmf
+from helpers import count_calls, inversion_cost, polished_beta_quantile, ref_cdf_sf, ref_pmf
 
 
 def exact_pmf(n: int, b: float, y: int) -> float:
@@ -143,10 +143,12 @@ def carry_moves(draw):
     return n, k, b0, min(max(b, 5e-324), 1.0 - 2.0**-53)
 
 
-# roots between two adjacent doubles.  (124, 32, 0.005) ends through the
-# collapsed-bracket exit, after a converged step that rounding put past the
-# bracket's far end moves one double toward the root; (11, 6, ...) and (47, 19,
-# ...) end through a converged step that lands inside the bracket
+# roots between two adjacent doubles.  (11, 6, ...) and (124, 32, 0.005) end
+# on the end of a Halley step whose predicted remainder is below 2^-56 of b,
+# after two tail sums, the second of (11, 6, ...) carried.  The second sum of
+# (47, 19, ...) lands at the rounding floor, so it ends through the
+# collapsed-bracket exit: the tail at the step's end 0.43309163213101287, two
+# ulps on the inner side, then one double at a time up to 0.433091632131013
 COLLAPSED_BRACKET_CASES = [(11, 6, 0.2716760504048823), (124, 32, 0.005), (47, 19, 0.4031792535164339)]
 
 
@@ -211,14 +213,14 @@ class TestTailInvert:
         and a sum after a long step carries its first term from the last
         sum's, so the inversion computes no saddle-point anchor beyond those
         the sums that carry nothing make: at n <= 256 one each.  At (10, 3,
-        0.025, "upper") the second and third sums carry."""
+        0.025, "upper") the second and last sum carries."""
         counts = count_calls(monkeypatch, berncert.binom, "_pmf")
         carried = count_carried_sums(monkeypatch)
         binom_tail_invert(n, y, t, side)
         assert len(carried) > 0
         assert counts["_pmf"] == len(carried) - sum(carried)
         if (n, y, t, side) == (10, 3, 0.025, "upper"):
-            assert carried == [False, True, True]
+            assert carried == [False, True]
 
     @given(move=carry_moves())
     @settings(max_examples=500)
@@ -303,6 +305,15 @@ def invert_cases(draw, max_n):
     return n, min(max(y, 0), n), t, draw(st.sampled_from(("lower", "upper")))
 
 
+@st.composite
+def interior_cases(draw):
+    """(n, y, target, side) with n <= 1e4, 2 <= y <= n - 2, where the start
+    is Paulson's, and the target log-uniform over [1e-6, 1/2]."""
+    n = draw(st.integers(4, 10**4))
+    t = math.exp(draw(st.floats(math.log(1e-6), math.log(0.5))))
+    return n, draw(st.integers(2, n - 2)), min(max(t, 1e-6), 0.5), draw(st.sampled_from(("lower", "upper")))
+
+
 def mp_tail_root(n, y, t, side, start):
     """The b where the tail of `side` equals t, by Newton's method on the
     log tail at 60 digits from a start within about 1e-12 of it; the tail
@@ -360,16 +371,25 @@ class TestTailInvertCost:
         assert max(sums) <= 12
         assert sum(sums) / len(sums) <= 3.6
 
-    def test_seeded_sweep_anchors(self, monkeypatch):
+    def test_seeded_sweep_anchors(self):
         """A sum after a long step carries its first term, so the sweep takes
-        fewer saddle-point anchors than tail sums (2.16 and 2.98 per
-        inversion; at n <= 300 each sum that carries nothing takes one)."""
-        counts = count_calls(monkeypatch, berncert.binom, "_pmf", "_cdf_sf")
-        cases = list(seeded_sweep_cases())
-        for case in cases:
-            binom_tail_invert(*case)
-        assert counts["_pmf"] / len(cases) <= 2.3
-        assert counts["_cdf_sf"] / len(cases) <= 3.0
+        fewer saddle-point anchors than tail sums (2.07 and 2.33 per
+        inversion; at n <= 300 each sum that carries nothing takes one).
+        Before Paulson's start and the remainder stop the sweep took 2.98
+        tail sums per inversion."""
+        sums, anchors, _ = inversion_cost(seeded_sweep_cases())
+        assert anchors <= 2.3
+        assert sums <= 2.4
+
+    def test_clopper_pearson_tables(self):
+        """The inversions of the `ClopperPearson(n, alpha)` tables at n = 30
+        and 31, alpha = 0.05 and 0.01: most interior endpoints take a tail
+        sum at Paulson's start and one after the first Halley step, and the
+        ends with a closed-form or two-term root one (2.01 per inversion;
+        3.06 with a Wilson start and a sum to confirm the last step)."""
+        cases = [(n, y, alpha / 2, side) for n in (30, 31) for alpha in (0.05, 0.01)
+                 for y in range(n + 1) for side in ("lower", "upper") if y != (0 if side == "lower" else n)]
+        assert inversion_cost(cases)[0] <= 2.1
 
     @pytest.mark.parametrize("n", [2, 10, 1000, 10**6])
     @pytest.mark.parametrize("case", EXACT_STARTS)
@@ -420,6 +440,16 @@ class TestTailInvertCost:
         b = binom_tail_invert(*case)
         root = mp_tail_root(*case, b)
         assert abs(b - root) <= 1e-15 * root
+
+    @given(case=interior_cases())
+    @settings(max_examples=200, derandomize=True)
+    def test_interior_accuracy(self, case):
+        """Each root from Paulson's start within 1e-15 relative of one solved
+        at 60 digits, so that the remainder stop never ends a step early:
+        with K scaled by 1e-6 the stop leaves errors up to about 2e-11."""
+        b = binom_tail_invert(*case)
+        root = mp_tail_root(*case, b)
+        assert abs(b - root) <= 1e-15 * root, (case, b, float(root))
 
     @given(case=invert_cases(10**6))
     @settings(max_examples=300)
