@@ -9,7 +9,7 @@ Each public name resolves from its submodule on first access (PEP 562), so
 import importlib
 
 _EXPORTS = {
-    "binom": ("SeededStream", "binom_cdf", "binom_pmf", "binom_sf", "binom_tail_invert", "draw_bernoulli"),
+    "binom": ("SeededStream", "binom_cdf", "binom_pmf", "binom_sf", "binom_tail_invert"),
     "conformal": (
         "CalibrationScores", "IndicatorINM", "PacBound", "PacParams",
         "estimate_SE_probability", "inp_contains", "p_value", "theorem1_bound",

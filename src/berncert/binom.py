@@ -20,7 +20,8 @@ recurrence (`_tail`), re-anchored at a saddle-point value every 256 terms,
 and the sum stops at the first term below 1e-17 of the partial sum.  The
 other value is its complement, taken only across the mode, of a tail of at
 most about 1/2, so it loses no relative accuracy.  `binom_pmf_vector` takes
-its values from the same loop.  The public functions check the arguments;
+its values from the same loop; it stays only for perfbench's tracer.
+The public functions check the arguments;
 `_cdf_sf` and `_tail` trust them.  Tail inversion is Halley's method on the
 log tail, safeguarded by a shrinking bracket.  Its slope needs pmf_n(y),
 which is the first term of the tail sum the same step has just taken, or one
@@ -781,10 +782,3 @@ class SeededStream(namedtuple("SeededStream", "master_seed stream_id", defaults=
 
     def substream(self, child_id: int) -> "SeededStream":
         return SeededStream(self.master_seed, _mix64(self.stream_id, child_id))
-
-
-def draw_bernoulli(stream: SeededStream, b: float, count: int) -> np.ndarray:
-    """i.i.d. 0/1 draws with success probability b."""
-    b = check_prob(b, "b")
-    count = check_int(count, "count", 0)
-    return (stream.rng().random(count) < b).astype("int64")

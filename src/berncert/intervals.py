@@ -8,8 +8,9 @@ from collections import namedtuple
 
 from .binom import (
     SeededStream,
+    _mode,
     binom_cdf,
-    binom_pmf_vector,
+    binom_pmf_vector,  # not called: perfbench's tracer wraps it here (tests/test_tracer.py)
     binom_sf,
     binom_tail_invert,
     check_int,
@@ -83,15 +84,14 @@ def _intervals(estimator, n: int) -> list[IntervalEstimate]:
 
 
 def coverage_probability(estimator, b: float, n: int) -> CoverageReport:
-    """Exact coverage at b by enumerating all n+1 outcomes."""
+    """Exact coverage at b: `_range_probability` summed over the maximal runs
+    of consecutive y in the covering set, one run for a monotone estimator."""
     n = check_int(n, "n", 1)
     b = check_prob(b, "b")
     covering = frozenset(y for y, iv in enumerate(_intervals(estimator, n)) if iv.contains(b))
-    if len(covering) == n + 1:
-        coverage = 1.0  # covering every outcome is certain coverage
-    else:
-        pmf = binom_pmf_vector(n, b)
-        coverage = min(math.fsum(pmf[y] for y in covering), 1.0)
+    los = sorted(y for y in covering if y - 1 not in covering)
+    his = sorted(y for y in covering if y + 1 not in covering)
+    coverage = min(math.fsum(_range_probability(n, b, lo, hi) for lo, hi in zip(los, his)), 1.0)
     return CoverageReport(b=b, coverage=coverage, covering_set=covering)
 
 
@@ -119,9 +119,16 @@ def endpoint_augmented_grid(estimator, n: int, step: float = 0.001, eps: float =
 
 
 def _range_probability(n: int, b: float, lo: int, hi: int) -> float:
-    """Pr(lo <= Y <= hi) for Y ~ Bin(n, b), from the two tails outside it."""
+    """Pr(lo <= Y <= hi) for Y ~ Bin(n, b): the difference of two tails on its
+    side of the mode if it lies wholly on one side, which keeps its relative
+    accuracy deep in a tail, else 1 minus the two tails outside it."""
     if lo > hi:
         return 0.0
+    mode = _mode(n, b)
+    if hi < mode:
+        return max(0.0, binom_cdf(n, b, hi) - binom_cdf(n, b, lo - 1))
+    if lo > mode:
+        return max(0.0, binom_sf(n, b, lo - 1) - binom_sf(n, b, hi))
     return max(0.0, 1.0 - binom_cdf(n, b, lo - 1) - binom_sf(n, b, hi))
 
 
@@ -136,13 +143,16 @@ def _coverage_infimum(estimator, n: int) -> tuple[float, float]:
     itself, with closed intervals, is at least both.  Unless c is an upper
     endpoint, the covering set just above c contains the one just below, at
     the same b, so that limit cannot be the least; unless c is a lower
-    endpoint, the limit below cannot.  The limits left are those just above
-    0 and each upper endpoint and just below 1 and each lower endpoint: at
-    most 2n + 2, two tails each, visited in ascending c, below first.
+    endpoint, the limit below cannot.  Unless 1 is a lower endpoint, the one
+    just below 1 ties or exceeds an earlier one: it is 1, or it is 0 and the
+    largest upper endpoint is below 1, just above which the limit is 0 too.
+    The limits left are those just above 0 and each upper endpoint and just
+    below each lower endpoint: at most 2n + 1 for Clopper-Pearson, two tails
+    each, visited in ascending c, below first.
 
     The b returned is the double next to c on the limit's side, where
-    `coverage_probability` sees that covering set and, up to rounding, the
-    same coverage; it is the neighbouring endpoint if no double lies between.
+    `coverage_probability` takes that covering set's coverage by the same
+    routine; it is the neighbouring endpoint if no double lies between.
     """
     ivs = _intervals(estimator, n)
     lowers = [iv.lower for iv in ivs]
@@ -155,7 +165,7 @@ def _coverage_infimum(estimator, n: int) -> tuple[float, float]:
         )
     # (c, 1.0) is the limit just above c, covering the y with lower_y <= c < upper_y;
     # (c, -1.0) the one just below, covering those with lower_y < c <= upper_y
-    limits = {(0.0, 1.0), (1.0, -1.0), *[(c, -1.0) for c in lowers if c > 0.0]}
+    limits = {(0.0, 1.0), *[(c, -1.0) for c in lowers if c > 0.0]}
     limits.update((c, 1.0) for c in uppers if c < 1.0)
     worst_b, worst_cov = 0.0, 2.0
     for c, side in sorted(limits):
@@ -170,11 +180,12 @@ def verify_conservative_validity(estimator, n: int, alpha: float) -> ValidityRep
     """Is the coverage of `estimator` at least 1 - alpha for every b?
 
     The verdict is exact: `worst_coverage` is the infimum of the coverage
-    over b in [0, 1], the least of at most 2n + 2 one-sided limits at the
-    interval endpoints (see `_coverage_infimum`), and `worst_b` is a b at which
-    `coverage_probability` reproduces it.  This needs endpoints that are
-    nondecreasing in y, as those of Clopper-Pearson are, and built for this
-    n; for any other estimator it raises ValueError and gives no verdict.
+    over b in [0, 1], the least one-sided limit at the interval endpoints
+    (at most 2n + 1 for Clopper-Pearson, see `_coverage_infimum`), and
+    `worst_b` is the double beside its endpoint, where `coverage_probability`
+    takes the same covering set's coverage by the same routine.  This needs
+    endpoints that are nondecreasing in y, as those of Clopper-Pearson are,
+    and built for this n; for any other estimator it raises ValueError.
     """
     n = check_int(n, "n", 1)
     alpha = check_level(alpha, "alpha")

@@ -68,6 +68,13 @@ def inversion_cost(cases) -> tuple[float, float, int]:
     return sum(sums) / len(sums), counts["_pmf"] / len(sums), max(sums)
 
 
+def draw_bernoulli(stream, b: float, count: int):
+    """i.i.d. 0/1 draws with success probability b from a `SeededStream`."""
+    b = check_prob(b, "b")
+    count = check_int(count, "count", 0)
+    return (stream.rng().random(count) < b).astype("int64")
+
+
 def indicator_sampler(b: float):
     """Point sampler over {0, 1} matching an indicator measure with P(Q) = b."""
 

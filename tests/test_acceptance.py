@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from berncert.binom import SeededStream, binom_pmf_vector
+from berncert.binom import SeededStream
 from berncert.conformal import CalibrationScores, inp_contains, p_value
 from berncert.experiments import (
     AppendixConfig,

@@ -22,7 +22,6 @@ from berncert.binom import (
     check_int,
     check_level,
     check_prob,
-    draw_bernoulli,
 )
 from berncert.cli import prob_arg
 from berncert.conformal import (
@@ -49,7 +48,7 @@ from berncert.intervals import (
     pac_form_check,
     verify_conservative_validity,
 )
-from helpers import FullInterval, indicator_sampler
+from helpers import FullInterval, draw_bernoulli, indicator_sampler
 
 PARAMS = PacParams(epsilon=Fraction(1, 2), coverage_E=0.3, n=10)
 
@@ -78,6 +77,7 @@ ENTRY_POINTS = {
     "binom_sf j": (lambda k: binom_sf(10, 0.3, k), []),
     "binom_tail_invert n": (lambda k: binom_tail_invert(k, 1, 0.025, "upper"), [0]),
     "binom_tail_invert y": (lambda k: binom_tail_invert(10, k, 0.025, "lower"), [-1, 11]),
+    # a helper in tests/helpers.py, which checks its count and b with the package's checkers
     "draw_bernoulli count": (lambda k: draw_bernoulli(SeededStream(1), 0.3, k), [-1]),
     "clopper_pearson n": (lambda k: clopper_pearson(k, 1, 0.05), [0]),
     "clopper_pearson y": (lambda k: clopper_pearson(10, k, 0.05), [-1, 11]),

@@ -25,10 +25,9 @@ from berncert.binom import (
     binom_pmf_vector,
     binom_sf,
     binom_tail_invert,
-    draw_bernoulli,
 )
 from berncert.intervals import clopper_pearson
-from helpers import count_calls, inversion_cost, polished_beta_quantile, ref_cdf_sf, ref_pmf
+from helpers import count_calls, draw_bernoulli, inversion_cost, polished_beta_quantile, ref_cdf_sf, ref_pmf
 
 
 def exact_pmf(n: int, b: float, y: int) -> float:
@@ -729,6 +728,23 @@ def test_scalar_commands_do_not_load_numpy(argv):
         assert loaded.split() == ["berncert", "berncert.binom", "berncert.cli", "berncert.intervals"]
         # nor exact rationals: its level is a double
         assert exact.split() == ["False", "False"]
+
+
+COVERAGE_PROBE = """
+import sys
+from berncert.intervals import ClopperPearson, coverage_probability, verify_conservative_validity
+est = ClopperPearson(30, 0.05)
+print(coverage_probability(est, 0.3, 30).coverage >= 0.95, verify_conservative_validity(est, 30, 0.05).valid)
+print("numpy" in sys.modules)
+"""
+
+
+def test_coverage_and_verdict_do_not_load_numpy():
+    """The coverage at b and the validity verdict take binomial tails in
+    Python floats, so neither loads numpy."""
+    results, numpy_loaded = _probe(COVERAGE_PROBE).splitlines()
+    assert results.split() == ["True", "True"]
+    assert numpy_loaded == "False"
 
 
 def test_simulate_appendix_does_not_load_dataclasses(tmp_path):

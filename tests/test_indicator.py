@@ -27,6 +27,7 @@ from berncert.indicator import (
     inp_closed_form,
     naive_interval_coverage,
 )
+from helpers import draw_bernoulli
 
 
 def brute_force_SE(b: float, n: int, epsilon, coverage_E: float) -> float:
@@ -236,8 +237,6 @@ class TestNaiveInterval:
 
     def test_monte_carlo_claim_simulation(self):
         # simulate the claim rule directly and confirm the 0/1 dichotomy
-        from berncert.binom import SeededStream, draw_bernoulli
-
         b, E, n, eps = 0.9, 0.85, 10, Fraction(2, 3)
         report = naive_interval_coverage(b, E, n, eps)
         rng_draws = draw_bernoulli(SeededStream(17), b, 2000 * n).reshape(2000, n)

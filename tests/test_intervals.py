@@ -217,6 +217,30 @@ class TestCoverage:
         assert report.worst_b != 0.5
         assert coverage_probability(DegenerateEstimator(), report.worst_b, 10).coverage == 0.0
 
+    @pytest.mark.parametrize("n", [50, 300, 1000])
+    def test_relative_accuracy_on_runs(self, n):
+        """One run, two runs or a gap, deep in either tail too, where one minus
+        two tails would cancel to nothing: relative error at most 1e-13 against
+        exact integer arithmetic."""
+        for b in (0.013, 0.31, 0.5, 0.87):
+            num, den = b.as_integer_ratio()
+            # Pr(Y = y) = terms[y] / scale exactly, and int / int rounds correctly:
+            # terms[y] = C(n, y) num^y (den - num)^(n - y), each from the last by exact division
+            terms = [(den - num) ** n]
+            for y in range(n):
+                terms.append(terms[-1] * (n - y) * num // ((y + 1) * (den - num)))
+            scale = den**n
+            for y in range(0, n + 1, n // 25):
+                for ys in ({y}, {y, y + 1}, range(y + 1), range(y, n + 1), {y - 1, y + 1}):
+                    covering = {k for k in ys if 0 <= k <= n}
+                    exact = sum(terms[k] for k in covering) / scale
+                    if exact < 1e-300:
+                        continue
+                    lowers = [0.0 if k in covering else 1.0 for k in range(n + 1)]
+                    est = TableEstimator(n, lowers, [1.0] * (n + 1))
+                    coverage = coverage_probability(est, b, n).coverage
+                    assert abs(coverage - exact) <= 1e-13 * exact, (n, b, min(covering), max(covering))
+
     def test_grid_includes_endpoints(self):
         est = ClopperPearson(5, 0.1)
         grid = endpoint_augmented_grid(est, 5)
