@@ -37,13 +37,14 @@ Newton steps in doubles find, the first tail sum only confirms the start.
 Elsewhere the start is Paulson's cube-root normal approximation to the beta
 quantile (E. Paulson, Annals of Math. Stat. 13, 1942), off by a median 5e-4
 relative at n = 30 and 6e-7 at n = 3000, and a Wilson score bound only at
-targets below 1e-6.  The inversion returns a Halley step's end unconfirmed
-once the step's remainder, predicted from the same h'' as (h'' / (2 h'))^2
-times the step cubed, is below 2^-56 of b: two tail sums for most interior
-Clopper-Pearson endpoints at n = 30, one for about half at n = 3000.  A sum after a
-step that lands at the rounding floor of h ends instead at a collapsed
-bracket, one double at a time, so that the end returned there is the one
-that widens the interval, judged by anchored tails.  A target above 1/2 is
+targets below 1e-6.  One rule decides every stop: a step's end is returned
+unconfirmed once its remainder, predicted from the same h'' as
+(h'' / (2 h'))^2 times the step cubed, is below 2^-56 of b: two tail sums
+for most interior Clopper-Pearson endpoints at n = 30, one for about half at
+n = 3000.  One finish takes a step that cannot be returned, after a sum at
+the rounding floor of h or rounded past the bracket: a collapsed bracket,
+one double at a time, on the end that widens the interval, judged by
+anchored tails.  A target above 1/2 is
 solved as the complementary tail at 1 - t, which is exact, and iterates stay
 between the doubles next to 0 and 1, so a root past them costs one tail sum
 there.
@@ -103,12 +104,9 @@ _TINY_MEAN = 1e-290
 _CHUNK = 256
 # a tail sum stops at the first term below this fraction of the partial sum
 _TAIL_STOP = 1e-17
-# the inversion stops after a Halley step whose predicted remainder, the error
-# it leaves, is below this fraction of the iterate (at most an eighth of an
-# ulp), and after a plain Newton step, taken only far from the root, below
-# _NEWTON_RTOL of it, since the error left there is of the order of its square
+# the inversion stops after a step whose predicted remainder, the error it
+# leaves, is below this fraction of the iterate (at most an eighth of an ulp)
 _HALLEY_STOP = 2.0**-56
-_NEWTON_RTOL = 1e-11
 _NEWTON_MAX_STEPS = 200
 # below this target Paulson's start is poor or has no root, and a Wilson score
 # bound takes its place
@@ -126,8 +124,9 @@ _TWO_TERM_MAX_STEPS = 20
 # |log(tail / target)| at most _CARRY_END_H is the rounding floor: a carried sum
 # there is retaken with its anchor, since a few ulps could flip its sign, and a
 # bracket end must lie on the side of the root that the public tail functions
-# put it; a sum after a step that lands there ends the inversion only through a
-# collapsed bracket
+# put it; a sum after a step that lands there ends the inversion only through
+# the floor walk to a collapsed bracket, the one finish also of a converged
+# step rounded past the bracket
 _CARRY_STEP = 2.0**-13
 _CARRY_END_H = 1e-13
 _NORMAL_MIN = 2.0**-1022  # the smallest normal double
@@ -633,26 +632,26 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
     The retake is rare: 7 times in 6719 Clopper-Pearson and seeded
     inversions at n <= 3000.
 
-    Iteration stops where the error a Halley step leaves is predicted below
-    2^-56 of b, and returns the step's end without a tail sum to confirm it.
-    From an error e, Halley's step leaves (A^2 - B) e^3 + O(e^4), with
-    A = h'' / (2 s) = (a - s) / 2 from the h'' in hand and B = h''' / (6 s),
-    which is not in hand.  The step is about e, so the prediction in b is
-    K step^2 |new - b|, with K = max(1, A^2), the 1 standing in for B: a
-    stated rule, not yet a proven bound.  After a plain Newton step, taken
-    only far from the root, the rule is a step below 1e-11 of b.  The end
-    returned may lie an ulp or so on either side of the root: below the
-    few-ulp rounding of the tail itself, which cannot place it more closely.
-    Where rounding puts such a step past the far end of the bracket, the
-    next iterate is the double next to b toward the root.
+    One rule decides every stop: iteration stops where the error a step
+    leaves is predicted below 2^-56 of b, and returns the step's end without
+    a tail sum to confirm it.  From an error e, Halley's step leaves
+    (A^2 - B) e^3 + O(e^4), with A = h'' / (2 s) = (a - s) / 2 from the h''
+    in hand and B = h''' / (6 s), which is not in hand.  The step is about
+    e, so the prediction in b is K step^2 |new - b|, with K = max(1, A^2),
+    the 1 standing in for B: a stated rule, not yet a proven bound.  After
+    Newton's step |A step| >= 1/2, so the rule holds only for a move below
+    2^-54 of b, under half an ulp.  The end returned may lie an ulp or so on
+    either side of the root, below the tail's own few-ulp rounding.
 
-    A sum after a step that lands at the rounding floor, |h| <= 1e-13, does
-    not end on an unevaluated prediction, since h there is mostly rounding.
-    The inversion takes the tail at the step's end, then at one double after
-    another toward the root, until no double is left strictly inside the
-    bracket.  Iteration stops there too; the root then lies between two
-    adjacent doubles, or past the last double before 0 or 1, and only this
-    exit returns the end that widens the interval: the upper end for
+    One finish takes the step from a sum at the rounding floor, |h| <=
+    1e-13, after an earlier step, since h there is mostly rounding, and a
+    step that meets the rule but is rounded past the closed bracket: the
+    tail at the step's end if it lies inside the bracket, then at one double
+    after another toward the root, until no double is left strictly inside.
+    So every end is a tail equal to the target (h = 0), a converged step's
+    end inside the bracket, or the end of a collapsed bracket.  The root
+    then lies between two adjacent doubles, or past the last double before
+    0 or 1, and the end returned widens the interval: the upper end for
     side="upper", the lower end for side="lower", whichever tail a target
     above 1/2 made it solve.
     """
@@ -727,22 +726,18 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
             # h'' = slope (a - slope) and a = d log pmf_n(y) in the same variable
             a = (n - y) - y * (1.0 - b) / b if upper else y - (n - y) * b / (1.0 - b)
             d = 1.0 - 0.5 * h * (a - slope) / slope
-            # plain Newton where d is no modest correction (a subnormal b makes it inf)
-            halley = 0.5 < d < 2.0
-            step = h / slope / d if halley else h / slope
+            # Newton's step where d is no modest correction (a subnormal b makes it inf)
+            step = h / slope / (d if 0.5 < d < 2.0 else 1.0)
             new = -math.expm1(math.log1p(-b) - step) if upper else b * math.exp(-step)
-            if i > 0 and abs(h) <= _CARRY_END_H:
-                # at the rounding floor after a step: the tail at the step's end
-                # and then at one double after another, until the bracket collapses
+            floor = i > 0 and abs(h) <= _CARRY_END_H
+            # the error left after Halley's step is about (h'' / (2 slope))^2 step^3
+            if floor or max(1.0, 0.25 * (a - slope) ** 2) * step * step * abs(new - b) <= _HALLEY_STOP * b:
+                if not floor and lo <= new <= hi:
+                    return new
+                # the floor walk: the tail at the step's end if it is inside,
+                # then at one double after another, until the bracket collapses
                 walk = True
                 b = new if lo < new < hi else math.nextafter(b, hi if b == lo else lo)
-            elif (max(1.0, 0.25 * (a - slope) ** 2) * step * step * abs(new - b) <= _HALLEY_STOP * b
-                  if halley else abs(new - b) <= _NEWTON_RTOL * b):
-                # the error left after Halley's step is about (h'' / (2 slope))^2 step^3
-                if lo <= new <= hi:
-                    return new
-                # rounding put the step past the far end: one double toward the root
-                b = math.nextafter(b, hi if b == lo else lo)
             elif lo < new < hi:
                 b = new
             else:  # past the bracket: the double next to 0 or 1 if still inside it, else bisection

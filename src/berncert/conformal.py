@@ -11,7 +11,8 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .binom import SeededStream, binom_cdf, check_epsilon, check_int, check_prob
+# binom_cdf is not called: perfbench's tracer wraps it here (tests/test_tracer.py)
+from .binom import SeededStream, _cdf_sf, binom_cdf, check_epsilon, check_int, check_prob
 
 TYPE_CHECKING = False  # typing is not imported at run time: it costs start-up
 if TYPE_CHECKING:
@@ -113,13 +114,18 @@ PacBound = namedtuple("PacBound", "delta confidence params")
 
 
 def theorem1_bound(params: PacParams) -> PacBound:
-    """delta = Bin_{N,E}(J); confidence = 1 - delta.
+    """delta = Bin_{N,E}(J); confidence = 1 - delta = Pr(Y > J).
+
+    Both come from one tail sum: the confidence is the kernel's own
+    complement of delta, not 1.0 - delta, so it keeps its relative accuracy
+    where delta is near 1 (at N = 151, epsilon = 2/3, E = 0.0609... it is
+    about 2.6e-84, where 1.0 - delta reads 0.0).
 
     J = -1 (tiny epsilon) gives delta = 0: the predictor never excludes
     anything at that threshold, so the guarantee is vacuous.
     """
-    delta = binom_cdf(params.n, params.coverage_E, params.J)
-    return PacBound(delta=delta, confidence=1.0 - delta, params=params)
+    delta, confidence, _, _ = _cdf_sf(params.n, params.coverage_E, params.J)
+    return PacBound(delta=delta, confidence=confidence, params=params)
 
 
 # h_hat: float; bound: PacBound; decomposition: dict of str to float; n_cal, n_test: ints

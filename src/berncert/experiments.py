@@ -109,7 +109,11 @@ def _run_row(config: AppendixConfig, q: int, regime_idx: int) -> ExperimentRow:
 def _worker_count() -> int:
     env = os.environ.get("BERN_CERT_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            count = int(env)
+        except ValueError:
+            count = env  # not an integer: check_int refuses it, naming the variable
+        return check_int(count, "BERN_CERT_THREADS", 1)
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

@@ -125,10 +125,13 @@ def naive_interval_coverage(b: float, coverage_E: float, n: int, epsilon) -> Nai
     returns the complement of Q, claim b <= E", and its claim rate.
 
     `conditional_coverage` is the coverage given that the claim is issued.
-    It is 1 (b <= E) or 0 (b > E), so read conditionally the rule is not a
-    confidence procedure for b at any nominal level.  Its unconditional
-    coverage, which also counts the outcomes with no claim, is another
-    quantity and is not computed here.
+    It is 1 (b <= E) or 0 (b > E), so by its conditional coverage the rule
+    is not a confidence procedure for b at any nominal level.  Its
+    unconditional coverage, which also counts the outcomes with no claim, is
+    another quantity and is not computed here: read as the one-sided
+    estimator [0, u(y)], u(y) = E for y <= J and 1 otherwise, it is
+    `exact_SE_probability`'s prob_SE at b, and its infimum over b is
+    Theorem 1's 1 - delta, approached just above E.
 
     `claim_rate`, Pr(Y <= J), can underflow to 0.0 while positive; the claim
     is then still issued, and its conditional coverage is returned.

@@ -39,6 +39,23 @@ class FullInterval:
         return IntervalEstimate(lower=0.0, upper=1.0, alpha=self.alpha, n=self.n, y=y)
 
 
+class TableEstimator:
+    """Intervals [lowers[y], uppers[y]] for n trials, from two lists."""
+
+    def __init__(self, n, lowers, uppers):
+        self.table = [IntervalEstimate(lower=lo, upper=up, alpha=0.05, n=n, y=y)
+                      for y, (lo, up) in enumerate(zip(lowers, uppers))]
+
+    def interval(self, y):
+        return self.table[y]
+
+
+def conformal_claim(n: int, J: int, E: float) -> TableEstimator:
+    """The conformal claim "b <= E whenever Y <= J" as an interval estimator:
+    the one-sided [0, u(y)], with u(y) = E for y <= J and 1 otherwise."""
+    return TableEstimator(n, [0.0] * (n + 1), [E if y <= J else 1.0 for y in range(n + 1)])
+
+
 def count_calls(monkeypatch, module, *names: str) -> dict[str, int]:
     """Replace each named function of `module` by one that counts its calls;
     the dict returned maps each name to its count so far."""

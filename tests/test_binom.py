@@ -150,6 +150,12 @@ def carry_moves(draw):
 # ulps on the inner side, then one double at a time up to 0.433091632131013
 COLLAPSED_BRACKET_CASES = [(11, 6, 0.2716760504048823), (124, 32, 0.005), (47, 19, 0.4031792535164339)]
 
+# upper ends of Clopper-Pearson tables whose first Halley step, from the
+# two-term start, meets the remainder rule but is rounded past the closed
+# bracket: the step's end is not returned, and the floor walk takes the tail
+# one double toward the root, where the bracket collapses after two tail sums
+PAST_BRACKET_CASES = [(11, 1, 0.1), (116, 1, 0.005), (498, 1, 0.1)]
+
 
 class TestTailInvert:
     def test_upper_closed_form(self):
@@ -361,9 +367,19 @@ class TestTailInvertCost:
 
     @pytest.mark.parametrize("n,y,t", COLLAPSED_BRACKET_CASES)
     def test_collapsed_bracket(self, counts, n, y, t):
-        """One double toward the root, not a bisection of the whole bracket,
-        once rounding puts a step below tolerance past its far end."""
+        """A step that lands at the rounding floor ends through the floor
+        walk, one double at a time toward the root, not through a bisection
+        of the whole bracket."""
         assert self.invert(counts, n, y, t, "upper")[1] <= 6
+
+    @pytest.mark.parametrize("n,y,t", PAST_BRACKET_CASES)
+    def test_converged_step_past_bracket(self, counts, n, y, t):
+        """A step that meets the remainder rule but is rounded past the
+        bracket enters the floor walk: the wide-side end, by `binom_cdf`,
+        after at most two tail sums."""
+        b, sums = self.invert(counts, n, y, t, "upper")
+        assert binom_cdf(n, b, y) <= t <= binom_cdf(n, math.nextafter(b, 0.0), y)
+        assert sums <= 2
 
     def test_seeded_sweep(self, counts):
         sums = [self.invert(counts, *case)[1] for case in seeded_sweep_cases()]

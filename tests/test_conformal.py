@@ -126,6 +126,24 @@ class TestTheorem1Bound:
         # frozen from exact 5-term summation
         assert theorem1_bound(params).delta == pytest.approx(0.99910908, abs=1e-8)
 
+    @pytest.mark.parametrize("n, eps, E", [
+        (151, Fraction(2, 3), 0.06096034960646757), (35, Fraction(1, 3), 0.036814858166105385),
+        (9, Fraction(1, 2), 0.1), (20, Fraction(1, 10), 0.02), (200, Fraction(1, 2), 0.3),
+        (60, Fraction(4, 5), 0.5), (2, Fraction(2, 3), 1e-9),
+    ])
+    def test_confidence_near_zero_keeps_its_digits(self, n, eps, E):
+        """delta > 1/2, up to delta = 1.0 as a double: delta and the
+        confidence within 1e-13 relative of exact rational sums.  As
+        1.0 - delta, the confidence at (151, 2/3, ...) read 0.0 for about
+        2.6e-84, and at (35, 1/3, ...) was off by 6.7e-9."""
+        params = PacParams(eps, E, n)
+        bound = theorem1_bound(params)
+        e = Fraction(E)
+        confidence = sum(math.comb(n, k) * e**k * (1 - e) ** (n - k) for k in range(params.J + 1, n + 1))
+        assert 1 - confidence > Fraction(1, 2)
+        assert abs(Fraction(bound.confidence) - confidence) <= Fraction(1e-13) * confidence
+        assert abs(Fraction(bound.delta) - (1 - confidence)) <= Fraction(1e-13) * (1 - confidence)
+
     def test_float_epsilon_knife_edge_is_exact(self):
         # float(2/3) < 2/3, so the float input sits below the knife edge
         assert PacParams(2 / 3, 0.4, 2).J == 0

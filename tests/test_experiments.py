@@ -168,6 +168,12 @@ class TestWorkerCount:
         monkeypatch.setenv("BERN_CERT_THREADS", "3")
         assert _worker_count() == 3
 
+    @pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5"])
+    def test_env_refused(self, monkeypatch, value):
+        monkeypatch.setenv("BERN_CERT_THREADS", value)
+        with pytest.raises(ValueError, match="BERN_CERT_THREADS"):
+            _worker_count()
+
     def test_default_counts_usable_cpus(self, monkeypatch):
         monkeypatch.delenv("BERN_CERT_THREADS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)

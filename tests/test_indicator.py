@@ -9,6 +9,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from berncert.binom import SeededStream
 from berncert.conformal import (
@@ -17,6 +18,7 @@ from berncert.conformal import (
     PacParams,
     estimate_SE_probability,
     inp_contains,
+    theorem1_bound,
 )
 from berncert.indicator import (
     ClaimNeverIssuedError,
@@ -27,7 +29,8 @@ from berncert.indicator import (
     inp_closed_form,
     naive_interval_coverage,
 )
-from helpers import draw_bernoulli
+from berncert.intervals import coverage_probability, verify_conservative_validity
+from helpers import conformal_claim, draw_bernoulli
 
 
 def brute_force_SE(b: float, n: int, epsilon, coverage_E: float) -> float:
@@ -250,3 +253,32 @@ class TestNaiveInterval:
         assert claims > 0
         assert covered / claims == report.conditional_coverage
         assert claims / 2000 == pytest.approx(report.claim_rate, abs=0.05)
+
+
+class TestClaimAsEstimator:
+    """The conformal claim "b <= E whenever Y <= J", read as the one-sided
+    interval estimator [0, u(y)] with u(y) = E for y <= J and 1 otherwise,
+    judged by the package's own exact coverage and verdict."""
+
+    @given(
+        n=st.integers(1, 200),
+        eps=st.sampled_from([Fraction(1, 3), Fraction(2, 3), Fraction(1, 20), Fraction(1, 2),
+                             Fraction(9, 10), Fraction(99, 100), Fraction(1, 1000)]),
+        E=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        b=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=300)
+    def test_identity(self, n, eps, E, b):
+        """Its coverage at b is the coverage event's probability, and its
+        infimum over b is Theorem 1's confidence, approached just above E:
+        bit for bit."""
+        params = PacParams(eps, E, n)
+        claim = conformal_claim(n, params.J, E)
+        for point in (b, E, math.nextafter(E, 0.0), math.nextafter(E, 1.0), 0.0, 1.0):
+            got = coverage_probability(claim, point, n).coverage
+            assert got == exact_SE_probability(point, n, eps, E).prob_SE, point
+        report = verify_conservative_validity(claim, n, 0.05)
+        confidence = theorem1_bound(params).confidence
+        assert report.worst_coverage == confidence
+        if confidence < 1.0:
+            assert report.worst_b == math.nextafter(E, 1.0)

@@ -23,7 +23,13 @@ from berncert.intervals import (
     pac_form_check,
     verify_conservative_validity,
 )
-from helpers import FullInterval, count_calls, piecewise_coverage_infimum, polished_beta_quantile
+from helpers import (
+    FullInterval,
+    TableEstimator,
+    count_calls,
+    piecewise_coverage_infimum,
+    polished_beta_quantile,
+)
 
 
 def beta_quantile_interval(n, y, alpha):
@@ -309,17 +315,6 @@ class SwappedClopperPearson:
         return self.cp.interval({1: 2, 2: 1}.get(y, y))
 
 
-class TableEstimator:
-    """Intervals [lowers[y], uppers[y]] for n trials, from two lists."""
-
-    def __init__(self, n, lowers, uppers):
-        self.table = [IntervalEstimate(lower=lo, upper=up, alpha=0.05, n=n, y=y)
-                      for y, (lo, up) in enumerate(zip(lowers, uppers))]
-
-    def interval(self, y):
-        return self.table[y]
-
-
 @st.composite
 def grid_estimators(draw):
     """(estimator, n) with monotone endpoints on the k/8 grid, so that lower
@@ -378,7 +373,7 @@ class TestValidityCertificate:
         assert (report.worst_b, report.worst_coverage) == piecewise_coverage_infimum(est, n)
 
     def test_tail_sums_per_verdict(self, monkeypatch):
-        """At most 2n + 2 one-sided limits of two tail sums each; both ends of
+        """At most 2n + 1 one-sided limits of two tail sums each; both ends of
         every piece would take 8n + 4."""
         n = 200
         est = ClopperPearson(n, 0.05)
@@ -386,7 +381,7 @@ class TestValidityCertificate:
             est.interval(y)  # the table's own tail sums are not the verdict's
         counts = count_calls(monkeypatch, berncert.binom, "_cdf_sf")
         assert verify_conservative_validity(est, n, 0.05).valid
-        assert 0 < counts["_cdf_sf"] <= 4 * (n + 1)
+        assert 0 < counts["_cdf_sf"] <= 2 * (2 * n + 1)
 
     @given(case=grid_estimators())
     @settings(max_examples=300)
