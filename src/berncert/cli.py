@@ -74,20 +74,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="calibration size")
     p.add_argument("--show-cases", action="store_true", help="print the n=2 case table")
 
-    p = sub.add_parser("simulate-appendix", help="E-grid sweep, one CSV row per (q, regime)")
-    p.add_argument("--q-min", type=int, default=0)
-    p.add_argument("--q-max", type=int, default=98)
-    p.add_argument("--alpha-frac", type=prob_arg, default="1/200")
-    p.add_argument("--epsilon", type=prob_arg, default="2/3")
-    p.add_argument("--n-cal", type=int, default=5000)
-    p.add_argument("--n-test", type=int, default=5000)
-    p.add_argument("--cal-size", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--mode",
-        choices=["monte-carlo", "exact-inner", "fully-exact"],
-        default="exact-inner",
+    # no defaults here: the options given override AppendixConfig's, field by field
+    p = sub.add_parser(
+        "simulate-appendix",
+        argument_default=argparse.SUPPRESS,
+        help="E-grid sweep, one CSV row per (q, regime)",
+        description="E-grid sweep, one CSV row per (q, regime).  Each option left "
+        "out takes AppendixConfig's default: the paper's scale, n_cal = n_test = 50000, "
+        "in exact-inner mode.",
     )
+    p.add_argument("--q-min", type=int)
+    p.add_argument("--q-max", type=int)
+    p.add_argument("--alpha-frac", type=prob_arg)
+    p.add_argument("--epsilon", type=prob_arg)
+    p.add_argument("--n-cal", type=int)
+    p.add_argument("--n-test", type=int)
+    p.add_argument("--cal-size", type=int, dest="n_calibration_size", metavar="CAL_SIZE")
+    p.add_argument("--seed", type=int, dest="master_seed", metavar="SEED")
+    p.add_argument("--mode", choices=["monte-carlo", "exact-inner", "fully-exact"])
     p.add_argument("--out", required=True, help="output CSV path")
     return parser
 
@@ -181,17 +185,10 @@ def _cmd_simulate_appendix(args) -> int:
     # the sweep alone needs numpy
     from .experiments import AppendixConfig, emit_csv, run_appendix
 
-    config = AppendixConfig(
-        q_min=args.q_min,
-        q_max=args.q_max,
-        alpha_frac=float(args.alpha_frac),
-        epsilon=args.epsilon,
-        n_cal=args.n_cal,
-        n_test=args.n_test,
-        n_calibration_size=args.cal_size,
-        master_seed=args.seed,
-        mode=args.mode.replace("-", "_"),
-    )
+    fields = {k: v for k, v in vars(args).items() if k in AppendixConfig._fields}
+    if "mode" in fields:
+        fields["mode"] = fields["mode"].replace("-", "_")
+    config = AppendixConfig(**fields)
     rows = run_appendix(config)
     emit_csv(rows, args.out)
     min_margin = min(r.exact_prob_SE - r.bound_Esq for r in rows)

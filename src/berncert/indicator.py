@@ -10,7 +10,7 @@ import math
 from collections import namedtuple
 from enum import Enum
 
-from .binom import binom_cdf, binom_sf, check_int, check_prob
+from .binom import _cdf_sf, binom_cdf, check_int, check_prob
 from .conformal import PacParams, score_rank_threshold, theorem1_bound
 
 
@@ -64,10 +64,11 @@ def exact_SE_probability(b: float, n: int, epsilon, coverage_E: float) -> ExactS
     """
     b = check_prob(b, "b")
     params = _closed_form_params(epsilon, coverage_E, n)
-    # predictor is the full space iff ones_count >= J + 1
-    prob_fullspace = binom_sf(params.n, b, params.J)
+    # predictor is the full space iff ones_count >= J + 1; both probabilities
+    # from one sum, so that neither is the other's cancelled complement
+    prob_complement, prob_fullspace, _, _ = _cdf_sf(params.n, b, params.J)
     if params.complement_covers(b):
-        prob_qbar_covering = 1.0 - prob_fullspace
+        prob_qbar_covering = prob_complement
         prob_SE = 1.0
     else:
         prob_qbar_covering = 0.0

@@ -8,10 +8,8 @@ from collections import namedtuple
 
 from .binom import (
     SeededStream,
-    _mode,
-    binom_cdf,
+    _range_probability,
     binom_pmf_vector,  # not called: perfbench's tracer wraps it here (tests/test_tracer.py)
-    binom_sf,
     binom_tail_invert,
     check_int,
     check_level,
@@ -118,20 +116,6 @@ def endpoint_augmented_grid(estimator, n: int, step: float = 0.001, eps: float =
     return sorted(points)
 
 
-def _range_probability(n: int, b: float, lo: int, hi: int) -> float:
-    """Pr(lo <= Y <= hi) for Y ~ Bin(n, b): the difference of two tails on its
-    side of the mode if it lies wholly on one side, which keeps its relative
-    accuracy deep in a tail, else 1 minus the two tails outside it."""
-    if lo > hi:
-        return 0.0
-    mode = _mode(n, b)
-    if hi < mode:
-        return max(0.0, binom_cdf(n, b, hi) - binom_cdf(n, b, lo - 1))
-    if lo > mode:
-        return max(0.0, binom_sf(n, b, lo - 1) - binom_sf(n, b, hi))
-    return max(0.0, 1.0 - binom_cdf(n, b, lo - 1) - binom_sf(n, b, hi))
-
-
 def _coverage_infimum(estimator, n: int) -> tuple[float, float]:
     """(inf of coverage over b in [0, 1], a b next to where it is approached)
     for an estimator whose endpoints are nondecreasing in y.
@@ -147,8 +131,8 @@ def _coverage_infimum(estimator, n: int) -> tuple[float, float]:
     just below 1 ties or exceeds an earlier one: it is 1, or it is 0 and the
     largest upper endpoint is below 1, just above which the limit is 0 too.
     The limits left are those just above 0 and each upper endpoint and just
-    below each lower endpoint: at most 2n + 1 for Clopper-Pearson, two tails
-    each, visited in ascending c, below first.
+    below each lower endpoint: at most 2n + 1 for Clopper-Pearson, at most
+    two tail sums each, visited in ascending c, below first.
 
     The b returned is the double next to c on the limit's side, where
     `coverage_probability` takes that covering set's coverage by the same

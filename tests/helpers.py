@@ -20,11 +20,12 @@ from berncert.binom import (
     _TWO_PI,
     _complement,
     _mode,
+    _range_probability,
     _stirlerr,
     check_int,
     check_prob,
 )
-from berncert.intervals import IntervalEstimate, _range_probability
+from berncert.intervals import IntervalEstimate
 
 
 class FullInterval:

@@ -1,6 +1,7 @@
 """CLI surface tests: flags, exit codes, output formats."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -187,6 +188,46 @@ class TestSimulateAppendix:
         )
         assert code == 0
         assert len(out_path.read_text().splitlines()) == 7
+
+    @staticmethod
+    def sweep_config(capsys, tmp_path, monkeypatch, *argv):
+        """The AppendixConfig the command builds from `argv`; the sweep run is
+        only its first row pair, in fully_exact mode."""
+        import berncert.experiments as experiments
+
+        configs = []
+        run = experiments.run_appendix
+
+        def recorded(config):
+            configs.append(config)
+            return run(config._replace(q_min=0, q_max=0, mode="fully_exact"))
+
+        monkeypatch.setattr(experiments, "run_appendix", recorded)
+        code, _, _ = run_cli(capsys, "simulate-appendix", *argv, "--out", str(tmp_path / "x.csv"))
+        assert code == 0
+        return configs[0]
+
+    def test_defaults_are_appendix_config(self, capsys, tmp_path, monkeypatch):
+        from berncert.experiments import AppendixConfig
+
+        config = self.sweep_config(capsys, tmp_path, monkeypatch)
+        assert config == AppendixConfig()
+        assert config.n_cal == config.n_test == 50_000  # the paper's scale
+
+    def test_options_given_replace_fields(self, capsys, tmp_path, monkeypatch):
+        from berncert.experiments import AppendixConfig
+
+        config = self.sweep_config(
+            capsys, tmp_path, monkeypatch,
+            "--q-min", "3", "--q-max", "5", "--alpha-frac", "1/100", "--epsilon", "1/2",
+            "--n-cal", "1000", "--n-test", "20", "--cal-size", "3", "--seed", "7", "--mode", "monte-carlo",
+        )
+        assert config == AppendixConfig(
+            q_min=3, q_max=5, alpha_frac=0.01, epsilon=Fraction(1, 2), n_cal=1000, n_test=20,
+            n_calibration_size=3, master_seed=7, mode="monte_carlo",
+        )
+        config = self.sweep_config(capsys, tmp_path, monkeypatch, "--n-test", "20")
+        assert config == AppendixConfig(n_test=20)
 
     def test_q_out_of_range_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(

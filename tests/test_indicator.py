@@ -148,6 +148,24 @@ class TestExactSE:
         assert r.prob_fullspace == pytest.approx(float(exact), rel=1e-13)
         assert r.prob_SE == r.prob_fullspace
 
+    @pytest.mark.parametrize("n, eps, E, b", [
+        (20, Fraction(1, 2), 0.9995, 0.999),
+        (200, Fraction(1, 10), 0.95, 0.9),
+        (2, Fraction(2, 3), 1 - 1e-10, 1 - 1e-9),
+    ])
+    def test_tiny_complement_probability_keeps_relative_accuracy(self, n, eps, E, b):
+        """Where the full space is near certain, the covering complement
+        prediction's probability Pr(Y <= J) keeps its digits: as
+        1 - prob_fullspace it read 0.0 for about 1.7e-28 and 2.4e-156, and
+        was off by 5e-10 relative at n = 2."""
+        r = exact_SE_probability(b, n, eps, E)
+        J = PacParams(eps, E, n).J
+        bf = Fraction(b)
+        exact = sum(math.comb(n, k) * bf**k * (1 - bf) ** (n - k) for k in range(J + 1))
+        assert 0 < exact < Fraction(1, 2)
+        assert abs(Fraction(r.prob_qbar_covering) - exact) <= Fraction(1e-13) * exact
+        assert r.prob_SE == 1.0
+
 
 class TestExample1Enumeration:
     def test_figure1_distribution(self):

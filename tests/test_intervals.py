@@ -226,8 +226,9 @@ class TestCoverage:
     @pytest.mark.parametrize("n", [50, 300, 1000])
     def test_relative_accuracy_on_runs(self, n):
         """One run, two runs or a gap, deep in either tail too, where one minus
-        two tails would cancel to nothing: relative error at most 1e-13 against
-        exact integer arithmetic."""
+        two tails would cancel to nothing, and just below the mode at
+        (1000, 0.5, {466}), where a difference of two tails would lose a digit:
+        relative error at most 3e-15 against exact integer arithmetic."""
         for b in (0.013, 0.31, 0.5, 0.87):
             num, den = b.as_integer_ratio()
             # Pr(Y = y) = terms[y] / scale exactly, and int / int rounds correctly:
@@ -236,7 +237,7 @@ class TestCoverage:
             for y in range(n):
                 terms.append(terms[-1] * (n - y) * num // ((y + 1) * (den - num)))
             scale = den**n
-            for y in range(0, n + 1, n // 25):
+            for y in [*range(0, n + 1, n // 25), *([466] if n == 1000 else [])]:
                 for ys in ({y}, {y, y + 1}, range(y + 1), range(y, n + 1), {y - 1, y + 1}):
                     covering = {k for k in ys if 0 <= k <= n}
                     exact = sum(terms[k] for k in covering) / scale
@@ -245,7 +246,18 @@ class TestCoverage:
                     lowers = [0.0 if k in covering else 1.0 for k in range(n + 1)]
                     est = TableEstimator(n, lowers, [1.0] * (n + 1))
                     coverage = coverage_probability(est, b, n).coverage
-                    assert abs(coverage - exact) <= 1e-13 * exact, (n, b, min(covering), max(covering))
+                    assert abs(coverage - exact) <= 3e-15 * exact, (n, b, min(covering), max(covering))
+
+    def test_one_sided_run_is_one_tail_sum(self, monkeypatch):
+        """A run wholly below or above the mode costs one tail sum, from its
+        end next to the mode; as a difference of two tails it took two."""
+        n = 1000
+        counts = count_calls(monkeypatch, berncert.binom, "_tail")
+        for covering in (range(460, 467), range(540, 560), range(0, 3), range(990, 1001)):
+            lowers = [0.0 if k in covering else 1.0 for k in range(n + 1)]
+            before = counts["_tail"]
+            coverage_probability(TableEstimator(n, lowers, [1.0] * (n + 1)), 0.5, n)
+            assert counts["_tail"] - before == 1, covering
 
     def test_grid_includes_endpoints(self):
         est = ClopperPearson(5, 0.1)
