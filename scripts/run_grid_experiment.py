@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Run the E-grid coverage-event sweep in all three modes and report margins.
 
-Desk-scale by default; pass --paper-scale for n_cal = n_test = 50000.
+Each sweep option left out takes AppendixConfig's default: the paper's
+scale, n_cal = n_test = 50000.
 """
 
 import argparse
@@ -11,17 +12,17 @@ from berncert.experiments import AppendixConfig, emit_csv, run_appendix
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--paper-scale", action="store_true")
+    # no defaults for the sweep options: those given override AppendixConfig's
+    parser = argparse.ArgumentParser(description=__doc__, argument_default=argparse.SUPPRESS)
+    parser.add_argument("--seed", type=int, dest="master_seed", metavar="SEED")
+    parser.add_argument("--n-cal", type=int)
+    parser.add_argument("--n-test", type=int)
     parser.add_argument("--out-prefix", default="grid")
     args = parser.parse_args()
 
-    scale = 50_000 if args.paper_scale else 5000
+    fields = {k: v for k, v in vars(args).items() if k in AppendixConfig._fields}
     for mode in ("fully_exact", "exact_inner", "monte_carlo"):
-        config = AppendixConfig(
-            n_cal=scale, n_test=scale, master_seed=args.seed, mode=mode
-        )
+        config = AppendixConfig(mode=mode, **fields)
         rows = run_appendix(config)
         path = f"{args.out_prefix}_{mode}.csv"
         emit_csv(rows, path)

@@ -16,7 +16,7 @@ _EXPORTS = {
     ),
     "indicator": (
         "ClaimNeverIssuedError", "ExactSEResult", "PredictionSetKind", "enumerate_example1",
-        "exact_SE_probability", "inp_closed_form", "naive_interval_coverage",
+        "exact_SE_probability", "inp_closed_form", "monte_carlo_SE_probability", "naive_interval_coverage",
     ),
     "intervals": (
         "ClopperPearson", "IntervalEstimate", "clopper_pearson", "coverage_probability",

@@ -1,9 +1,10 @@
 """Command-line front end: interval estimators, coverage-event bounds, the
 counterexample oracle, and the experiment harness.
 
-Probabilities may be given as decimals or exact fractions ("2/3"); fractions
-are kept exact, which matters for knife-edge significance levels.  `bpci`
-takes its level as the nearest double, parsed without `fractions`.
+Probabilities may be given as decimals or exact fractions ("2/3").  The
+significance level epsilon is kept exact, which matters at its knife edges;
+every other probability is taken as the double nearest its value, parsed
+without `fractions`.
 
 The other commands import what they compute with inside their handlers, so
 `bpci` loads only `binom` and `intervals`.
@@ -38,12 +39,12 @@ def prob_arg(text: str) -> Fraction:
 
 def _float_prob_arg(text: str) -> float:
     """The double nearest the probability `text`, as float(Fraction(text))
-    gives it on the inputs `prob_arg` takes, up to the sign of a zero: "a/b"
-    as int(a) / int(b), which Python rounds correctly, and a decimal as
-    float() reads it."""
+    gives it on the inputs `prob_arg` takes: "a/b" as int(a) / int(b), which
+    Python rounds correctly, and a decimal as float() reads it.  Adding 0.0
+    turns "-0" into 0.0, as Fraction has no signed zero."""
     ratio = _RATIO.fullmatch(text)
     try:
-        return check_prob(int(ratio[1]) / int(ratio[2]) if ratio else float(text))
+        return check_prob(int(ratio[1]) / int(ratio[2]) if ratio else float(text)) + 0.0
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"not a probability in [0, 1]: {text!r}") from exc
 
@@ -64,12 +65,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cp-bound", help="training-conditional coverage-event bound")
     p.add_argument("--n", type=int, required=True, help="calibration size")
     p.add_argument("--epsilon", type=prob_arg, required=True, help="significance level")
-    p.add_argument("--coverage", type=prob_arg, required=True, help="coverage parameter E")
+    p.add_argument("--coverage", type=_float_prob_arg, required=True, help="coverage parameter E")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("counterexample", help="exact coverage-event probability and naive-interval verdict")
-    p.add_argument("--b", type=prob_arg, required=True, help="true Bernoulli parameter")
-    p.add_argument("--coverage", type=prob_arg, required=True, help="coverage parameter E")
+    p.add_argument("--b", type=_float_prob_arg, required=True, help="true Bernoulli parameter")
+    p.add_argument("--coverage", type=_float_prob_arg, required=True, help="coverage parameter E")
     p.add_argument("--epsilon", type=prob_arg, required=True, help="significance level")
     p.add_argument("--n", type=int, required=True, help="calibration size")
     p.add_argument("--show-cases", action="store_true", help="print the n=2 case table")
@@ -85,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--q-min", type=int)
     p.add_argument("--q-max", type=int)
-    p.add_argument("--alpha-frac", type=prob_arg)
+    p.add_argument("--alpha-frac", type=_float_prob_arg)
     p.add_argument("--epsilon", type=prob_arg)
     p.add_argument("--n-cal", type=int)
     p.add_argument("--n-test", type=int)
@@ -124,7 +125,7 @@ def _cmd_bpci(args) -> int:
 def _cmd_cp_bound(args) -> int:
     from .conformal import PacParams, theorem1_bound
 
-    params = PacParams(epsilon=args.epsilon, coverage_E=float(args.coverage), n=args.n)
+    params = PacParams(epsilon=args.epsilon, coverage_E=args.coverage, n=args.n)
     bound = theorem1_bound(params)
     if args.json:
         print(
@@ -155,7 +156,7 @@ def _cmd_counterexample(args) -> int:
 
     if args.show_cases and args.n != 2:
         raise ValueError(f"--show-cases needs n = 2, got n = {args.n}")
-    b, E = float(args.b), float(args.coverage)
+    b, E = args.b, args.coverage
     result = exact_SE_probability(b, args.n, args.epsilon, E)
     print(f"b = {_fmt(b)}, E = {_fmt(E)}, epsilon = {args.epsilon}, n = {args.n}")
     print(f"prob_SE = {_fmt(result.prob_SE)}")

@@ -1,8 +1,12 @@
 """Training-conditional conformal prediction for real-valued nonconformity scores.
 
-p-values and significance comparisons use exact rational arithmetic: the
-interesting boundary cases (p = 1/3 against epsilon = 1/3) are knife edges
-that floating point would silently flip.
+Membership in the predicted set is decided in integers: a candidate is in
+the set iff more than J calibration scores are at least its own, with J
+from `score_rank_threshold` in exact rationals.  The interesting boundary
+cases (p = 1/3 against epsilon = 1/3) are knife edges that floating point
+would silently flip.  In the Monte Carlo coverage event, the complement of
+the target set covers iff its misses among the test points are at most
+h* (`PacParams.complement_miss_limit`).
 """
 
 from __future__ import annotations
@@ -64,15 +68,21 @@ class CalibrationScores(namedtuple("CalibrationScores", "scores")):
         return len(self.scores)
 
 
+def _rank(cal: CalibrationScores, candidate_score: float) -> int:
+    """The count of calibration scores at least the candidate's, |{i : R_i >= R^z}|."""
+    return sum(1 for r in cal.scores if r >= candidate_score)
+
+
 def p_value(cal: CalibrationScores, candidate_score: float) -> Fraction:
     """(|{i : R_i >= R^z}| + 1) / (N + 1), exact."""
-    count = sum(1 for r in cal.scores if r >= candidate_score)
-    return Fraction(count + 1, cal.n + 1)
+    return Fraction(_rank(cal, candidate_score) + 1, cal.n + 1)
 
 
 def inp_contains(cal: CalibrationScores, candidate_score: float, epsilon) -> bool:
-    """Membership in the predicted set: p-value strictly greater than epsilon."""
-    return p_value(cal, candidate_score) > check_epsilon(epsilon)
+    """Membership in the predicted set: p-value strictly greater than
+    epsilon.  For the integer count c = |{i : R_i >= R^z}|, (c + 1)/(N + 1) >
+    epsilon iff c > epsilon*(N + 1) - 1 iff c > J, so no p-value is formed."""
+    return _rank(cal, candidate_score) > score_rank_threshold(epsilon, cal.n)
 
 
 def score_rank_threshold(epsilon, n: int) -> int:
@@ -107,6 +117,25 @@ class PacParams(namedtuple("PacParams", "epsilon coverage_E n J")):
         b = nextafter(0.3, 1) with E = 0.3, or any b and E below 5e-17,
         where both sides are 1.0."""
         return b <= self.coverage_E
+
+    def complement_miss_limit(self, n_test: int) -> int:
+        """h*: the largest count h of n_test test points in the target set
+        with which the complement still covers, tested as the Monte Carlo
+        sweep always has, `1.0 - h / n_test >= 1.0 - E` in floating point.
+
+        The test is monotone in h (1.0 - h / n_test cannot grow with h), so
+        its passing counts are 0..h*: h = 0 always passes, and h = n_test + 1
+        never does.  The walk starts at int(E * n_test), which lies within a
+        rounding or two of h*, so it takes a few steps for any n_test far
+        below 2**53."""
+        n_test = check_int(n_test, "n_test", 1)
+        one_minus_E = 1.0 - self.coverage_E
+        h = int(self.coverage_E * n_test)
+        while not 1.0 - h / n_test >= one_minus_E:
+            h -= 1
+        while 1.0 - (h + 1) / n_test >= one_minus_E:
+            h += 1
+        return h
 
 
 # delta, confidence: floats; params: PacParams
@@ -164,9 +193,11 @@ def indicator_coverage_event(
 
     The predicted set is the full space when the count exceeds J, the
     complement of the target set otherwise, and empty when J >= N
-    (epsilon = 1).  The complement's inner coverage is 1 - b, or
-    1 - Bin(n_test, b)/n_test when `n_test` is given.  Returns h_hat and its
-    decomposition by predicted set.
+    (epsilon = 1).  The complement's inner coverage is 1 - b, tested as
+    b <= E (`complement_covers`).  When `n_test` is given it is estimated
+    from Bin(n_test, b) misses among n_test test points, and the complement
+    covers iff the misses are at most h* (`complement_miss_limit`).  Returns
+    h_hat and its decomposition by predicted set.
     """
     import numpy as np
 
@@ -180,7 +211,7 @@ def indicator_coverage_event(
         covered = n_cal if params.complement_covers(b) else full
     else:
         hits = rng.binomial(n_test, b, size=n_cal - full)
-        covered = full + int(np.count_nonzero(1.0 - hits / n_test >= 1.0 - params.coverage_E))
+        covered = full + int(np.count_nonzero(hits <= params.complement_miss_limit(n_test)))
     return covered / n_cal, _indicator_shares(n_cal, full, covered)
 
 

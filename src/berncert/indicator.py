@@ -81,6 +81,21 @@ def exact_SE_probability(b: float, n: int, epsilon, coverage_E: float) -> ExactS
     )
 
 
+def monte_carlo_SE_probability(b: float, n: int, epsilon, coverage_E: float, n_test: int) -> float:
+    """The probability that a `monte_carlo` replicate of the sweep lands in
+    the coverage event, which its h_hat estimates:
+    Pr(Y > J) + Pr(Y <= J) * Pr(Bin(n_test, b) <= h*), Y ~ Bin(n, b).
+
+    The complement's inner coverage is estimated from n_test test points,
+    and it covers iff at most h* of them fall in the target set
+    (`PacParams.complement_miss_limit`), so this is not `exact_SE_probability`.
+    """
+    b = check_prob(b, "b")
+    params = _closed_form_params(epsilon, coverage_E, n)
+    prob_complement, prob_fullspace, _, _ = _cdf_sf(params.n, b, params.J)
+    return prob_fullspace + prob_complement * binom_cdf(n_test, b, params.complement_miss_limit(n_test))
+
+
 # label: str; probability: float; prediction: PredictionSetKind; inner_coverage: float; in_SE: bool
 Example1Case = namedtuple("Example1Case", "label probability prediction inner_coverage in_SE")
 

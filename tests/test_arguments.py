@@ -38,6 +38,7 @@ from berncert.indicator import (
     enumerate_example1,
     exact_SE_probability,
     inp_closed_form,
+    monte_carlo_SE_probability,
     naive_interval_coverage,
 )
 from berncert.intervals import (
@@ -94,6 +95,7 @@ ENTRY_POINTS = {
         lambda k: pac_form_check(ClopperPearson(3, 0.05), 0.3, 3, k, SeededStream(1)), [0]),
     "PacParams n": (lambda k: PacParams(epsilon=Fraction(1, 2), coverage_E=0.3, n=k), [0]),
     "score_rank_threshold n": (lambda k: score_rank_threshold(Fraction(1, 2), k), [0]),
+    "PacParams.complement_miss_limit n_test": (lambda k: PARAMS.complement_miss_limit(k), [0]),
     "indicator_coverage_event n_cal": (lambda k: _coverage_event(n_cal=k), [0]),
     "indicator_coverage_event n_test": (lambda k: _coverage_event(n_test=k), [0]),
     "estimate_SE_probability n_cal": (lambda k: _estimate(n_cal=k), [0]),
@@ -102,6 +104,10 @@ ENTRY_POINTS = {
     "inp_closed_form ones_count": (lambda k: inp_closed_form(10, k, 0.5), [-1, 11]),
     "exact_SE_probability n": (lambda k: exact_SE_probability(0.3, k, Fraction(1, 2), 0.2), [0]),
     "naive_interval_coverage n": (lambda k: naive_interval_coverage(0.3, 0.2, k, Fraction(1, 2)), [0]),
+    "monte_carlo_SE_probability n": (
+        lambda k: monte_carlo_SE_probability(0.3, k, Fraction(1, 2), 0.2, 10), [0]),
+    "monte_carlo_SE_probability n_test": (
+        lambda k: monte_carlo_SE_probability(0.3, 10, Fraction(1, 2), 0.2, k), [0]),
     "AppendixConfig q_min": (lambda k: AppendixConfig(q_min=k, q_max=5), [-1]),
     "AppendixConfig q_max": (lambda k: AppendixConfig(q_min=2, q_max=k), [1]),
     "AppendixConfig n_cal": (lambda k: AppendixConfig(n_cal=k), [0]),
@@ -127,6 +133,7 @@ PROBABILITIES = {
     "coverage_probability b": lambda p: coverage_probability(ClopperPearson(10, 0.05), p, 10),
     "verify_conservative_validity alpha": lambda p: verify_conservative_validity(ClopperPearson(5, 0.05), 5, p),
     "exact_SE_probability b": lambda p: exact_SE_probability(p, 10, Fraction(1, 2), 0.2),
+    "monte_carlo_SE_probability b": lambda p: monte_carlo_SE_probability(p, 10, Fraction(1, 2), 0.2, 10),
     "AppendixConfig alpha_frac": lambda p: AppendixConfig(alpha_frac=p),
 }
 
@@ -139,6 +146,7 @@ EPSILONS = {
     "inp_contains epsilon": lambda e: inp_contains(CalibrationScores((0.0, 1.0, 1.0)), 1.0, e),
     "inp_closed_form epsilon": lambda e: inp_closed_form(10, 3, e),
     "exact_SE_probability epsilon": lambda e: exact_SE_probability(0.3, 10, e, 0.2),
+    "monte_carlo_SE_probability epsilon": lambda e: monte_carlo_SE_probability(0.3, 10, e, 0.2, 10),
     "enumerate_example1 epsilon": lambda e: enumerate_example1(0.3, e, 0.2),
     "naive_interval_coverage epsilon": lambda e: naive_interval_coverage(0.3, 0.2, 3, e),
     "AppendixConfig epsilon": lambda e: AppendixConfig(epsilon=e),

@@ -244,3 +244,62 @@ class TestSimulateAppendix:
         )
         assert code == 3  # an I/O error; 2 is left to argparse's usage errors
         assert err.startswith("I/O error:")
+
+
+# ratios, decimals, exponents down to the least subnormal and past it,
+# underscores, spaces, signed zeros, and texts that are no probability
+PROBABILITY_TEXTS = [
+    "0", "-0", "+0", "0.0", "-0.0", "0/7", "-0/7", "0e5", "1", "1.0", "1/1", "+1", "10/10", "1/3", "2/3",
+    " 1/3 ", "+2/3", "1_0/3_0", "0.4", "4e-1", ".4", "4.", "0.4_0", "0.39999999999999997", "0.1", "1e-300",
+    "5e-324", "2.5e-324", "2e-324", "1e-400", "1/" + "9" * 400, "9" * 400 + "/" + "1" + "0" * 400,
+    "3/2", "-1/3", "1.5", "1/0", "-1e-300", "nan", "inf", "1 /3", "0x1p-3", "x", "",
+]
+
+
+def _nearest_double(text):
+    """repr of the double nearest the exact value of `text`, or None where
+    Fraction refuses it or puts it outside [0, 1]."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+    return repr(float(value)) if 0 <= value <= 1 else None
+
+
+class TestProbabilityOptions:
+    """Every probability option except --epsilon takes the double nearest its
+    text's exact value: a text gives the output of that double's repr, and
+    what Fraction refuses or puts outside [0, 1] is a usage error."""
+
+    COMMANDS = {
+        "counterexample --b": ["counterexample", "--coverage", "0.4", "--epsilon", "2/3", "--n", "2",
+                               "--show-cases", "--b"],
+        "counterexample --coverage": ["counterexample", "--b", "0.4", "--epsilon", "2/3", "--n", "2",
+                                      "--show-cases", "--coverage"],
+        "cp-bound --coverage": ["cp-bound", "--n", "20", "--epsilon", "1/10", "--coverage"],
+        "cp-bound --json --coverage": ["cp-bound", "--n", "20", "--epsilon", "1/10", "--json", "--coverage"],
+        "simulate-appendix --alpha-frac": ["simulate-appendix", "--mode", "fully-exact", "--q-max", "3",
+                                           "--alpha-frac"],
+    }
+
+    @staticmethod
+    def output(capsys, tmp_path, argv, value):
+        path = tmp_path / "grid.csv"
+        args = [*argv[:-1], f"{argv[-1]}={value}"]  # "=", so that "-0" is not read as an option
+        if argv[0] == "simulate-appendix":
+            args += ["--out", str(path)]
+        code, out, err = run_cli(capsys, *args)
+        return code, out, err, path.read_bytes() if path.exists() else None
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_nearest_double(self, capsys, tmp_path, command):
+        argv = self.COMMANDS[command]
+        for text in PROBABILITY_TEXTS:
+            reference = _nearest_double(text)
+            if reference is None:
+                with pytest.raises(SystemExit) as excinfo:
+                    main([*argv[:-1], f"{argv[-1]}={text}"])
+                assert excinfo.value.code == 2, text
+                assert repr(text) in capsys.readouterr().err
+                continue
+            assert self.output(capsys, tmp_path, argv, text) == self.output(capsys, tmp_path, argv, reference), text

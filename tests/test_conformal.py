@@ -86,6 +86,45 @@ class TestInpContains:
         if inp_contains(cal, candidate, larger):
             assert inp_contains(cal, candidate, smaller)
 
+    @given(
+        scores=st.lists(
+            st.one_of(st.integers(-3, 3).map(float), st.floats(-10, 10, allow_nan=False)),
+            min_size=1,
+            max_size=60,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=300)
+    def test_rank_test_agrees_with_p_value(self, scores, data):
+        # ties, and epsilon on every p-value the scores can give: the knife edges
+        cal = CalibrationScores(tuple(scores))
+        candidate = data.draw(st.one_of(st.sampled_from(scores), st.floats(-10, 10, allow_nan=False)))
+        edges = [Fraction(k, cal.n + 1) for k in range(cal.n + 2)]
+        edges += [Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(1)]
+        eps = data.draw(st.one_of(st.sampled_from(edges), st.fractions(0, 1), st.floats(0, 1)))
+        assert inp_contains(cal, candidate, eps) == (p_value(cal, candidate) > eps)
+
+
+class TestComplementMissLimit:
+    @pytest.mark.parametrize("n_test", [1, 2, 3, 7, 200, 5000, 50_000])
+    def test_matches_elementwise_comparison(self, n_test):
+        h = np.arange(n_test + 1)
+        grid = [0.01 + 0.01 * q for q in range(99)]  # the sweep's E
+        # E * n_test an integer, and the doubles on either side of k / n_test
+        ks = range(0, n_test + 1, max(1, n_test // 40))
+        ratios = [k / n_test for k in ks]
+        ratios += [math.nextafter(E, side) for E in ratios for side in (0.0, 1.0)]
+        draws = np.random.default_rng(n_test).random(40).tolist()
+        for E in [0.0, 1.0, *grid, *ratios, *draws]:
+            passing = 1.0 - h / n_test >= 1.0 - E
+            h_star = PacParams(Fraction(2, 3), E, 2).complement_miss_limit(n_test)
+            assert passing[: h_star + 1].all() and not passing[h_star + 1 :].any(), E
+
+    def test_knife_edge(self):
+        # one miss in three passes the float test at E = 1/3, both sides being
+        # 1.0 - 1/3, although the double 1/3 times 3 is below 1
+        assert PacParams(Fraction(2, 3), 1 / 3, 2).complement_miss_limit(3) == 1
+
 
 class TestScoreThreshold:
     @given(

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 import berncert
 from berncert.binom import SeededStream
@@ -22,7 +23,7 @@ from berncert.experiments import (
     run_appendix,
     run_safety_demo,
 )
-from berncert.indicator import PredictionSetKind
+from berncert.indicator import PredictionSetKind, monte_carlo_SE_probability
 
 
 class TestConfig:
@@ -103,6 +104,18 @@ class TestRunAppendix:
             base = 5 * math.sqrt(max(r.exact_prob_SE * (1 - r.exact_prob_SE), 1e-4) / r.n_cal)
             inner_slack = 5 * math.sqrt(0.25 / r.n_test)
             assert abs(r.h_hat - r.exact_prob_SE) <= base + inner_slack
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_monte_carlo_rows_match_finite_test_target(self, seed):
+        # paper settings; a row's substream depends on q alone, so a one-q
+        # sweep gives the same rows as the full one
+        for q in (0, 2, 39, 70, 98):
+            config = AppendixConfig(q_min=q, q_max=q, master_seed=seed, mode="monte_carlo")
+            for r in run_appendix(config):
+                target = monte_carlo_SE_probability(r.b, config.n_calibration_size, config.epsilon, r.E, r.n_test)
+                covered = round(r.h_hat * r.n_cal)
+                two_sided = 2 * min(binom.cdf(covered, r.n_cal, target), binom.sf(covered - 1, r.n_cal, target))
+                assert two_sided >= 1e-9, (r, target)
 
     def test_deterministic_under_worker_count(self, monkeypatch):
         config = AppendixConfig(q_min=10, q_max=14, n_cal=500, master_seed=9)

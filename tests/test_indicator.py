@@ -27,6 +27,7 @@ from berncert.indicator import (
     enumerate_example1,
     exact_SE_probability,
     inp_closed_form,
+    monte_carlo_SE_probability,
     naive_interval_coverage,
 )
 from berncert.intervals import coverage_probability, verify_conservative_validity
@@ -165,6 +166,28 @@ class TestExactSE:
         assert 0 < exact < Fraction(1, 2)
         assert abs(Fraction(r.prob_qbar_covering) - exact) <= Fraction(1e-13) * exact
         assert r.prob_SE == 1.0
+
+
+class TestMonteCarloTarget:
+    def test_worked_case(self):
+        # q = 39 of the sweep at n_test = 1000, where exact_prob_SE is 0.162
+        assert monte_carlo_SE_probability(0.402, 2, Fraction(2, 3), 0.4, 1000) == pytest.approx(0.549, abs=5e-4)
+
+    @pytest.mark.parametrize("n, n_test, b, E", [
+        (2, 3, 0.3, 1 / 3), (2, 7, 0.35, 0.3), (5, 20, 0.2, 0.25), (3, 1, 0.6, 0.5), (4, 10, 0.05, 0.1),
+    ])
+    def test_matches_enumeration(self, n, n_test, b, E):
+        # every (calibration ones, test misses) pair, with exact weights and
+        # the sweep's own float test of the inner coverage
+        J = PacParams(Fraction(2, 3), E, n).J
+        fb = Fraction(b)
+        total = sum(
+            math.comb(n, y) * fb**y * (1 - fb) ** (n - y) * math.comb(n_test, h) * fb**h * (1 - fb) ** (n_test - h)
+            for y in range(n + 1)
+            for h in range(n_test + 1)
+            if y > J or 1.0 - h / n_test >= 1.0 - E
+        )
+        assert monte_carlo_SE_probability(b, n, Fraction(2, 3), E, n_test) == pytest.approx(float(total), rel=1e-14)
 
 
 class TestExample1Enumeration:

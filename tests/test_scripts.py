@@ -20,7 +20,9 @@ def run_script(name, *args, cwd):
 
 def test_run_grid_experiment(tmp_path):
     prefix = tmp_path / "grid"
-    proc = run_script("run_grid_experiment.py", "--out-prefix", str(prefix), cwd=tmp_path)
+    proc = run_script(
+        "run_grid_experiment.py", "--n-cal", "5000", "--n-test", "5000", "--out-prefix", str(prefix), cwd=tmp_path
+    )
     assert proc.returncode == 0, proc.stderr
     margins = [float(m) for m in re.findall(r"min margin = (\S+);", proc.stdout)]
     assert len(margins) == 3 and min(margins) >= 0
