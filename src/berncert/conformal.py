@@ -4,9 +4,9 @@ Membership in the predicted set is decided in integers: a candidate is in
 the set iff more than J calibration scores are at least its own, with J
 from `score_rank_threshold` in exact rationals.  The interesting boundary
 cases (p = 1/3 against epsilon = 1/3) are knife edges that floating point
-would silently flip.  In the Monte Carlo coverage event, the complement of
-the target set covers iff its misses among the test points are at most
-h* (`PacParams.complement_miss_limit`).
+would silently flip.  `PacParams` owns the coverage event: exact inner
+coverage is decided by `complement_covers`, and every finite test by
+`complement_miss_limit` (at most h* test points missed).
 """
 
 from __future__ import annotations
@@ -119,9 +119,10 @@ class PacParams(namedtuple("PacParams", "epsilon coverage_E n J")):
         return b <= self.coverage_E
 
     def complement_miss_limit(self, n_test: int) -> int:
-        """h*: the largest count h of n_test test points in the target set
-        with which the complement still covers, tested as the Monte Carlo
-        sweep always has, `1.0 - h / n_test >= 1.0 - E` in floating point.
+        """h*: the largest count h of n_test test points outside a predicted
+        set (for the complement, those in the target set) with which it still
+        covers.  Every finite test asks this; it is the sweep's
+        `1.0 - h / n_test >= 1.0 - E` in floating point.
 
         The test is monotone in h (1.0 - h / n_test cannot grow with h), so
         its passing counts are 0..h*: h = 0 always passes, and h = n_test + 1
@@ -166,19 +167,23 @@ GuaranteeReport = namedtuple("GuaranteeReport", "h_hat bound decomposition n_cal
 _CHUNK_ELEMENTS = 1 << 16
 
 
-def _shares(counts: dict[str, int], total: int) -> dict[str, float]:
-    return {key: count / total for key, count in counts.items() if count}
-
-
-def _indicator_shares(n_cal: int, full: int, covered: int) -> dict[str, float]:
-    """Decomposition by predicted set for indicator scores; the full space
-    always covers, so the `full` replicates are among the `covered`."""
-    counts = {
-        "full_space": full,
-        "q_complement_covering": covered - full,
-        "q_complement_missing": n_cal - covered,
-    }
-    return _shares(counts, n_cal)
+def _decomposition(
+    inm: NonconformityMeasure, params: PacParams, n_cal: int, full: int, covered: int
+) -> dict[str, float]:
+    """Shares of the n_cal replicates by predicted set for indicator scores,
+    whose full space always covers, so that the `full` are among the
+    `covered`; by coverage alone for any other measure."""
+    if not isinstance(inm, IndicatorINM):
+        counts = {"covering": covered, "not_covering": n_cal - covered}
+    elif params.J >= params.n:
+        counts = {"empty": n_cal}
+    else:
+        counts = {
+            "full_space": full,
+            "q_complement_covering": covered - full,
+            "q_complement_missing": n_cal - covered,
+        }
+    return {key: count / n_cal for key, count in counts.items() if count}
 
 
 def indicator_coverage_event(
@@ -187,17 +192,19 @@ def indicator_coverage_event(
     n_cal: int,
     rng: np.random.Generator,
     n_test: int | None = None,
-) -> tuple[float, dict[str, float]]:
+) -> tuple[int, int]:
     """Monte Carlo coverage event for indicator scores with known
     P(score = 1) = b, from n_cal calibration ones-counts ~ Bin(N, b).
 
     The predicted set is the full space when the count exceeds J, the
     complement of the target set otherwise, and empty when J >= N
-    (epsilon = 1).  The complement's inner coverage is 1 - b, tested as
-    b <= E (`complement_covers`).  When `n_test` is given it is estimated
-    from Bin(n_test, b) misses among n_test test points, and the complement
+    (epsilon = 1), the complement of a target set of measure 1.  The
+    complement's inner coverage is 1 - b, tested as b <= E
+    (`complement_covers`).  When `n_test` is given it is estimated from
+    Bin(n_test, b) misses among n_test test points, and the complement
     covers iff the misses are at most h* (`complement_miss_limit`).  Returns
-    h_hat and its decomposition by predicted set.
+    the counts of replicates that predict the full space and that cover,
+    (full, covered); the full space always covers.
     """
     import numpy as np
 
@@ -205,14 +212,14 @@ def indicator_coverage_event(
     n_test = None if n_test is None else check_int(n_test, "n_test", 1)
     J = params.J
     if J >= params.n:
-        return (1.0 if params.coverage_E >= 1.0 else 0.0), {"empty": 1.0}
+        return 0, (n_cal if params.complement_covers(1.0) else 0)
     full = int(np.count_nonzero(rng.binomial(params.n, b, size=n_cal) > J))
     if n_test is None:
         covered = n_cal if params.complement_covers(b) else full
     else:
         hits = rng.binomial(n_test, b, size=n_cal - full)
         covered = full + int(np.count_nonzero(hits <= params.complement_miss_limit(n_test)))
-    return covered / n_cal, _indicator_shares(n_cal, full, covered)
+    return full, covered
 
 
 def score_threshold(scores: np.ndarray, J: int) -> np.ndarray:
@@ -245,31 +252,30 @@ def estimate_SE_probability(
     and exact inner coverage (`indicator_coverage_event`) and never calls
     `sampler`.  Any other measure scores sampled points, in chunks of
     replicates: one (m x N) calibration matrix and one (m x n_test) test
-    matrix per chunk, with inner coverage the share of test scores at or
-    below `score_threshold`.  Chunk k draws from `stream.substream(k)`.
+    matrix per chunk.  A test point is a hit when its score is at or below
+    `score_threshold` (a NaN score never is), and a replicate covers iff its
+    misses are at most h* (`PacParams.complement_miss_limit`), the one
+    finite-test rule, which the sweep's `monte_carlo` mode uses too.  Chunk
+    k draws from `stream.substream(k)`.
     """
     import numpy as np
 
     n_cal, n_test = check_int(n_cal, "n_cal", 1), check_int(n_test, "n_test", 1)
     bound = theorem1_bound(params)
     if isinstance(inm, IndicatorINM) and inm.target_prob is not None:
-        h_hat, decomposition = indicator_coverage_event(params, inm.target_prob, n_cal, stream.rng())
-        return GuaranteeReport(h_hat, bound, decomposition, n_cal, n_test)
-    n, J = params.n, params.J
-    one_minus_E = 1.0 - params.coverage_E
-    rows = max(1, _CHUNK_ELEMENTS // max(n, n_test))
-    covered = full = 0
-    for k, start in enumerate(range(0, n_cal, rows)):
-        m = min(rows, n_cal - start)
-        rng = stream.substream(k).rng()
-        tau = score_threshold(inm.score_many(sampler(rng, m * n)).reshape(m, n), J)
-        test = inm.score_many(sampler(rng, m * n_test)).reshape(m, n_test)
-        covered += int(np.count_nonzero(np.mean(test <= tau[:, None], axis=1) >= one_minus_E))
-        full += int(np.count_nonzero(tau >= 1.0))
-    if not isinstance(inm, IndicatorINM):
-        decomposition = _shares({"covering": covered, "not_covering": n_cal - covered}, n_cal)
-    elif J >= n:
-        decomposition = {"empty": 1.0}
+        full, covered = indicator_coverage_event(params, inm.target_prob, n_cal, stream.rng())
     else:
-        decomposition = _indicator_shares(n_cal, full, covered)
+        n, J = params.n, params.J
+        min_hits = n_test - params.complement_miss_limit(n_test)
+        rows = max(1, _CHUNK_ELEMENTS // max(n, n_test))
+        covered = full = 0
+        for k, start in enumerate(range(0, n_cal, rows)):
+            m = min(rows, n_cal - start)
+            rng = stream.substream(k).rng()
+            tau = score_threshold(inm.score_many(sampler(rng, m * n)).reshape(m, n), J)
+            test = inm.score_many(sampler(rng, m * n_test)).reshape(m, n_test)
+            hits = np.count_nonzero(test <= tau[:, None], axis=1)
+            covered += int(np.count_nonzero(hits >= min_hits))
+            full += int(np.count_nonzero(tau >= 1.0))
+    decomposition = _decomposition(inm, params, n_cal, full, covered)
     return GuaranteeReport(covered / n_cal, bound, decomposition, n_cal, n_test)

@@ -85,9 +85,10 @@ def _run_row(config: AppendixConfig, q: int, regime_idx: int) -> ExperimentRow:
     else:
         rng = SeededStream(config.master_seed).substream(2 * q + regime_idx).rng()
         n_test = config.n_test if config.mode == "monte_carlo" else None
-        h_hat, parts = indicator_coverage_event(exact.bound.params, b, config.n_cal, rng, n_test)
-        frac_full = parts.get("full_space", 0.0)
-        frac_qbar = parts.get("q_complement_covering", 0.0)
+        full, covered = indicator_coverage_event(exact.bound.params, b, config.n_cal, rng, n_test)
+        h_hat = covered / config.n_cal
+        frac_full = full / config.n_cal
+        frac_qbar = (covered - full) / config.n_cal
 
     return ExperimentRow(
         q=q,

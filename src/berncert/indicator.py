@@ -45,13 +45,17 @@ def inp_closed_form(n: int, ones_count: int, epsilon) -> PredictionSetKind:
 ExactSEResult = namedtuple("ExactSEResult", "prob_SE prob_fullspace prob_qbar_covering bound")
 
 
-def _closed_form_params(epsilon, coverage_E: float, n: int) -> PacParams:
+def _tail_split(b: float, epsilon, coverage_E: float, n: int) -> tuple[PacParams, float, float]:
     """PacParams for the closed forms, which need a predicted set that is
-    never empty: J < N, i.e. epsilon < 1."""
+    never empty (J < N, i.e. epsilon < 1), and the two N-tails at a checked
+    b, Pr(Y <= J) (the complement is predicted) and Pr(Y > J) (the full
+    space), Y ~ Bin(N, b), from one sum, so that neither is the other's
+    cancelled complement."""
     params = PacParams(epsilon=epsilon, coverage_E=coverage_E, n=n)
     if params.J >= params.n:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
-    return params
+    prob_complement, prob_fullspace, _, _ = _cdf_sf(params.n, b, params.J)
+    return params, prob_complement, prob_fullspace
 
 
 def exact_SE_probability(b: float, n: int, epsilon, coverage_E: float) -> ExactSEResult:
@@ -63,20 +67,12 @@ def exact_SE_probability(b: float, n: int, epsilon, coverage_E: float) -> ExactS
     full space is predicted when b > E.
     """
     b = check_prob(b, "b")
-    params = _closed_form_params(epsilon, coverage_E, n)
-    # predictor is the full space iff ones_count >= J + 1; both probabilities
-    # from one sum, so that neither is the other's cancelled complement
-    prob_complement, prob_fullspace, _, _ = _cdf_sf(params.n, b, params.J)
-    if params.complement_covers(b):
-        prob_qbar_covering = prob_complement
-        prob_SE = 1.0
-    else:
-        prob_qbar_covering = 0.0
-        prob_SE = prob_fullspace
+    params, prob_complement, prob_fullspace = _tail_split(b, epsilon, coverage_E, n)
+    covers = params.complement_covers(b)
     return ExactSEResult(
-        prob_SE=prob_SE,
+        prob_SE=1.0 if covers else prob_fullspace,
         prob_fullspace=prob_fullspace,
-        prob_qbar_covering=prob_qbar_covering,
+        prob_qbar_covering=prob_complement if covers else 0.0,
         bound=theorem1_bound(params),
     )
 
@@ -91,8 +87,7 @@ def monte_carlo_SE_probability(b: float, n: int, epsilon, coverage_E: float, n_t
     (`PacParams.complement_miss_limit`), so this is not `exact_SE_probability`.
     """
     b = check_prob(b, "b")
-    params = _closed_form_params(epsilon, coverage_E, n)
-    prob_complement, prob_fullspace, _, _ = _cdf_sf(params.n, b, params.J)
+    params, prob_complement, prob_fullspace = _tail_split(b, epsilon, coverage_E, n)
     return prob_fullspace + prob_complement * binom_cdf(n_test, b, params.complement_miss_limit(n_test))
 
 
@@ -109,7 +104,7 @@ def enumerate_example1(b: float, epsilon, coverage_E: float) -> Example1Table:
     epsilon, each class's inner coverage, and membership in the coverage
     event.  Aggregates to the same value as the closed form."""
     b = check_prob(b, "b")
-    params = _closed_form_params(epsilon, coverage_E, 2)
+    params, _, _ = _tail_split(b, epsilon, coverage_E, 2)
     classes = [
         ("no calibration point in Q", (1.0 - b) ** 2, 0),
         ("one calibration point in Q", 2.0 * b * (1.0 - b), 1),
@@ -153,13 +148,10 @@ def naive_interval_coverage(b: float, coverage_E: float, n: int, epsilon) -> Nai
     is then still issued, and its conditional coverage is returned.
     """
     b = check_prob(b, "b")
-    params = _closed_form_params(epsilon, coverage_E, n)
+    params, claim_rate, _ = _tail_split(b, epsilon, coverage_E, n)
     if b == 1.0 or params.J < 0:
         raise ClaimNeverIssuedError(
             f"the complement prediction is never issued for b={b}, n={params.n}, epsilon={epsilon}"
         )
-    return NaiveIntervalReport(
-        conditional_coverage=1.0 if params.complement_covers(b) else 0.0,
-        claim_rate=binom_cdf(params.n, b, params.J),
-    )
+    return NaiveIntervalReport(conditional_coverage=1.0 if params.complement_covers(b) else 0.0, claim_rate=claim_rate)
 

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.stats import betabinom
+from hypothesis import example, given, settings, strategies as st
+from scipy.stats import betabinom, binom
 
 from berncert.binom import SeededStream
 from berncert.conformal import (
@@ -21,6 +21,7 @@ from berncert.conformal import (
     score_threshold,
     theorem1_bound,
 )
+from berncert.indicator import monte_carlo_SE_probability
 from helpers import indicator_sampler
 
 scores_strategy = st.lists(
@@ -270,6 +271,26 @@ class TestEstimateSE:
         )
         assert abs(mc.h_hat - exact_inner.h_hat) <= 0.1
 
+    @pytest.mark.parametrize(
+        "n, eps, E, b, n_test",
+        [
+            (2, Fraction(2, 3), 1 / 3, 0.5, 3),  # h* = 1: the target is 0.625
+            (5, Fraction(1, 3), 0.4, 0.3, 40),
+            (20, Fraction(1, 3), 0.25, 0.3, 10),
+            (2, Fraction(2, 3), 0.4, 0.42, 100),
+        ],
+    )
+    def test_sampled_indicator_matches_finite_test_target(self, n, eps, E, b, n_test):
+        n_cal = 2000
+        params = PacParams(eps, E, n)
+        report = estimate_SE_probability(
+            IndicatorINM(lambda z: z == 1), indicator_sampler(b), params, n_cal, n_test, SeededStream(13)
+        )
+        target = monte_carlo_SE_probability(b, n, eps, E, n_test)
+        covered = round(report.h_hat * n_cal)
+        two_sided = 2 * min(binom.cdf(covered, n_cal, target), binom.sf(covered - 1, n_cal, target))
+        assert two_sided >= 1e-9, (report.h_hat, target)
+
     def test_epsilon_one_empty_set_in_both_branches(self):
         # at epsilon = 1 no p-value exceeds epsilon: the set is empty, inner
         # coverage is 0, and the exact-inner branch must agree with sampling
@@ -323,7 +344,32 @@ class UniformScore(NonconformityMeasure):
         return np.asarray(points, dtype=float)
 
 
+@st.composite
+def finite_tests(draw):
+    """(n_test, E, miss score), with E often k / n_test or a double beside it."""
+    n_test = draw(st.integers(1, 40))
+    edge = draw(st.integers(0, n_test)) / n_test
+    edges = st.sampled_from([edge, math.nextafter(edge, 0.0), math.nextafter(edge, 1.0)])
+    return n_test, draw(edges | st.floats(0, 1)), draw(st.sampled_from([1.0, math.nan]))
+
+
 class TestEstimateSEEngine:
+    @given(case=finite_tests())
+    @example(case=(3, 1 / 3, 1.0))  # h* = 1, where the share of hits 2/3 is below 1.0 - 1/3
+    @settings(max_examples=100)
+    def test_row_verdict_is_miss_limit(self, case):
+        # one replicate per hit count; calibration scores 0 and J = 0 put the
+        # threshold at 0, so a test score 0 is a hit and `miss` (1 or NaN) is not
+        n_test, E, miss = case
+        params = PacParams(Fraction(1, 3), E, 2)
+        h_star = params.complement_miss_limit(n_test)
+        for hits in range(n_test + 1):
+            draws = iter([np.zeros(2), np.array([0.0] * hits + [miss] * (n_test - hits))])
+            report = estimate_SE_probability(
+                UniformScore(), lambda rng, count: next(draws), params, 1, n_test, SeededStream(0)
+            )
+            assert report.h_hat == (hits >= n_test - h_star), hits
+
     @pytest.mark.parametrize("n, eps, E", [(10, Fraction(1, 5), 0.2), (5, Fraction(1, 3), 0.3)])
     def test_continuous_scores_match_closed_form(self, n, eps, E):
         # with continuous scores F(tau) ~ Beta(N - J, J + 1), and the count of

@@ -26,6 +26,9 @@ def test_run_grid_experiment(tmp_path):
     assert proc.returncode == 0, proc.stderr
     margins = [float(m) for m in re.findall(r"min margin = (\S+);", proc.stdout)]
     assert len(margins) == 3 and min(margins) >= 0
+    # monte_carlo rows against their own finite-test target, in standard errors
+    (z,) = re.findall(r"max \|h_hat - target\|/sigma = (\S+)$", proc.stdout, re.M)
+    assert float(z) < 6
     for mode in ("fully_exact", "exact_inner", "monte_carlo"):
         lines = Path(f"{prefix}_{mode}.csv").read_text().splitlines()
         assert len(lines) == 199  # header + 99 q values x 2 regimes
