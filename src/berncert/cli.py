@@ -1,5 +1,7 @@
-"""Command-line front end: interval estimators, coverage-event bounds, the
-counterexample oracle, and the experiment harness.
+"""Command-line front end: interval estimators (`bpci`), coverage-event
+bounds (`cp-bound`), the counterexample oracle (`counterexample`), the
+appendix sweep (`simulate-appendix`) and the safety-certification demo
+(`safety-demo`).
 
 Probabilities may be given as decimals or exact fractions ("2/3").  The
 significance level epsilon is kept exact, which matters at its knife edges;
@@ -14,10 +16,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
-from .binom import _fmt, check_epsilon, check_prob
+from .binom import SeededStream, _fmt, check_epsilon, check_prob
 from .intervals import clopper_pearson
 
 TYPE_CHECKING = False  # typing is not imported at run time: it costs start-up
@@ -94,6 +97,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, dest="master_seed", metavar="SEED")
     p.add_argument("--mode", choices=["monte-carlo", "exact-inner", "fully-exact"])
     p.add_argument("--out", required=True, help="output CSV path")
+
+    p = sub.add_parser(
+        "safety-demo",
+        help="toy safety certification: interval estimate vs. conformal prediction set",
+        description="States of the contracting map x <- 0.9 x, drawn uniformly from [-2, 2], "
+        "are unsafe iff |x| > 1, so the unsafe probability is exactly 1/2.  The interval "
+        "estimate certifies it; the conformal side, at epsilon = 2/3, does not.",
+    )
+    p.add_argument("--n-cal", type=int, default=100, help="sampled trajectories")
+    p.add_argument("--alpha", type=_float_prob_arg, default="0.05", help="nominal miscoverage")
+    p.add_argument("--coverage", type=_float_prob_arg, default="0.4", help="coverage parameter E")
+    p.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -194,7 +209,48 @@ def _cmd_simulate_appendix(args) -> int:
     emit_csv(rows, args.out)
     min_margin = min(r.exact_prob_SE - r.bound_Esq for r in rows)
     print(f"wrote {len(rows)} rows to {args.out}")
+    if config.mode == "monte_carlo":
+        print(f"max |h_hat - target|/sigma = {_fmt(max(_target_z(config, r) for r in rows))}")
+    else:
+        print(f"max |h_hat - exact_prob_SE| = {_fmt(max(abs(r.h_hat - r.exact_prob_SE) for r in rows))}")
     print(f"min margin exact_prob_SE - bound = {_fmt(min_margin)}")
+    return 0
+
+
+def _target_z(config, row) -> float:
+    """|h_hat - target| / sigma for a monte_carlo row, which estimates the
+    finite-test target, not exact_prob_SE; sigma is the standard error of
+    n_cal replicates.  A target of 0 or 1 must be met exactly, and gives 0
+    or inf."""
+    from .indicator import monte_carlo_SE_probability
+
+    target = monte_carlo_SE_probability(row.b, config.n_calibration_size, config.epsilon, row.E, row.n_test)
+    if target in (0.0, 1.0):
+        return 0.0 if row.h_hat == target else math.inf
+    return abs(row.h_hat - target) / math.sqrt(target * (1.0 - target) / row.n_cal)
+
+
+def _cmd_safety_demo(args) -> int:
+    from fractions import Fraction
+
+    from .experiments import linear_contraction_system, run_safety_demo
+
+    report = run_safety_demo(
+        linear_contraction_system(),
+        n_cal=args.n_cal,
+        alpha=args.alpha,
+        epsilon=Fraction(2, 3),
+        coverage_E=args.coverage,
+        stream=SeededStream(args.seed),
+    )
+    print(f"unsafe trajectories: {report.n_unsafe}/{report.n_cal}")
+    print(
+        f"interval estimate for unsafe probability "
+        f"(alpha={args.alpha}): [{report.interval.lower:.6f}, {report.interval.upper:.6f}]"
+    )
+    print(f"conformal prediction set: {report.prediction.value}")
+    print(f"coverage-event bound: confidence {report.pac_bound.confidence:.6f} at E = {args.coverage}")
+    print(f"note: {report.note}")
     return 0
 
 
@@ -203,6 +259,7 @@ _COMMANDS = {
     "cp-bound": _cmd_cp_bound,
     "counterexample": _cmd_counterexample,
     "simulate-appendix": _cmd_simulate_appendix,
+    "safety-demo": _cmd_safety_demo,
 }
 
 

@@ -47,6 +47,8 @@ def clopper_pearson(n: int, y: int, alpha: float) -> IntervalEstimate:
     n = check_int(n, "n", 1)
     y = check_int(y, "successes", 0, n)
     alpha = check_level(alpha, "alpha")
+    if alpha / 2 == 0.0:  # the least subnormal: each tail's target would underflow to 0
+        raise ValueError(f"alpha must be at least 1e-323, so that alpha / 2 is above 0, got {alpha!r}")
     lower = 0.0 if y == 0 else binom_tail_invert(n, y, alpha / 2, "lower")
     upper = 1.0 if y == n else binom_tail_invert(n, y, alpha / 2, "upper")
     return IntervalEstimate(lower=lower, upper=upper, alpha=alpha, n=n, y=y)

@@ -1,5 +1,6 @@
 """CLI surface tests: flags, exit codes, output formats."""
 
+import argparse
 import json
 from fractions import Fraction
 
@@ -72,6 +73,15 @@ class TestBpci:
         with pytest.raises(SystemExit) as excinfo:
             main([*args, "--method", "clopper-pearson"])
         assert excinfo.value.code == 2  # the option is gone
+
+    def test_level_whose_half_underflows_exits_1(self, capsys):
+        args = ["bpci", "--n", "10", "--successes", "3", "--alpha"]
+        code, out, err = run_cli(capsys, *args, "5e-324")
+        assert code == 1 and out == ""
+        assert err.startswith("error: alpha ")
+        code, out, _ = run_cli(capsys, *args, "1e-323")
+        assert code == 0
+        assert "lower = 3.453036244796e-109\n" in out
 
 
 class TestCpBound:
@@ -177,6 +187,46 @@ class TestSimulateAppendix:
         margin = float(out.split("=")[-1])
         assert margin >= 0
 
+    @pytest.mark.parametrize("mode", ["fully-exact", "exact-inner", "monte-carlo"])
+    def test_modes_report_deviation_and_margin(self, capsys, tmp_path, mode):
+        out_path = tmp_path / "grid.csv"
+        code, out, _ = run_cli(
+            capsys, "simulate-appendix", "--mode", mode, "--n-cal", "5000", "--n-test", "5000", "--out", str(out_path)
+        )
+        assert code == 0
+        assert len(out_path.read_text().splitlines()) == 199  # header + 99 q values x 2 regimes
+        *_, deviation, margin = out.splitlines()
+        assert margin.startswith("min margin exact_prob_SE - bound = ")
+        assert float(margin.split("=")[-1]) >= 0
+        label, value = deviation.split(" = ")
+        if mode == "monte-carlo":
+            # rows against their own finite-test target, in standard errors
+            assert label == "max |h_hat - target|/sigma"
+            assert float(value) < 6
+        else:
+            assert label == "max |h_hat - exact_prob_SE|"
+            assert (float(value) == 0) == (mode == "fully-exact")
+
+    def test_monte_carlo_target_of_one_met_exactly(self, capsys, tmp_path):
+        # alpha_frac = 1 at E = 0.61 puts the regimes at b = 0 and b = 1, where
+        # the target is 1 and sigma 0: every replicate covers, so the deviation is 0
+        code, out, _ = run_cli(
+            capsys, "simulate-appendix", "--mode", "monte-carlo", "--alpha-frac", "1", "--q-min", "60", "--q-max", "60",
+            "--n-cal", "50", "--n-test", "50", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 0
+        assert "max |h_hat - target|/sigma = 0\n" in out
+
+    def test_mode_choices_are_modes(self):
+        """The parser names the modes itself, since `bpci` must not import
+        `experiments`; read with underscores, its choices are MODES."""
+        from berncert.cli import _build_parser
+        from berncert.experiments import MODES
+
+        (commands,) = (a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        (mode,) = (a for a in commands.choices["simulate-appendix"]._actions if a.dest == "mode")
+        assert tuple(choice.replace("-", "_") for choice in mode.choices) == MODES
+
     def test_exact_inner_seeded(self, capsys, tmp_path):
         out_path = tmp_path / "ei.csv"
         code, _, _ = run_cli(
@@ -244,6 +294,47 @@ class TestSimulateAppendix:
         )
         assert code == 3  # an I/O error; 2 is left to argparse's usage errors
         assert err.startswith("I/O error:")
+
+
+class TestSafetyDemo:
+    DEFAULT_OUTPUT = (
+        "unsafe trajectories: 53/100\n"
+        "interval estimate for unsafe probability (alpha=0.05): [0.427581, 0.630595]\n"
+        "conformal prediction set: Q_complement\n"
+        "coverage-event bound: confidence 0.000000 at E = 0.4\n"
+        "note: the interval is a confidence interval for the unsafe probability; "
+        "the conformal prediction-set bound is not, and must not be read as one\n"
+    )
+
+    def test_default_output(self, capsys):
+        assert run_cli(capsys, "safety-demo") == (0, self.DEFAULT_OUTPUT, "")
+        args = ["safety-demo", "--n-cal", "100", "--alpha", "0.05", "--coverage", "0.4", "--seed", "0"]
+        assert run_cli(capsys, *args) == (0, self.DEFAULT_OUTPUT, "")
+
+    def test_options(self, capsys):
+        code, out, _ = run_cli(capsys, "safety-demo", "--n-cal", "37", "--seed", "5")
+        assert code == 0
+        assert out.startswith(
+            "unsafe trajectories: 21/37\n"
+            "interval estimate for unsafe probability (alpha=0.05): [0.394884, 0.729021]\n"
+            "conformal prediction set: Q_complement\n"
+            "coverage-event bound: confidence 0.000643 at E = 0.4\n"
+        )
+
+    def test_alpha_as_ratio(self, capsys):
+        assert run_cli(capsys, "safety-demo", "--alpha", "1/20") == (0, self.DEFAULT_OUTPUT, "")
+
+    def test_domain_and_usage_errors(self, capsys):
+        code, out, err = run_cli(capsys, "safety-demo", "--alpha", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: alpha ")
+        code, _, err = run_cli(capsys, "safety-demo", "--n-cal", "0")
+        assert code == 1
+        assert err.startswith("error: n_cal ")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["safety-demo", "--alpha", "2"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
 
 
 # ratios, decimals, exponents down to the least subnormal and past it,

@@ -89,11 +89,18 @@ class TestClopperPearson:
     # targets down to the subnormal range, where a slope carried through
     # more than one ratio step at a subnormal b loses its precision
     @pytest.mark.parametrize(
-        "n,y,alpha", [(3000, 1, 4e-320), (2, 1, 1e-308), (10**6, 1, 1e-300), (10, 3, 1e-300)]
+        "n,y,alpha", [(3000, 1, 4e-320), (2, 1, 1e-308), (10**6, 1, 1e-300), (10, 3, 1e-300), (10, 3, 1e-323)]
     )
     def test_extreme_targets(self, n, y, alpha):
         iv = clopper_pearson(n, y, alpha)
         assert iv.lower <= y / n <= iv.upper
+
+    def test_level_whose_half_underflows_refused(self):
+        # 5e-324 is a level in (0, 1), but alpha / 2 rounds to 0: the error
+        # names alpha, not the tail target the caller never passed
+        for call in (lambda a: clopper_pearson(10, 3, a), lambda a: ClopperPearson(10, a).interval(3)):
+            with pytest.raises(ValueError, match="^alpha must be at least 1e-323"):
+                call(5e-324)
 
     def test_interval_estimate_invariant(self):
         with pytest.raises(ValueError):
