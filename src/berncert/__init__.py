@@ -19,7 +19,8 @@ _EXPORTS = {
         "exact_SE_probability", "inp_closed_form", "monte_carlo_SE_probability", "naive_interval_coverage",
     ),
     "intervals": (
-        "ClopperPearson", "IntervalEstimate", "clopper_pearson", "coverage_probability", "verify_conservative_validity",
+        "ClopperPearson", "EndpointTable", "IntervalEstimate", "clopper_pearson", "coverage_probability",
+        "verify_conservative_validity",
     ),
 }
 # public name -> the submodule that defines it

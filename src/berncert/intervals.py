@@ -17,6 +17,11 @@ from .binom import (
 )
 
 
+def _check_ends(lower: float, upper: float, what: str) -> None:
+    if not (0.0 <= lower <= upper <= 1.0):
+        raise ValueError(f"invalid {what} [{lower}, {upper}]: endpoints must satisfy 0 <= lower <= upper <= 1")
+
+
 class IntervalEstimate(namedtuple("IntervalEstimate", "lower upper alpha n y")):
     """[lower, upper] for b from y successes in n trials at level alpha: a
     named tuple whose endpoints are checked when it is made."""
@@ -24,11 +29,7 @@ class IntervalEstimate(namedtuple("IntervalEstimate", "lower upper alpha n y")):
     __slots__ = ()
 
     def __new__(cls, lower: float, upper: float, alpha: float, n: int, y: int):
-        if not (0.0 <= lower <= upper <= 1.0):
-            raise ValueError(
-                f"invalid interval [{lower}, {upper}]: endpoints must "
-                "satisfy 0 <= lower <= upper <= 1"
-            )
+        _check_ends(lower, upper, "interval")
         return super().__new__(cls, lower, upper, alpha, n, y)
 
     @classmethod
@@ -39,6 +40,15 @@ class IntervalEstimate(namedtuple("IntervalEstimate", "lower upper alpha n y")):
         return self.lower <= b <= self.upper
 
 
+def _check_alpha(alpha: float) -> float:
+    """A two-sided level: in (0, 1), and with alpha / 2 above 0, the target
+    of each tail; the least subnormal, 5e-324, is a level whose half is 0."""
+    alpha = check_level(alpha, "alpha")
+    if alpha / 2 == 0.0:
+        raise ValueError(f"alpha must be at least 1e-323, so that alpha / 2 is above 0, got {alpha!r}")
+    return alpha
+
+
 def clopper_pearson(n: int, y: int, alpha: float) -> IntervalEstimate:
     """Exact (conservatively valid) interval by inverting the binomial tails.
 
@@ -46,9 +56,7 @@ def clopper_pearson(n: int, y: int, alpha: float) -> IntervalEstimate:
     """
     n = check_int(n, "n", 1)
     y = check_int(y, "successes", 0, n)
-    alpha = check_level(alpha, "alpha")
-    if alpha / 2 == 0.0:  # the least subnormal: each tail's target would underflow to 0
-        raise ValueError(f"alpha must be at least 1e-323, so that alpha / 2 is above 0, got {alpha!r}")
+    alpha = _check_alpha(alpha)
     lower = 0.0 if y == 0 else binom_tail_invert(n, y, alpha / 2, "lower")
     upper = 1.0 if y == n else binom_tail_invert(n, y, alpha / 2, "upper")
     return IntervalEstimate(lower=lower, upper=upper, alpha=alpha, n=n, y=y)
@@ -59,7 +67,7 @@ class ClopperPearson:
 
     def __init__(self, n: int, alpha: float):
         self.n = check_int(n, "n", 1)
-        self.alpha = check_level(alpha, "alpha")
+        self.alpha = _check_alpha(alpha)
         self._cache: dict[int, IntervalEstimate] = {}
 
     def interval(self, y: int) -> IntervalEstimate:
@@ -69,18 +77,48 @@ class ClopperPearson:
         return self._cache[y]
 
 
+class EndpointTable(namedtuple("EndpointTable", "n lowers uppers")):
+    """An estimator as its interval ends [lowers[y], uppers[y]], y = 0..n, checked when made."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, lowers, uppers):
+        n = check_int(n, "n", 1)
+        lowers, uppers = tuple(lowers), tuple(uppers)
+        if len(lowers) != n + 1 or len(uppers) != n + 1:
+            raise ValueError(f"lowers and uppers must hold n + 1 = {n + 1} ends, got {len(lowers)} and {len(uppers)}")
+        for y, (lower, upper) in enumerate(zip(lowers, uppers)):
+            _check_ends(lower, upper, f"interval lowers[{y}], uppers[{y}] =")
+        return super().__new__(cls, n, lowers, uppers)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks the ends too
+        return cls(*iterable)
+
+    @classmethod
+    def of(cls, estimator, n: int) -> "EndpointTable":
+        """The ends of any `.interval(y)` estimator, or a table passed through; each carries
+        its n, and is refused unless built for this n: coverage at one n says nothing of another."""
+        n = check_int(n, "n", 1)
+        ivs = [estimator] if isinstance(estimator, cls) else [estimator.interval(y) for y in range(n + 1)]
+        other = next((iv.n for iv in ivs if iv.n != n), None)
+        if other is not None:
+            raise ValueError(f"the estimator's intervals are for n = {other}, not for the n = {n} judged")
+        return estimator if isinstance(estimator, cls) else cls(n, [iv.lower for iv in ivs], [iv.upper for iv in ivs])
+
+    def check_nondecreasing(self) -> "EndpointTable":
+        """The table, refused unless its ends are nondecreasing in y."""
+        if any(prev > nxt for ends in (self.lowers, self.uppers) for prev, nxt in zip(ends, ends[1:])):
+            raise ValueError(
+                "the exact validity certificate needs interval endpoints that are "
+                "nondecreasing in y: only then is each covering set a range of y, "
+                "whose coverage is least at an endpoint"
+            )
+        return self
+
+
 # the coverage at b, a float, and the frozenset of outcomes y whose interval covers b
 CoverageReport = namedtuple("CoverageReport", "b coverage covering_set")
-
-
-def _intervals(estimator, n: int) -> list[IntervalEstimate]:
-    """The estimator's intervals for y = 0..n, refused unless each is built
-    for this n: the coverage at one n says nothing of an estimator for another."""
-    ivs = [estimator.interval(y) for y in range(n + 1)]
-    other = next((iv.n for iv in ivs if iv.n != n), None)
-    if other is not None:
-        raise ValueError(f"the estimator's intervals are for n = {other}, not for the n = {n} judged")
-    return ivs
 
 
 def coverage_probability(estimator, b: float, n: int) -> CoverageReport:
@@ -88,7 +126,8 @@ def coverage_probability(estimator, b: float, n: int) -> CoverageReport:
     of consecutive y in the covering set, one run for a monotone estimator."""
     n = check_int(n, "n", 1)
     b = check_prob(b, "b")
-    covering = frozenset(y for y, iv in enumerate(_intervals(estimator, n)) if iv.contains(b))
+    _, lowers, uppers = EndpointTable.of(estimator, n)
+    covering = frozenset(y for y in range(n + 1) if lowers[y] <= b <= uppers[y])
     los = sorted(y for y in covering if y - 1 not in covering)
     his = sorted(y for y in covering if y + 1 not in covering)
     coverage = min(math.fsum(_range_probability(n, b, lo, hi) for lo, hi in zip(los, his)), 1.0)
@@ -109,18 +148,18 @@ def endpoint_augmented_grid(estimator, n: int, step: float = 0.001, eps: float =
     tracer stops wrapping it.
     """
     points = {round(k * step, 12) for k in range(int(round(1.0 / step)) + 1)}
-    for iv in _intervals(estimator, check_int(n, "n", 1)):
-        for p in (iv.lower, iv.upper):
-            for q in (p - eps, p, p + eps):
-                if 0.0 <= q <= 1.0:
-                    points.add(q)
+    _, lowers, uppers = EndpointTable.of(estimator, n)
+    for p in lowers + uppers:
+        for q in (p - eps, p, p + eps):
+            if 0.0 <= q <= 1.0:
+                points.add(q)
     points.update((0.0, 1.0))
     return sorted(points)
 
 
-def _coverage_infimum(estimator, n: int) -> tuple[float, float]:
+def _coverage_infimum(table: EndpointTable) -> tuple[float, float]:
     """(inf of coverage over b in [0, 1], a b next to where it is approached)
-    for an estimator whose endpoints are nondecreasing in y.
+    for a table whose endpoints are nondecreasing in y.
 
     Between consecutive endpoints the covering set is a range lo..hi of y,
     and Pr(lo <= Y <= hi) has derivative n [pmf_{n-1}(lo - 1) - pmf_{n-1}(hi)]
@@ -140,15 +179,7 @@ def _coverage_infimum(estimator, n: int) -> tuple[float, float]:
     `coverage_probability` takes that covering set's coverage by the same
     routine; it is the neighbouring endpoint if no double lies between.
     """
-    ivs = _intervals(estimator, n)
-    lowers = [iv.lower for iv in ivs]
-    uppers = [iv.upper for iv in ivs]
-    if any(prev > nxt for ends in (lowers, uppers) for prev, nxt in zip(ends, ends[1:])):
-        raise ValueError(
-            "the exact validity certificate needs interval endpoints that are "
-            "nondecreasing in y: only then is each covering set a range of y, "
-            "whose coverage is least at an endpoint"
-        )
+    n, lowers, uppers = table.check_nondecreasing()
     # (c, 1.0) is the limit just above c, covering the y with lower_y <= c < upper_y;
     # (c, -1.0) the one just below, covering those with lower_y < c <= upper_y
     limits = {(0.0, 1.0), *[(c, -1.0) for c in lowers if c > 0.0]}
@@ -175,7 +206,7 @@ def verify_conservative_validity(estimator, n: int, alpha: float) -> ValidityRep
     """
     n = check_int(n, "n", 1)
     alpha = check_level(alpha, "alpha")
-    worst_b, worst_cov = _coverage_infimum(estimator, n)
+    worst_b, worst_cov = _coverage_infimum(EndpointTable.of(estimator, n))
     return ValidityReport(
         valid=worst_cov >= 1.0 - alpha,
         worst_b=worst_b,
@@ -200,7 +231,8 @@ def pac_form_check(
     import numpy as np
 
     rng = stream.rng()
-    contains = np.array([iv.contains(b) for iv in _intervals(estimator, n)])
+    _, lowers, uppers = EndpointTable.of(estimator, n)
+    contains = np.array([lower <= b <= upper for lower, upper in zip(lowers, uppers)])
     hits = 0
     chunk = 1 << 16
     for start in range(0, mc_trials, chunk):

@@ -25,36 +25,13 @@ from berncert.binom import (
     check_int,
     check_prob,
 )
-from berncert.intervals import IntervalEstimate
+from berncert.intervals import EndpointTable
 
 
-class FullInterval:
-    """Trivial estimator returning [0, 1] for every outcome."""
-
-    def __init__(self, n: int, alpha: float = 0.0):
-        self.n = check_int(n, "n", 1)
-        self.alpha = alpha
-
-    def interval(self, y: int) -> IntervalEstimate:
-        y = check_int(y, "y", 0, self.n)
-        return IntervalEstimate(lower=0.0, upper=1.0, alpha=self.alpha, n=self.n, y=y)
-
-
-class TableEstimator:
-    """Intervals [lowers[y], uppers[y]] for n trials, from two lists."""
-
-    def __init__(self, n, lowers, uppers):
-        self.table = [IntervalEstimate(lower=lo, upper=up, alpha=0.05, n=n, y=y)
-                      for y, (lo, up) in enumerate(zip(lowers, uppers))]
-
-    def interval(self, y):
-        return self.table[y]
-
-
-def conformal_claim(n: int, J: int, E: float) -> TableEstimator:
-    """The conformal claim "b <= E whenever Y <= J" as an interval estimator:
+def conformal_claim(n: int, J: int, E: float) -> EndpointTable:
+    """The conformal claim "b <= E whenever Y <= J" as an endpoint table:
     the one-sided [0, u(y)], with u(y) = E for y <= J and 1 otherwise."""
-    return TableEstimator(n, [0.0] * (n + 1), [E if y <= J else 1.0 for y in range(n + 1)])
+    return EndpointTable(n, [0.0] * (n + 1), [E if y <= J else 1.0 for y in range(n + 1)])
 
 
 def count_calls(monkeypatch, module, *names: str) -> dict[str, int]:
@@ -102,14 +79,12 @@ def indicator_sampler(b: float):
     return sample
 
 
-def piecewise_coverage_infimum(estimator, n: int) -> tuple[float, float]:
+def piecewise_coverage_infimum(table: EndpointTable) -> tuple[float, float]:
     """(worst_b, worst_coverage) as the verdict once computed them: both
     one-sided limits at the ends of every piece between consecutive distinct
     endpoints, the first least one kept.  A float reference, made of the
     same `_range_probability` calls, for the bits of the verdict."""
-    ivs = [estimator.interval(y) for y in range(n + 1)]
-    lowers = [iv.lower for iv in ivs]
-    uppers = [iv.upper for iv in ivs]
+    n, lowers, uppers = table
     breaks = sorted({0.0, 1.0, *lowers, *uppers})
     worst_b, worst_cov = 0.0, 2.0
     for c, d in zip(breaks, breaks[1:]):

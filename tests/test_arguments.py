@@ -43,13 +43,14 @@ from berncert.indicator import (
 )
 from berncert.intervals import (
     ClopperPearson,
+    EndpointTable,
     clopper_pearson,
     coverage_probability,
     endpoint_augmented_grid,
     pac_form_check,
     verify_conservative_validity,
 )
-from helpers import FullInterval, draw_bernoulli, indicator_sampler
+from helpers import draw_bernoulli, indicator_sampler
 
 PARAMS = PacParams(epsilon=Fraction(1, 2), coverage_E=0.3, n=10)
 
@@ -84,13 +85,14 @@ ENTRY_POINTS = {
     "clopper_pearson y": (lambda k: clopper_pearson(10, k, 0.05), [-1, 11]),
     "ClopperPearson n": (lambda k: ClopperPearson(k, 0.05).interval(1), [0]),
     "ClopperPearson.interval y": (lambda k: ClopperPearson(10, 0.05).interval(k), [-1, 11]),
-    "FullInterval n": (lambda k: FullInterval(k).interval(1), [0]),
-    "FullInterval.interval y": (lambda k: FullInterval(10).interval(k), [-1, 11]),
+    "EndpointTable n": (lambda k: EndpointTable(k, [0.0] * 4, [1.0] * 4), [0]),
+    "EndpointTable.of n": (lambda k: EndpointTable.of(ClopperPearson(3, 0.05), k), [-1, 0]),
     "coverage_probability n": (lambda k: coverage_probability(ClopperPearson(3, 0.05), 0.3, k), [0]),
     "endpoint_augmented_grid n": (lambda k: endpoint_augmented_grid(ClopperPearson(3, 0.05), k), [0]),
     "verify_conservative_validity n": (
         lambda k: verify_conservative_validity(ClopperPearson(3, 0.05), k, 0.05), [0]),
-    "pac_form_check n": (lambda k: pac_form_check(FullInterval(3), 0.3, k, 10, SeededStream(1)), [0]),
+    "pac_form_check n": (
+        lambda k: pac_form_check(EndpointTable(3, [0.0] * 4, [1.0] * 4), 0.3, k, 10, SeededStream(1)), [0]),
     "pac_form_check mc_trials": (
         lambda k: pac_form_check(ClopperPearson(3, 0.05), 0.3, 3, k, SeededStream(1)), [0]),
     "PacParams n": (lambda k: PacParams(epsilon=Fraction(1, 2), coverage_E=0.3, n=k), [0]),
@@ -204,6 +206,28 @@ def test_epsilon_forms_agree(name):
 def test_epsilon_refused(name, bad):
     with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\]"):
         EPSILONS[name](bad)
+
+
+# name -> (lowers, uppers) of a table for n = 3, and what the refusal must say
+TABLE_REFUSALS = {
+    "lowers length": (([0.0] * 3, [1.0] * 4), r"^lowers and uppers must hold n \+ 1 = 4 ends, got 3 and 4"),
+    "uppers length": (([0.0] * 4, [1.0] * 5), r"^lowers and uppers must hold n \+ 1 = 4 ends, got 4 and 5"),
+    "lower above upper": (([0.0, 0.6, 0.6, 0.6], [0.5, 0.4, 1.0, 1.0]), r"lowers\[1\], uppers\[1\] = \[0.6, 0.4\]"),
+    "end below 0": (([-0.1, 0.0, 0.0, 0.0], [1.0] * 4), r"lowers\[0\], uppers\[0\] = \[-0.1, 1.0\]"),
+    "end above 1": (([0.0] * 4, [1.0, 1.0, 1.0, 1.5]), r"lowers\[3\], uppers\[3\] = \[0.0, 1.5\]"),
+    "NaN": (([0.0] * 4, [1.0, math.nan, 1.0, 1.0]), r"lowers\[1\], uppers\[1\] = \[0.0, nan\]"),
+}
+
+
+@pytest.mark.parametrize("name", TABLE_REFUSALS)
+def test_endpoint_table_refused(name):
+    (lowers, uppers), message = TABLE_REFUSALS[name]
+    with pytest.raises(ValueError, match=message):
+        EndpointTable(3, lowers, uppers)
+    # and on _replace, which checks again
+    table = EndpointTable(3, [0.0] * 4, [1.0] * 4)
+    with pytest.raises(ValueError, match=message):
+        table._replace(lowers=lowers, uppers=uppers)
 
 
 @pytest.mark.parametrize("text", ["1.5", "-1/3", "nan", "inf", "1/0", "x"])

@@ -198,14 +198,12 @@ class TestSimulateAppendix:
         *_, deviation, margin = out.splitlines()
         assert margin.startswith("min margin exact_prob_SE - bound = ")
         assert float(margin.split("=")[-1]) >= 0
+        # every row against its own target, in standard errors: exact_prob_SE,
+        # or in monte-carlo mode the finite-test target; a fully-exact row is its target
         label, value = deviation.split(" = ")
-        if mode == "monte-carlo":
-            # rows against their own finite-test target, in standard errors
-            assert label == "max |h_hat - target|/sigma"
-            assert float(value) < 6
-        else:
-            assert label == "max |h_hat - exact_prob_SE|"
-            assert (float(value) == 0) == (mode == "fully-exact")
+        assert label == "max |h_hat - target|/sigma"
+        assert float(value) < 6
+        assert (float(value) == 0) == (mode == "fully-exact")
 
     def test_monte_carlo_target_of_one_met_exactly(self, capsys, tmp_path):
         # alpha_frac = 1 at E = 0.61 puts the regimes at b = 0 and b = 1, where

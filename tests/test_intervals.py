@@ -16,6 +16,7 @@ import berncert.binom
 from berncert.binom import SeededStream
 from berncert.intervals import (
     ClopperPearson,
+    EndpointTable,
     IntervalEstimate,
     clopper_pearson,
     coverage_probability,
@@ -24,8 +25,6 @@ from berncert.intervals import (
     verify_conservative_validity,
 )
 from helpers import (
-    FullInterval,
-    TableEstimator,
     count_calls,
     piecewise_coverage_infimum,
     polished_beta_quantile,
@@ -98,7 +97,8 @@ class TestClopperPearson:
     def test_level_whose_half_underflows_refused(self):
         # 5e-324 is a level in (0, 1), but alpha / 2 rounds to 0: the error
         # names alpha, not the tail target the caller never passed
-        for call in (lambda a: clopper_pearson(10, 3, a), lambda a: ClopperPearson(10, a).interval(3)):
+        # the estimator refuses it when built, not at each later interval
+        for call in (lambda a: clopper_pearson(10, 3, a), lambda a: ClopperPearson(10, a)):
             with pytest.raises(ValueError, match="^alpha must be at least 1e-323"):
                 call(5e-324)
 
@@ -181,17 +181,19 @@ class TestClopperPearsonAccuracy:
             assert abs(iv.upper - ref) <= self.RTOL * ref, (n, y, alpha, iv.upper, ref)
 
 
-class DegenerateEstimator:
-    """Always returns [0.5, 0.5]; never covers anything else."""
+def full_interval(n):
+    """The trivial estimator, [0, 1] for every outcome."""
+    return EndpointTable(n, [0.0] * (n + 1), [1.0] * (n + 1))
 
-    def interval(self, y):
-        return IntervalEstimate(lower=0.5, upper=0.5, alpha=0.05, n=10, y=int(y))
+
+# [0.5, 0.5] for every outcome: it never covers anything else
+DEGENERATE = EndpointTable(10, [0.5] * 11, [0.5] * 11)
 
 
 class TestCoverage:
     def test_full_interval_covers_always(self):
         for b in (0.0, 0.3, 1.0):
-            rep = coverage_probability(FullInterval(n=7), b, 7)
+            rep = coverage_probability(full_interval(7), b, 7)
             assert rep.coverage == 1.0
             assert rep.covering_set == frozenset(range(8))
 
@@ -218,17 +220,17 @@ class TestCoverage:
         assert report.worst_coverage >= 0.95
 
     def test_validity_full_interval(self):
-        report = verify_conservative_validity(FullInterval(n=10), 10, 0.05)
+        report = verify_conservative_validity(full_interval(10), 10, 0.05)
         assert report.valid
         assert report.worst_coverage == 1.0
 
     def test_validity_degenerate_estimator(self):
         # covers b = 0.5 only, so the infimum is 0, approached on either side
-        report = verify_conservative_validity(DegenerateEstimator(), 10, 0.05)
+        report = verify_conservative_validity(DEGENERATE, 10, 0.05)
         assert not report.valid
         assert report.worst_coverage == 0.0
         assert report.worst_b != 0.5
-        assert coverage_probability(DegenerateEstimator(), report.worst_b, 10).coverage == 0.0
+        assert coverage_probability(DEGENERATE, report.worst_b, 10).coverage == 0.0
 
     @pytest.mark.parametrize("n", [50, 300, 1000])
     def test_relative_accuracy_on_runs(self, n):
@@ -251,8 +253,8 @@ class TestCoverage:
                     if exact < 1e-300:
                         continue
                     lowers = [0.0 if k in covering else 1.0 for k in range(n + 1)]
-                    est = TableEstimator(n, lowers, [1.0] * (n + 1))
-                    coverage = coverage_probability(est, b, n).coverage
+                    table = EndpointTable(n, lowers, [1.0] * (n + 1))
+                    coverage = coverage_probability(table, b, n).coverage
                     assert abs(coverage - exact) <= 3e-15 * exact, (n, b, min(covering), max(covering))
 
     def test_one_sided_run_is_one_tail_sum(self, monkeypatch):
@@ -263,7 +265,7 @@ class TestCoverage:
         for covering in (range(460, 467), range(540, 560), range(0, 3), range(990, 1001)):
             lowers = [0.0 if k in covering else 1.0 for k in range(n + 1)]
             before = counts["_tail"]
-            coverage_probability(TableEstimator(n, lowers, [1.0] * (n + 1)), 0.5, n)
+            coverage_probability(EndpointTable(n, lowers, [1.0] * (n + 1)), 0.5, n)
             assert counts["_tail"] - before == 1, covering
 
     def test_grid_includes_endpoints(self):
@@ -283,55 +285,39 @@ def coverage_infimum_oracle(est, n):
     """The smallest one-sided limit of the coverage at the ends of the pieces
     between consecutive endpoints, each piece's covering set found by
     scanning every y and its probability summed in rational arithmetic."""
-    ivs = [est.interval(y) for y in range(n + 1)]
-    breaks = sorted({0.0, 1.0, *(iv.lower for iv in ivs), *(iv.upper for iv in ivs)})
+    _, lowers, uppers = EndpointTable.of(est, n)
+    breaks = sorted({0.0, 1.0, *lowers, *uppers})
     worst = Fraction(2)
     for c, d in zip(breaks, breaks[1:]):
-        covering = [y for y, iv in enumerate(ivs) if iv.lower <= c and iv.upper >= d]
+        covering = [y for y in range(n + 1) if lowers[y] <= c and uppers[y] >= d]
         worst = min(worst, exact_coverage(covering, n, c), exact_coverage(covering, n, d))
     return float(worst)
 
 
-class ClippedWald:
+def clipped_wald(n, alpha):
     """p +- z sqrt(p (1 - p) / n) clipped to [0, 1].  At y = 0 and y = n it is
     a single point, so its coverage tends to 0 as b tends to 0 or 1."""
-
-    def __init__(self, n, alpha):
-        z = NormalDist().inv_cdf(1 - alpha / 2)
-        self.table = []
-        for y in range(n + 1):
-            p = y / n
-            half = z * math.sqrt(p * (1 - p) / n)
-            self.table.append(
-                IntervalEstimate(lower=max(0.0, p - half), upper=min(1.0, p + half), alpha=alpha, n=n, y=y)
-            )
-
-    def interval(self, y):
-        return self.table[y]
+    z = NormalDist().inv_cdf(1 - alpha / 2)
+    ps = [y / n for y in range(n + 1)]
+    halves = [z * math.sqrt(p * (1 - p) / n) for p in ps]
+    lowers = [max(0.0, p - h) for p, h in zip(ps, halves)]
+    return EndpointTable(n, lowers, [min(1.0, p + h) for p, h in zip(ps, halves)])
 
 
-class LopsidedClopperPearson:
+def lopsided_clopper_pearson(n, alpha_lower, alpha_upper):
     """Lower endpoints of Clopper-Pearson at level alpha_lower, upper ones at
     alpha_upper.  With unequal levels the coverage is not symmetric about
     b = 1/2: its deepest dips all lie on one side of the endpoints."""
-
-    def __init__(self, n, alpha_lower, alpha_upper):
-        self.lower, self.upper = ClopperPearson(n, alpha_lower), ClopperPearson(n, alpha_upper)
-
-    def interval(self, y):
-        lo, up = self.lower.interval(y), self.upper.interval(y)
-        return IntervalEstimate(lower=lo.lower, upper=up.upper, alpha=lo.alpha, n=lo.n, y=y)
+    lower, upper = (EndpointTable.of(ClopperPearson(n, a), n) for a in (alpha_lower, alpha_upper))
+    return EndpointTable(n, lower.lowers, upper.uppers)
 
 
-class SwappedClopperPearson:
+def swapped_clopper_pearson(n, alpha):
     """Clopper-Pearson with the intervals of y = 1 and y = 2 exchanged, so
     its endpoints are not monotone in y."""
-
-    def __init__(self, n, alpha):
-        self.cp = ClopperPearson(n, alpha)
-
-    def interval(self, y):
-        return self.cp.interval({1: 2, 2: 1}.get(y, y))
+    _, lowers, uppers = EndpointTable.of(ClopperPearson(n, alpha), n)
+    order = [{1: 2, 2: 1}.get(y, y) for y in range(n + 1)]
+    return EndpointTable(n, [lowers[y] for y in order], [uppers[y] for y in order])
 
 
 @st.composite
@@ -342,15 +328,15 @@ def grid_estimators(draw):
     eighths = st.lists(st.integers(0, 8), min_size=n + 1, max_size=n + 1)
     lowers = sorted(draw(eighths))
     uppers = accumulate((min(8, lo + w) for lo, w in zip(lowers, draw(eighths))), max)
-    return TableEstimator(n, [k / 8 for k in lowers], [k / 8 for k in uppers]), n
+    return EndpointTable(n, [k / 8 for k in lowers], [k / 8 for k in uppers]), n
 
 
 CP_INFIMUM_NS = [1, 2, 5, 10, 25, 60]
 CP_INFIMUM_ALPHAS = [0.01, 0.05, 0.2]
 ORACLE_CASES = (
     [(ClopperPearson(n, a), n, a) for n in (1, 3, 10, 25) for a in (0.01, 0.1)]
-    + [(ClippedWald(n, a), n, a) for n in (4, 10, 25) for a in (0.01, 0.1)]
-    + [(LopsidedClopperPearson(n, a, b), n, (a + b) / 2) for n in (3, 10, 25)
+    + [(clipped_wald(n, a), n, a) for n in (4, 10, 25) for a in (0.01, 0.1)]
+    + [(lopsided_clopper_pearson(n, a, b), n, (a + b) / 2) for n in (3, 10, 25)
        for a, b in ((0.01, 0.2), (0.2, 0.01))]
 )
 
@@ -376,7 +362,8 @@ class TestValidityCertificate:
         assert abs(report.worst_coverage - coverage_infimum_oracle(est, n)) <= 1e-12
         # worst_b sees the limiting piece's covering set and reproduces the infimum
         b = report.worst_b
-        exact = float(exact_coverage([y for y in range(n + 1) if est.interval(y).contains(b)], n, b))
+        _, lowers, uppers = EndpointTable.of(est, n)
+        exact = float(exact_coverage([y for y in range(n + 1) if lowers[y] <= b <= uppers[y]], n, b))
         assert abs(report.worst_coverage - exact) <= 1e-12
         assert abs(coverage_probability(est, b, n).coverage - exact) <= 1e-12
 
@@ -389,7 +376,7 @@ class TestValidityCertificate:
         """The limits left out can never be the first least one: worst_b and
         worst_coverage are those of the loop over both ends of every piece."""
         report = verify_conservative_validity(est, n, 0.05)
-        assert (report.worst_b, report.worst_coverage) == piecewise_coverage_infimum(est, n)
+        assert (report.worst_b, report.worst_coverage) == piecewise_coverage_infimum(EndpointTable.of(est, n))
 
     def test_tail_sums_per_verdict(self, monkeypatch):
         """At most 2n + 1 one-sided limits of two tail sums each; both ends of
@@ -411,22 +398,22 @@ class TestValidityCertificate:
         report = verify_conservative_validity(est, n, 0.05)
         assert abs(report.worst_coverage - coverage_infimum_oracle(est, n)) <= 1e-12
         assert abs(coverage_probability(est, report.worst_b, n).coverage - report.worst_coverage) <= 1e-12
-        assert (report.worst_b, report.worst_coverage) == piecewise_coverage_infimum(est, n)
+        assert (report.worst_b, report.worst_coverage) == piecewise_coverage_infimum(est)
 
     @pytest.mark.parametrize("n", [5, 30, 31])
     @pytest.mark.parametrize("alpha", [0.01, 0.05])
     def test_clipped_wald_invalid(self, n, alpha):
-        report = verify_conservative_validity(ClippedWald(n, alpha), n, alpha)
+        report = verify_conservative_validity(clipped_wald(n, alpha), n, alpha)
         assert not report.valid
         assert report.worst_coverage < 1 - alpha
 
     def test_non_monotone_refused(self):
-        est = SwappedClopperPearson(10, 0.05)
+        est = swapped_clopper_pearson(10, 0.05)
         with pytest.raises(ValueError, match="nondecreasing in y") as excinfo:
             verify_conservative_validity(est, 10, 0.05)
         assert "grid" not in str(excinfo.value)
 
-    @pytest.mark.parametrize("est", [ClopperPearson(10, 0.05), FullInterval(n=10)])
+    @pytest.mark.parametrize("est", [ClopperPearson(10, 0.05), full_interval(10)])
     @pytest.mark.parametrize("alpha", [1.5, math.nan, -3.0, 0.0, 1.0])
     def test_level_outside_unit_interval_refused(self, est, alpha):
         # alpha = 1.5 would judge anything valid, NaN anything invalid
@@ -448,13 +435,51 @@ class TestValidityCertificate:
             pac_form_check(est, 0.3, 10, 100, SeededStream(1))
         with pytest.raises(ValueError, match="n = 20"):
             endpoint_augmented_grid(est, 10)
+        # a table is refused the same way
+        with pytest.raises(ValueError, match="n = 20, not for the n = 10"):
+            coverage_probability(EndpointTable.of(est, 20), 0.3, 10)
         # the same estimator judged at its own n is certified
         assert verify_conservative_validity(est, 20, 0.05).valid
 
 
+class DuckWald:
+    """A clipped Wald estimator that is no table, as perfbench's `Wald` is:
+    an object with `.interval(y)`."""
+
+    def __init__(self, n, alpha):
+        self.alpha, self.table = alpha, clipped_wald(n, alpha)
+
+    def interval(self, y):
+        return IntervalEstimate(self.table.lowers[y], self.table.uppers[y], self.alpha, self.table.n, y)
+
+
+class TestEndpointTable:
+    @pytest.mark.parametrize(
+        "est, n",
+        [(ClopperPearson(n, a), n) for n in (1, 2, 30, 31, 200) for a in (0.05, 0.01)]
+        + [(DuckWald(n, 0.05), n) for n in (5, 30, 31)],
+    )
+    def test_adapter_is_bit_identical(self, est, n):
+        """An estimator and its table get equal reports, at every end and a
+        few b between."""
+        table = EndpointTable.of(est, n)
+        assert table.lowers == tuple(est.interval(y).lower for y in range(n + 1))
+        assert table.uppers == tuple(est.interval(y).upper for y in range(n + 1))
+        assert EndpointTable.of(table, n) is table
+        assert verify_conservative_validity(est, n, 0.05) == verify_conservative_validity(table, n, 0.05)
+        for b in {0.0, 0.3, 0.5, 0.77, 1.0, *table.lowers, *table.uppers}:
+            assert coverage_probability(est, b, n) == coverage_probability(table, b, n), b
+
+    def test_non_monotone_refused_by_the_table(self):
+        with pytest.raises(ValueError, match="nondecreasing in y"):
+            swapped_clopper_pearson(10, 0.05).check_nondecreasing()
+        wald = clipped_wald(30, 0.05)
+        assert wald.check_nondecreasing() is wald
+
+
 class TestPacFormCheck:
     def test_full_interval_exact_one(self):
-        assert pac_form_check(FullInterval(n=10), 0.3, 10, 10_000, SeededStream(1)) == 1.0
+        assert pac_form_check(full_interval(10), 0.3, 10, 10_000, SeededStream(1)) == 1.0
 
     def test_degenerate_b_zero(self):
         # y = 0 a.s. and the interval contains 0

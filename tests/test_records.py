@@ -11,7 +11,13 @@ from berncert.binom import SeededStream
 from berncert.conformal import CalibrationScores, IndicatorINM, PacParams, estimate_SE_probability, theorem1_bound
 from berncert.experiments import AppendixConfig, linear_contraction_system, run_appendix, run_safety_demo
 from berncert.indicator import enumerate_example1, exact_SE_probability, naive_interval_coverage
-from berncert.intervals import ClopperPearson, clopper_pearson, coverage_probability, verify_conservative_validity
+from berncert.intervals import (
+    ClopperPearson,
+    EndpointTable,
+    clopper_pearson,
+    coverage_probability,
+    verify_conservative_validity,
+)
 from helpers import indicator_sampler
 
 PARAMS = PacParams(epsilon=Fraction(2, 3), coverage_E=0.4, n=5)
@@ -23,6 +29,7 @@ def _records():
     inm = IndicatorINM(lambda z: z == 1, target_prob=0.3)
     return {
         "IntervalEstimate": clopper_pearson(10, 3, 0.05),
+        "EndpointTable": EndpointTable.of(ClopperPearson(5, 0.05), 5),
         "CoverageReport": coverage_probability(ClopperPearson(5, 0.05), 0.3, 5),
         "ValidityReport": verify_conservative_validity(ClopperPearson(5, 0.05), 5, 0.05),
         "SeededStream": SeededStream(7, 3),
@@ -77,13 +84,15 @@ def test_pac_params_replace_checks_and_derives_J():
     "record, change, message",
     [
         (CalibrationScores((1.0,)), {"scores": ()}, "calibration size"),
+        (EndpointTable(2, [0.0] * 3, [1.0] * 3), {"n": 3}, "lowers and uppers must hold"),
+        (EndpointTable(2, [0.0] * 3, [1.0] * 3), {"uppers": [1.0, 1.0, 1.5]}, r"lowers\[2\], uppers\[2\]"),
         (AppendixConfig(), {"master_seed": 1.5}, "master_seed"),
         (AppendixConfig(), {"q_max": -1}, "q_max"),
         (AppendixConfig(), {"mode": "exact"}, "mode"),
         (linear_contraction_system(), {"horizon": 2.5}, "horizon"),
     ],
-    ids=["CalibrationScores scores", "AppendixConfig master_seed", "AppendixConfig q_max", "AppendixConfig mode",
-         "ToySafetySystem horizon"],
+    ids=["CalibrationScores scores", "EndpointTable n", "EndpointTable uppers", "AppendixConfig master_seed",
+         "AppendixConfig q_max", "AppendixConfig mode", "ToySafetySystem horizon"],
 )
 def test_replace_checks(record, change, message):
     with pytest.raises(ValueError, match=message):
