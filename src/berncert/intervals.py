@@ -9,6 +9,7 @@ from collections import namedtuple
 from .binom import (
     SeededStream,
     _range_probability,
+    _real,
     binom_pmf_vector,  # not called: perfbench's tracer wraps it here (tests/test_tracer.py)
     binom_tail_invert,
     check_int,
@@ -18,8 +19,11 @@ from .binom import (
 
 
 def _check_ends(lower: float, upper: float, what: str) -> None:
-    if not (0.0 <= lower <= upper <= 1.0):
-        raise ValueError(f"invalid {what} [{lower}, {upper}]: endpoints must satisfy 0 <= lower <= upper <= 1")
+    # each end read as `check_prob` reads a probability: text or None is NaN, and refused
+    lo = lower if type(lower) is float else _real(lower)
+    hi = upper if type(upper) is float else _real(upper)
+    if not (0.0 <= lo <= hi <= 1.0):
+        raise ValueError(f"invalid {what} [{lower!r}, {upper!r}]: endpoints must satisfy 0 <= lower <= upper <= 1")
 
 
 class IntervalEstimate(namedtuple("IntervalEstimate", "lower upper alpha n y")):

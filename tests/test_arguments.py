@@ -44,6 +44,7 @@ from berncert.indicator import (
 from berncert.intervals import (
     ClopperPearson,
     EndpointTable,
+    IntervalEstimate,
     clopper_pearson,
     coverage_probability,
     endpoint_augmented_grid,
@@ -216,6 +217,8 @@ TABLE_REFUSALS = {
     "end below 0": (([-0.1, 0.0, 0.0, 0.0], [1.0] * 4), r"lowers\[0\], uppers\[0\] = \[-0.1, 1.0\]"),
     "end above 1": (([0.0] * 4, [1.0, 1.0, 1.0, 1.5]), r"lowers\[3\], uppers\[3\] = \[0.0, 1.5\]"),
     "NaN": (([0.0] * 4, [1.0, math.nan, 1.0, 1.0]), r"lowers\[1\], uppers\[1\] = \[0.0, nan\]"),
+    "text lower": (([0.0, "0.1", 0.2, 0.3], [1.0] * 4), r"lowers\[1\], uppers\[1\] = \['0.1', 1.0\]"),
+    "None upper": (([0.0] * 4, [1.0, 1.0, None, 1.0]), r"lowers\[2\], uppers\[2\] = \[0.0, None\]"),
 }
 
 
@@ -228,6 +231,26 @@ def test_endpoint_table_refused(name):
     table = EndpointTable(3, [0.0] * 4, [1.0] * 4)
     with pytest.raises(ValueError, match=message):
         table._replace(lowers=lowers, uppers=uppers)
+
+
+# (lower, upper) of an IntervalEstimate for n = 1, y = 0, and what the refusal must say
+INTERVAL_REFUSALS = {
+    "text lower": (("0.1", 0.5), r"^invalid interval \['0.1', 0.5\]"),
+    "text upper": ((0.1, b"0.5"), r"^invalid interval \[0.1, b'0.5'\]"),
+    "None lower": ((None, 0.5), r"^invalid interval \[None, 0.5\]"),
+    "None upper": ((0.1, None), r"^invalid interval \[0.1, None\]"),
+}
+
+
+@pytest.mark.parametrize("name", INTERVAL_REFUSALS)
+def test_interval_estimate_refused(name):
+    """An end that is not a number is refused with ValueError, as every other
+    argument is, not with the TypeError of comparing it."""
+    (lower, upper), message = INTERVAL_REFUSALS[name]
+    with pytest.raises(ValueError, match=message):
+        IntervalEstimate(lower, upper, 0.05, 1, 0)
+    with pytest.raises(ValueError, match=message):
+        IntervalEstimate(0.0, 1.0, 0.05, 1, 0)._replace(lower=lower, upper=upper)
 
 
 @pytest.mark.parametrize("text", ["1.5", "-1/3", "nan", "inf", "1/0", "x"])

@@ -218,11 +218,15 @@ class TestTailInvert:
         and a sum after a long step carries its first term from the last
         sum's, so the inversion computes no saddle-point anchor beyond those
         the sums that carry nothing make: at n <= 256 one each.  At (10, 3,
-        0.025, "upper") the second and last sum carries."""
+        0.025, "upper") the second and last sum carries.  A closed-form root
+        (y = 0 upper, y = n lower) takes neither a sum nor an anchor."""
         counts = count_calls(monkeypatch, berncert.binom, "_pmf")
         carried = count_carried_sums(monkeypatch)
         binom_tail_invert(n, y, t, side)
-        assert len(carried) > 0
+        if y == (0 if side == "upper" else n):
+            assert carried == [] and counts["_pmf"] == 0
+        else:
+            assert len(carried) > 0
         assert counts["_pmf"] == len(carried) - sum(carried)
         if (n, y, t, side) == (10, 3, 0.025, "upper"):
             assert carried == [False, True]
@@ -282,6 +286,40 @@ EXACT_STARTS = {
     "lower y=1": (lambda n: 1, "lower"),  # (1 - b)^n = 1 - t
     "upper y=n-1": (lambda n: n - 1, "upper"),  # b^n = 1 - t
 }
+
+
+def mp_closed_form_root(n, y, t, side):
+    """The root of a closed-form kind at 60 digits: -expm1(log t / n) at
+    (upper, y = 0), exp(log t / n) at (lower, y = n), exp(log(1 - t) / n)
+    at (upper, y = n - 1) and -expm1(log(1 - t) / n) at (lower, y = 1)."""
+    at_end = y in (0, n)
+    with mp.workdps(60):
+        v = (mp.log(t) if at_end else mp.log1p(-mp.mpf(t))) / n
+        return -mp.expm1(v) if (side == "upper") == at_end else mp.exp(v)
+
+
+def closed_form_targets():
+    """Targets of the closed-form checks: 0.025 and 0.005, uniform on
+    (1e-12, 1/2), and log-uniform over (1e-300, 1/2)."""
+    return st.one_of(
+        st.sampled_from((0.025, 0.005)),
+        st.floats(1e-12, 0.5, exclude_min=True),
+        st.floats(math.log(1e-300), math.log(0.5), exclude_min=True).map(lambda u: min(math.exp(u), 0.5)),
+    )
+
+
+def seeded_closed_form_cases(count=6000):
+    """`count` (n, y, target, side) of the four closed-form kinds, with n
+    log-uniform up to 1e6 and the target drawn as `closed_form_targets`."""
+    rng = random.Random(27)
+    kinds = list(EXACT_STARTS.values())
+    for _ in range(count):
+        n = int(10 ** rng.uniform(0.0, 6.0))
+        y_of, side = rng.choice(kinds)
+        uniform = rng.uniform(1e-12, 0.5)
+        t = rng.choice((0.025, 0.005, uniform, min(math.exp(rng.uniform(math.log(1e-300), math.log(0.5))), 0.5)))
+        yield n, y_of(n), t, side
+
 
 # (y, side) as functions of n where the tail has two terms, solved in doubles
 TWO_TERM_STARTS = {
@@ -388,7 +426,7 @@ class TestTailInvertCost:
 
     def test_seeded_sweep_anchors(self):
         """A sum after a long step carries its first term, so the sweep takes
-        fewer saddle-point anchors than tail sums (2.07 and 2.33 per
+        fewer saddle-point anchors than tail sums (2.03 and 2.29 per
         inversion; at n <= 300 each sum that carries nothing takes one).
         Before Paulson's start and the remainder stop the sweep took 2.98
         tail sums per inversion."""
@@ -399,8 +437,9 @@ class TestTailInvertCost:
     def test_clopper_pearson_tables(self):
         """The inversions of the `ClopperPearson(n, alpha)` tables at n = 30
         and 31, alpha = 0.05 and 0.01: most interior endpoints take a tail
-        sum at Paulson's start and one after the first Halley step, and the
-        ends with a closed-form or two-term root one (2.01 per inversion;
+        sum at Paulson's start and one after the first Halley step, the ends
+        with a two-term root one, and those with a closed-form root none
+        (1.94 per inversion; 2.01 with a sum to confirm each closed form,
         3.06 with a Wilson start and a sum to confirm the last step)."""
         cases = [(n, y, alpha / 2, side) for n in (30, 31) for alpha in (0.05, 0.01)
                  for y in range(n + 1) for side in ("lower", "upper") if y != (0 if side == "lower" else n)]
@@ -409,14 +448,16 @@ class TestTailInvertCost:
     @pytest.mark.parametrize("n", [2, 10, 1000, 10**6])
     @pytest.mark.parametrize("case", EXACT_STARTS)
     def test_exact_start(self, counts, n, case):
-        """Where the tail has a closed-form root the inversion starts from it,
-        and the first tail sum confirms it."""
+        """Where the tail has a closed-form root the inversion returns it,
+        solved in double-double, and takes no tail sum."""
         y_of, side = EXACT_STARTS[case]
         y, t = y_of(n), 0.025
         b, sums = self.invert(counts, n, y, t, side)
-        assert sums == 1
+        assert sums == 0
         ref = betaincinv(y + 1, n - y, 1 - t) if side == "upper" else betaincinv(y, n - y + 1, t)
         assert abs(b - ref) <= 1e-12 * ref
+        root = mp_closed_form_root(n, y, t, side)
+        assert abs(b - root) <= 2 * math.ulp(float(root))
 
     @pytest.mark.parametrize("n", [3, 10, 1000, 10**6])
     @pytest.mark.parametrize("case", TWO_TERM_STARTS)
@@ -494,6 +535,54 @@ class TestTailInvertCost:
         else:
             root = mp_tail_root(n, y, t, side, b)
             assert abs(b - root) <= RTOL * root, (case, b, float(root))
+
+
+# (case, end): at the first four the root lies past the double next to 0 or 1,
+# and the end is the boundary that widens the interval; the last root is
+# sqrt(5e-324), whose target is subnormal
+CLOSED_FORM_EXTREMES = [
+    ((10**17, 10**17, 0.025, "lower"), 1.0 - 2.0**-53),
+    ((3, 1, 5e-324, "lower"), 0.0),
+    ((1, 0, 1e-300, "upper"), 1.0),
+    ((2, 1, 1e-300, "upper"), 1.0),
+    ((2, 2, 5e-324, "lower"), 2.2227587494850775e-162),
+]
+
+
+class TestClosedFormEnds:
+    """At y = 0 and n - 1 (upper) and at y = 1 and n (lower) the tail has a
+    closed-form root, solved in double-double with no tail sum."""
+
+    @staticmethod
+    def check(cases):
+        """Each inversion within 2 ulps of the 60-digit root, with no tail
+        sum and no saddle-point anchor taken."""
+        with pytest.MonkeyPatch.context() as patch:
+            counts = count_calls(patch, berncert.binom, "_cdf_sf", "_pmf")
+            ends = [(case, binom_tail_invert(*case)) for case in cases]
+        assert counts == {"_cdf_sf": 0, "_pmf": 0}
+        for case, b in ends:
+            root = mp_closed_form_root(*case)
+            assert abs(b - root) <= 2 * math.ulp(float(root)), (case, b, float(root))
+
+    def test_seeded_accuracy_and_cost(self):
+        self.check(seeded_closed_form_cases())
+
+    @given(n=st.integers(1, 10**6), kind=st.sampled_from(sorted(EXACT_STARTS)), t=closed_form_targets())
+    @settings(max_examples=300)
+    def test_accuracy_and_cost(self, n, kind, t):
+        y_of, side = EXACT_STARTS[kind]
+        self.check([(n, y_of(n), t, side)])
+
+    @pytest.mark.parametrize("case,end", CLOSED_FORM_EXTREMES,
+                             ids=["-".join(map(str, case)) for case, _ in CLOSED_FORM_EXTREMES])
+    def test_extremes(self, case, end):
+        """Where the root lies past the double next to 0 or 1, the end that
+        widens the interval, as the tail-sum path returned before the closed
+        form, with +0.0 and not -0.0; at (2, 2, 5e-324, "lower") the
+        correctly rounded root, where that path was about 10 ulps off."""
+        b = binom_tail_invert(*case)
+        assert b == end and math.copysign(1.0, b) == 1.0
 
 
 # ---------------------------------------------------------------- kernel accuracy
