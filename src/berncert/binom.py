@@ -34,8 +34,9 @@ keep it to a few ulps, and a carried sum that lands next to the root is
 retaken with its anchor.
 Where the tail has a closed-form root (y = 0, 1, n - 1 or n), the inversion
 returns it, solved in double-double, with no tail sum.  Where it has two
-terms (y = 1 for the cdf, y = n - 1 for the survival function), whose root
-a few Newton steps in doubles find, the first tail sum only confirms the
+terms (y = 1 for the cdf, y = n - 1 for the survival function), Newton's
+method in doubles falls monotonically to their root from the closed-form
+bound 1 - (t / n)^(1 / (n - 1)), and the first tail sum only confirms that
 start.  Elsewhere the start is Paulson's cube-root normal approximation to
 the beta quantile (E. Paulson, Annals of Math. Stat. 13, 1942), off by a
 median 5e-4 relative at n = 30 and 6e-7 at n = 3000, and a Wilson score
@@ -57,7 +58,9 @@ imported only inside the functions that make an array or a random stream.
 Four checkers here validate every argument of the package: `check_int`
 for counts (integral floats pass), `check_prob` for probabilities in
 [0, 1], `check_level` for levels in (0, 1) and `check_epsilon` for exact
-significance levels in [0, 1].  Anything else raises ValueError.
+significance levels in [0, 1].  Anything else raises ValueError.  A trial
+count n of the kernel is at most `N_MAX` = 2^53, past which n - 1 rounds
+to n as a float.
 """
 
 from __future__ import annotations
@@ -132,6 +135,9 @@ _TWO_TERM_MAX_STEPS = 20
 _CARRY_STEP = 2.0**-13
 _CARRY_END_H = 1e-13
 _NORMAL_MIN = 2.0**-1022  # the smallest normal double
+# the largest trial count: past 2^53, n - 1 rounds to n as a float, and the
+# kernel's float counts (the pmf's n - x, the two-term root's n - 1) go wrong
+N_MAX = 2**53
 
 
 def check_int(k, name: str, lo: float = -math.inf, hi: float = math.inf) -> int:
@@ -436,7 +442,7 @@ def _range_probability(n: int, b: float, lo: int, hi: int) -> float:
 
 def binom_pmf(n: int, b: float, y: int) -> float:
     """Pr(Y = y) for Y ~ Bin(n, b), by the saddle-point formula."""
-    n = check_int(n, "n", 1)
+    n = check_int(n, "n", 1, N_MAX)
     b = check_prob(b, "b")
     y = check_int(y, "y", 0, n)
     if b == 0.0:
@@ -454,7 +460,7 @@ def binom_pmf_vector(n: int, b: float) -> np.ndarray:
     stays only because perfbench's tracer looks the name up."""
     import numpy as np
 
-    n = check_int(n, "n", 1)
+    n = check_int(n, "n", 1, N_MAX)
     b = check_prob(b, "b")
     if b in (0.0, 1.0):
         out = np.zeros(n + 1)
@@ -466,12 +472,12 @@ def binom_pmf_vector(n: int, b: float) -> np.ndarray:
 
 def binom_cdf(n: int, b: float, j: int) -> float:
     """Pr(Y <= j) for Y ~ Bin(n, b); total on integers (j < 0 -> 0, j >= n -> 1)."""
-    return _cdf_sf(check_int(n, "n", 1), check_prob(b, "b"), check_int(j, "j"))[0]
+    return _cdf_sf(check_int(n, "n", 1, N_MAX), check_prob(b, "b"), check_int(j, "j"))[0]
 
 
 def binom_sf(n: int, b: float, j: int) -> float:
     """Pr(Y > j) for Y ~ Bin(n, b); total on integers (j < 0 -> 1, j >= n -> 0)."""
-    return _cdf_sf(check_int(n, "n", 1), check_prob(b, "b"), check_int(j, "j"))[1]
+    return _cdf_sf(check_int(n, "n", 1, N_MAX), check_prob(b, "b"), check_int(j, "j"))[1]
 
 
 def _normal_quantile(t: float) -> float:
@@ -522,41 +528,26 @@ def _two_term_root(n: int, log_t: float) -> float:
     b = c, and Pr(Y >= n - 1) at b = 1 - c.
 
     Newton's method in u = log c on g(u) = (n - 1) log(1 - c) + log(1 + (n - 1) c)
-    - log t, which decreases and is concave in u; from the right of the root
-    its steps stay there, so c never reaches 1, and a bracket catches what
-    rounding does near the root.  The start is the smaller of two bounds
-    above the root: lambda / n, where e^-lambda (1 + lambda) = t is the
-    Poisson limit (lambda > 1.6 at t <= 1/2, and a binomial cdf at 1 lies
-    below the Poisson one of the same mean there: Anderson and Samuels,
-    "Some inequalities among binomial and Poisson probabilities", 1967), and
-    1 - (t / n)^(1 / (n - 1)), the root with 1 + (n - 1) c raised to n.
-    Both c = e^u and 1 - c = -expm1(u) keep full relative accuracy, so this
-    serves b near 0 and near 1 alike.
+    - log t, which decreases and is concave in u.  The start is
+    1 - (t / n)^(1 / (n - 1)), the root with 1 + (n - 1) c raised to n; as
+    1 + (n - 1) c <= n, g is at most 0 there, so the start lies at or right
+    of the root.  A concave g lies below each of its tangents, so Newton's
+    step from there, the zero of the tangent, lands where g <= 0, at or
+    right of the root again: the iterates fall monotonically to it, and c
+    never reaches 1.  Both c = e^u and 1 - c = -expm1(u) keep full relative
+    accuracy, so this serves b near 0 and near 1 alike.
     """
     nm = float(n - 1)
-    # w = 1 + lambda solves w - log w = s: two fixed-point steps from below,
-    # then a Newton step, which lands above the root of this convex function
-    s = 1.0 - log_t
-    w = s + math.log(s + math.log(s))
-    w -= (w - math.log(w) - s) * w / (w - 1.0)
-    c = (w - 1.0) / n
-    q = math.exp((log_t - math.log(n)) / nm)
-    u = math.log(c) if c < 1.0 - q else math.log1p(-q)
-    lo, hi = -math.inf, 0.0
+    u = math.log1p(-math.exp((log_t - math.log(n)) / nm))
     for _ in range(_TWO_TERM_MAX_STEPS):
         c, q = math.exp(u), -math.expm1(u)
         # log(1 - c) from c where c is small, from 1 - c where it is not
         g = nm * (math.log1p(-c) if c < 0.5 else math.log(q)) + math.log1p(nm * c) - log_t
-        if g > 0.0:
-            lo = u
-        else:
-            hi = u
         # -g / g'(u), with g'(u) = -n (n - 1) c^2 / ((1 - c) (1 + (n - 1) c))
         du = g * q * (1.0 + nm * c) / ((n * c) * (nm * c))
-        new = u + du
+        u += du
         if abs(du) * max(1.0, c / q) <= _TWO_TERM_RTOL:
-            return new
-        u = new if lo < new < hi else 0.5 * (lo + hi)
+            return u
     raise ArithmeticError(f"the two-term root at n = {n}, log t = {log_t} did not converge")
 
 
@@ -627,16 +618,19 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
     n <= 1e6 and targets down to 1e-300, where the form in plain doubles
     loses about 1e-16 |log t| relative to the rounding of log t.  A root
     past the double next to 0 or 1 returns the end of that last gap that
-    widens the interval, as a collapsed bracket does.
+    widens the interval, as a collapsed bracket does.  A subnormal root lies
+    within an ulp of the double computed, so the double past that one on the
+    wide side is returned: at most one subnormal ulp wider than the nearest
+    end on the wide side, and never on the inner side.
 
     Where the tail has two terms, (1 - c)^(n - 1) (1 + (n - 1) c) with
     c = b at y = 1 (upper) and c = 1 - b at y = n - 1 (lower), the start
-    is their root, solved in doubles
-    (`_two_term_root`).  Elsewhere it is Paulson's cube-root normal
-    approximation to the beta quantile (`_paulson_start`; E. Paulson, Annals
-    of Math. Stat. 13, 1942), off by a median 5e-4 relative at n = 30 and
-    6e-7 at n = 3000 over the interior Clopper-Pearson ends at alpha = 0.05
-    and 0.01, where a Wilson score bound is off by a median 3% at n = 30.
+    is their root, solved by Newton's method in doubles (`_two_term_root`).
+    Elsewhere it is Paulson's cube-root normal approximation to the beta
+    quantile (`_paulson_start`; E. Paulson, Annals of Math. Stat. 13, 1942),
+    off by a median 5e-4 relative at n = 30 and 6e-7 at n = 3000 over the
+    interior Clopper-Pearson ends at alpha = 0.05 and 0.01, where a Wilson
+    score bound is off by a median 3% at n = 30.
     Below a target of 1e-6, or where Paulson's quadratic has no root, the
     start is the Wilson score bound.  A target t above 1/2, where the log
     tail is flat and its rounding would move b far, is solved as the other
@@ -685,7 +679,7 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
     side="upper", the lower end for side="lower", whichever tail a target
     above 1/2 made it solve.
     """
-    n = check_int(n, "n", 1)
+    n = check_int(n, "n", 1, N_MAX)
     y = check_int(y, "y", 0, n)
     target = check_level(target, "target")
     if side not in ("lower", "upper"):
@@ -718,6 +712,8 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
         vl = (((lh - p) - (((ah * bh - p) + ah * bl + al * bh) + al * bl)) + ll) / nf
         e = math.exp(vh)
         b = -(math.expm1(vh) + e * vl) if upper == at_end else e + e * vl
+        if b < _NORMAL_MIN:  # a subnormal root lies within an ulp of b: the double past b on the wide side
+            b = math.nextafter(b, 1.0 if wide_end_hi else 0.0)
         if _B_MIN <= b <= _B_MAX:
             return b
         lo, hi = (0.0, _B_MIN) if b < _B_MIN else (_B_MAX, 1.0)  # the root lies between the two

@@ -16,7 +16,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 # binom_cdf is not called: perfbench's tracer wraps it here (tests/test_tracer.py)
-from .binom import SeededStream, _cdf_sf, binom_cdf, check_epsilon, check_int, check_prob
+from .binom import N_MAX, SeededStream, _cdf_sf, binom_cdf, check_epsilon, check_int, check_prob
 
 TYPE_CHECKING = False  # typing is not imported at run time: it costs start-up
 if TYPE_CHECKING:
@@ -97,7 +97,7 @@ class PacParams(namedtuple("PacParams", "epsilon coverage_E n J")):
     def __new__(cls, epsilon, coverage_E: float, n: int):
         epsilon = check_epsilon(epsilon)
         coverage_E = check_prob(coverage_E, "coverage_E")
-        n = check_int(n, "calibration size", 1)
+        n = check_int(n, "calibration size", 1, N_MAX)
         return super().__new__(cls, epsilon, coverage_E, n, score_rank_threshold(epsilon, n))
 
     @classmethod

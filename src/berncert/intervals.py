@@ -7,6 +7,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 
 from .binom import (
+    N_MAX,
     SeededStream,
     _range_probability,
     _real,
@@ -58,7 +59,7 @@ def clopper_pearson(n: int, y: int, alpha: float) -> IntervalEstimate:
 
     Endpoints at y=0 and y=n are pinned to 0 and 1 (one-sided convention).
     """
-    n = check_int(n, "n", 1)
+    n = check_int(n, "n", 1, N_MAX)
     y = check_int(y, "successes", 0, n)
     alpha = _check_alpha(alpha)
     lower = 0.0 if y == 0 else binom_tail_invert(n, y, alpha / 2, "lower")
@@ -70,7 +71,7 @@ class ClopperPearson:
     """Interval estimator y -> Clopper-Pearson interval for fixed (n, alpha)."""
 
     def __init__(self, n: int, alpha: float):
-        self.n = check_int(n, "n", 1)
+        self.n = check_int(n, "n", 1, N_MAX)
         self.alpha = _check_alpha(alpha)
         self._cache: dict[int, IntervalEstimate] = {}
 

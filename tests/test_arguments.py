@@ -69,22 +69,25 @@ def _safety_demo(n_cal):
     return run_safety_demo(linear_contraction_system(), n_cal, 0.05, Fraction(1, 2), 0.3, SeededStream(5))
 
 
+# the least trial count past the domain n <= 2^53
+PAST_N_MAX = 2**53 + 1
+
 # name -> (call taking the count k, with k = 3 a valid input; integers out of range)
 ENTRY_POINTS = {
-    "binom_pmf n": (lambda k: binom_pmf(k, 0.3, 1), [0, -1]),
+    "binom_pmf n": (lambda k: binom_pmf(k, 0.3, 1), [0, -1, PAST_N_MAX]),
     "binom_pmf y": (lambda k: binom_pmf(10, 0.3, k), [-1, 11]),
-    "binom_pmf_vector n": (lambda k: binom_pmf_vector(k, 0.3), [0]),
-    "binom_cdf n": (lambda k: binom_cdf(k, 0.3, 1), [0]),
+    "binom_pmf_vector n": (lambda k: binom_pmf_vector(k, 0.3), [0, PAST_N_MAX]),
+    "binom_cdf n": (lambda k: binom_cdf(k, 0.3, 1), [0, PAST_N_MAX]),
     "binom_cdf j": (lambda k: binom_cdf(10, 0.3, k), []),
-    "binom_sf n": (lambda k: binom_sf(k, 0.3, 1), [0]),
+    "binom_sf n": (lambda k: binom_sf(k, 0.3, 1), [0, PAST_N_MAX]),
     "binom_sf j": (lambda k: binom_sf(10, 0.3, k), []),
-    "binom_tail_invert n": (lambda k: binom_tail_invert(k, 1, 0.025, "upper"), [0]),
+    "binom_tail_invert n": (lambda k: binom_tail_invert(k, 1, 0.025, "upper"), [0, PAST_N_MAX]),
     "binom_tail_invert y": (lambda k: binom_tail_invert(10, k, 0.025, "lower"), [-1, 11]),
     # a helper in tests/helpers.py, which checks its count and b with the package's checkers
     "draw_bernoulli count": (lambda k: draw_bernoulli(SeededStream(1), 0.3, k), [-1]),
-    "clopper_pearson n": (lambda k: clopper_pearson(k, 1, 0.05), [0]),
+    "clopper_pearson n": (lambda k: clopper_pearson(k, 1, 0.05), [0, PAST_N_MAX]),
     "clopper_pearson y": (lambda k: clopper_pearson(10, k, 0.05), [-1, 11]),
-    "ClopperPearson n": (lambda k: ClopperPearson(k, 0.05).interval(1), [0]),
+    "ClopperPearson n": (lambda k: ClopperPearson(k, 0.05).interval(1), [0, PAST_N_MAX]),
     "ClopperPearson.interval y": (lambda k: ClopperPearson(10, 0.05).interval(k), [-1, 11]),
     "EndpointTable n": (lambda k: EndpointTable(k, [0.0] * 4, [1.0] * 4), [0]),
     "EndpointTable.of n": (lambda k: EndpointTable.of(ClopperPearson(3, 0.05), k), [-1, 0]),
@@ -96,7 +99,7 @@ ENTRY_POINTS = {
         lambda k: pac_form_check(EndpointTable(3, [0.0] * 4, [1.0] * 4), 0.3, k, 10, SeededStream(1)), [0]),
     "pac_form_check mc_trials": (
         lambda k: pac_form_check(ClopperPearson(3, 0.05), 0.3, 3, k, SeededStream(1)), [0]),
-    "PacParams n": (lambda k: PacParams(epsilon=Fraction(1, 2), coverage_E=0.3, n=k), [0]),
+    "PacParams n": (lambda k: PacParams(epsilon=Fraction(1, 2), coverage_E=0.3, n=k), [0, PAST_N_MAX]),
     "score_rank_threshold n": (lambda k: score_rank_threshold(Fraction(1, 2), k), [0]),
     "PacParams.complement_miss_limit n_test": (lambda k: PARAMS.complement_miss_limit(k), [0]),
     "indicator_coverage_event n_cal": (lambda k: _coverage_event(n_cal=k), [0]),

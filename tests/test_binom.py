@@ -15,11 +15,14 @@ from scipy.special import betaincinv
 import berncert
 import berncert.binom
 from berncert.binom import (
+    N_MAX,
+    _TWO_TERM_RTOL,
     SeededStream,
     _carried,
     _cdf_sf,
     _complement,
     _pmf,
+    _two_term_root,
     binom_cdf,
     binom_pmf,
     binom_pmf_vector,
@@ -445,7 +448,7 @@ class TestTailInvertCost:
                  for y in range(n + 1) for side in ("lower", "upper") if y != (0 if side == "lower" else n)]
         assert inversion_cost(cases)[0] <= 2.1
 
-    @pytest.mark.parametrize("n", [2, 10, 1000, 10**6])
+    @pytest.mark.parametrize("n", [2, 10, 1000, 10**6, N_MAX])
     @pytest.mark.parametrize("case", EXACT_STARTS)
     def test_exact_start(self, counts, n, case):
         """Where the tail has a closed-form root the inversion returns it,
@@ -459,7 +462,7 @@ class TestTailInvertCost:
         root = mp_closed_form_root(n, y, t, side)
         assert abs(b - root) <= 2 * math.ulp(float(root))
 
-    @pytest.mark.parametrize("n", [3, 10, 1000, 10**6])
+    @pytest.mark.parametrize("n", [3, 10, 1000, 10**6, N_MAX])
     @pytest.mark.parametrize("case", TWO_TERM_STARTS)
     def test_two_term_start(self, counts, n, case):
         """Where the tail has two terms the inversion starts from their root,
@@ -538,14 +541,16 @@ class TestTailInvertCost:
 
 
 # (case, end): at the first four the root lies past the double next to 0 or 1,
-# and the end is the boundary that widens the interval; the last root is
-# sqrt(5e-324), whose target is subnormal
+# and the end is the boundary that widens the interval; the fifth root is
+# sqrt(5e-324), whose target is subnormal; the last root, about 3.29e-324, is
+# nearest to 5e-324, on its inner side, and the end is the double below it
 CLOSED_FORM_EXTREMES = [
-    ((10**17, 10**17, 0.025, "lower"), 1.0 - 2.0**-53),
+    ((2**53, 2**53, 0.5, "lower"), 1.0 - 2.0**-53),
     ((3, 1, 5e-324, "lower"), 0.0),
     ((1, 0, 1e-300, "upper"), 1.0),
     ((2, 1, 1e-300, "upper"), 1.0),
     ((2, 2, 5e-324, "lower"), 2.2227587494850775e-162),
+    ((3, 1, 1e-323, "lower"), 0.0),
 ]
 
 
@@ -583,6 +588,64 @@ class TestClosedFormEnds:
         correctly rounded root, where that path was about 10 ulps off."""
         b = binom_tail_invert(*case)
         assert b == end and math.copysign(1.0, b) == 1.0
+
+    def test_seeded_subnormal_roots(self):
+        """Each end whose root is subnormal lies on the wide side of the
+        60-digit root, and within two ulps of it, with no tail sum and no
+        saddle-point anchor taken."""
+        with pytest.MonkeyPatch.context() as patch:
+            counts = count_calls(patch, berncert.binom, "_cdf_sf", "_pmf")
+            ends = [(case, binom_tail_invert(*case)) for case in seeded_subnormal_root_cases()]
+        assert counts == {"_cdf_sf": 0, "_pmf": 0}
+        for case, b in ends:
+            root = mp_closed_form_root(*case)
+            assert root < 2.0**-1022, case
+            assert root - 2 * math.ulp(0.0) <= b <= root, (case, b, float(root))
+
+
+def seeded_subnormal_root_cases(count=2000):
+    """`count` lower ends at y = 1 whose root, about t / n, is subnormal: n
+    log-uniform up to 2^53, or 1, where the root is t itself, and the
+    target log-uniform from 5e-324 to n 2^-1023."""
+    rng = random.Random(28)
+    for _ in range(count):
+        n = 1 if rng.random() < 0.1 else int(2.0 ** rng.uniform(0.0, 53.0))
+        t = math.exp(rng.uniform(math.log(5e-324), math.log(min(0.5, n * 2.0**-1023))))
+        yield n, 1, max(t, 5e-324), "lower"
+
+
+def mp_two_term_log_root(n, log_t, start):
+    """log c for the root c of (1 - c)^(n - 1) (1 + (n - 1) c) = e^log_t at
+    60 digits, by Newton's method in log c from a start near it."""
+    with mp.workdps(60):
+        m, u, log_t = mp.mpf(n - 1), mp.mpf(start), mp.mpf(log_t)
+        for _ in range(60):
+            c, q = mp.exp(u), -mp.expm1(u)
+            step = (m * mp.log(q) + mp.log1p(m * c) - log_t) * q * (1 + m * c) / (n * m * c * c)
+            u += step
+            if abs(step) <= mp.mpf(10) ** -45 * min(1, abs(u)):
+                return u
+    raise ArithmeticError(f"no 60-digit two-term root for {(n, log_t)}")
+
+
+class TestTwoTermRoot:
+    """Newton's method in log c from the one start 1 - (t / n)^(1 / (n - 1)),
+    which lies at or right of the root, with no bracket."""
+
+    @given(
+        n=st.one_of(st.sampled_from((3, 4, N_MAX - 1, N_MAX)), st.integers(3, N_MAX),
+                    st.floats(math.log(3.0), math.log(N_MAX)).map(lambda x: min(max(int(math.exp(x)), 3), N_MAX))),
+        log_t=st.floats(math.log(5e-324), math.log(0.5)),
+    )
+    @settings(max_examples=300)
+    def test_accuracy(self, n, log_t):
+        """No draw raises, and c and 1 - c each lie within `_TWO_TERM_RTOL`
+        of the 60-digit root (2.7e-14 at worst over 15 000 seeded draws)."""
+        u = _two_term_root(n, log_t)
+        root = mp_two_term_log_root(n, log_t, u)
+        with mp.workdps(60):
+            for got, want in ((math.exp(u), mp.exp(root)), (-math.expm1(u), -mp.expm1(root))):
+                assert abs(got - want) <= _TWO_TERM_RTOL * want, (n, log_t, got, float(want))
 
 
 # ---------------------------------------------------------------- kernel accuracy

@@ -32,6 +32,16 @@ class TestBpci:
         assert code == 1
         assert "successes" in err
 
+    @pytest.mark.parametrize("n,y", [(2**53 + 1, 1), (10**16, 10**16 - 1), (10**18, 1), (10**301, 0)],
+                             ids=["2**53+1", "10**16", "10**18", "10**301"])
+    def test_trial_count_past_the_domain_exits_1(self, capsys, n, y):
+        """n past 2^53, where n - 1 rounds to n as a float.  Before the domain
+        was stated, the middle two raised ZeroDivisionError in the pmf and
+        ValueError from log1p(-1.0), and the last computed with NaN."""
+        code, out, err = run_cli(capsys, "bpci", "--n", str(n), "--successes", str(y))
+        assert code == 1 and out == ""
+        assert err.startswith("error: n must be an integer in [1, 9007199254740992], got ")
+
     def test_json_round_trip(self, capsys):
         args = ["bpci", "--n", "10", "--successes", "3", "--alpha", "0.05", "--json"]
         code, out, _ = run_cli(capsys, *args)
