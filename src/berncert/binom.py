@@ -36,21 +36,23 @@ Where the tail has a closed-form root (y = 0, 1, n - 1 or n), the inversion
 returns it, solved in double-double, with no tail sum.  Where it has two
 terms (y = 1 for the cdf, y = n - 1 for the survival function), Newton's
 method in doubles falls monotonically to their root from the closed-form
-bound 1 - (t / n)^(1 / (n - 1)), and the first tail sum only confirms that
-start.  Elsewhere the start is Paulson's cube-root normal approximation to
-the beta quantile (E. Paulson, Annals of Math. Stat. 13, 1942), off by a
-median 5e-4 relative at n = 30 and 6e-7 at n = 3000, and a Wilson score
-bound only at targets below 1e-6.  One rule decides every stop: a step's
-end is returned unconfirmed once its remainder, predicted from the same h''
-as (h'' / (2 h'))^2 times the step cubed, is below 2^-56 of b: two tail
-sums for most interior Clopper-Pearson endpoints at n = 30, one for about
-half at n = 3000.  One finish takes a step that cannot be returned, after
-a sum at the rounding floor of h or rounded past the bracket: a collapsed
-bracket, one double at a time, on the end that widens the interval, judged
-by anchored tails.  A target above 1/2 is solved as the complementary tail
-at 1 - t, which is exact, and iterates stay between the doubles next to 0
-and 1, so a root past them costs one tail sum there, or none where it has a
-closed form.
+bound 1 - (t / n)^(1 / (n - 1)), and one Newton step with the residual in
+double-double refines it; the end is the double on the wide side of that
+root and its stated error, again with no tail sum.  Elsewhere the start is
+Paulson's cube-root normal approximation to the beta quantile (E. Paulson,
+Annals of Math. Stat. 13, 1942), off by a median 5e-4 relative at n = 30
+and 6e-7 at n = 3000, and a Wilson score bound only at targets below 1e-6.
+One rule decides every stop: a step's end is returned unconfirmed once its
+remainder, predicted from the same h'' as (h'' / (2 h'))^2 times the step
+cubed, is below 2^-56 of b: two tail sums for most interior
+Clopper-Pearson endpoints at n = 30, one for about half at n = 3000.  One
+finish takes a step that cannot be returned, after a sum at the rounding
+floor of h or rounded past the bracket: a collapsed bracket, one double at
+a time, on the end that widens the interval, judged by anchored tails.
+A target above 1/2 is solved as the complementary tail at 1 - t, which is
+exact, and iterates stay between the doubles next to 0 and 1, so a root
+past them costs one tail sum there, or none where it has a closed form or
+two terms.
 
 The scalar functions compute on Python floats and load no numpy; numpy is
 imported only inside the functions that make an array or a random stream.
@@ -124,6 +126,12 @@ _B_MAX = 1.0 - 2.0**-53
 # Newton's steps converge quadratically, so the error left is of the order of its square
 _TWO_TERM_RTOL = 1e-8
 _TWO_TERM_MAX_STEPS = 20
+# `_log_dd`'s error is at most this fraction of log m, m its argument's mantissa
+# in [1/sqrt 2, sqrt 2], plus 2^-100 of the log (`_two_term_end` states why)
+_LOG_DD_RTOL = 2.0**-61
+_LOG_SQRT2 = 0.5 * math.log(2.0)  # the largest |log m|
+# below this c, log(1 - c) is its series -c - c^2/2 - c^3/3 (`_two_term_end`)
+_SERIES_MAX = 2.0**-26
 # after a step of at least this fraction of b, a tail sum carries its first
 # term from the last sum's (`_carried`) instead of taking a saddle-point anchor;
 # |log(tail / target)| at most _CARRY_END_H is the rounding floor: a carried sum
@@ -551,6 +559,101 @@ def _two_term_root(n: int, log_t: float) -> float:
     raise ArithmeticError(f"the two-term root at n = {n}, log t = {log_t} did not converge")
 
 
+def _two_term_end(n: int, target: float, upper: bool, wide_hi: bool) -> float:
+    """The end of a two-term inversion: the b of `_two_term_root`'s root c
+    (b = c for upper, 1 - c for lower), rounded to the double on its wide
+    side, up where `wide_hi` and down where not.  No tail is summed.
+
+    One Newton step refines the double root in v = c, or in v = q = 1 - c
+    where c > 1/2, so that v <= 1/2 keeps full relative accuracy.  The
+    residual G = (n - 1) log(1 - c) + log(1 + (n - 1) c) - log t is taken at
+    v in double-double: its three logs by `_log_dd`, (n - 1) v by Dekker's
+    product and the sum by Knuth's.  Below c = 2^-26, log(1 - c) is its
+    series -c - c^2/2 - c^3/3 instead: there the low part of 1 - c is up to
+    0.3 of c, and `_log_dd` rounds it in doubles, which left errors up to
+    0.46 x 2^-53 of c at n from 2^45 to 2^53, against 2e-4 x 2^-53 with the
+    series.  v + dv, with dv = -G(v) / G'(v), is the root in double-double.
+
+    Its error E follows from G's.  `_log_dd` is within 2^-61 of log m, m
+    its argument's mantissa in [1/sqrt 2, sqrt 2], plus 2^-100 of the log:
+    its series past 2u^3/3, below 1.8e-4 of log m, is evaluated in doubles
+    (1.26e-3 x 2^-53 of log m at worst over 2e5 draws), and the k log 2
+    part and the double-double sums add about 2^-104 of the log.  So G is
+    within 2^-61 ((n - 1) L_A + L_B + L_C) + 2^-100 (|A| + |B| + |C|), with
+    A, B and C its three terms and each L the smaller of |log| and log
+    sqrt 2 for the log in it; the series' truncation and rounding are below
+    2^-78 of (n - 1) c.  That over |G'(v)| = n (n - 1) c / ((1 - c) (1 +
+    (n - 1) c)) bounds the root's move.  The step leaves about dv^2 / v
+    more, as |G'' / (2 G')| <= 1 / v in either variable, and its own
+    rounding a few ulps of dv: 2 dv^2 / v + 2^-50 |dv| are counted, and so
+    is the rounding of 1 - (v + dv) where b = 1 - v.  E stays far below an
+    ulp of b (0.009 ulp at most over 2e4 draws).
+
+    The double returned is the first on the wide side of the double-double
+    root moved outward by E: where that root lies within E of the double
+    past it, one more double outward (0.35% of the ends).  Against 60-digit
+    roots every end lies on the wide side and within 1.005 ulps, over 2.2e4
+    draws with n log-uniform on [3, 2^53] and t log-uniform down to 5e-324.
+    A root past the double next to 1 rounds to 1.0, or to 1 - 2^-53 on the
+    low side, the ends of a collapsed bracket there; b is never below
+    1e-162, as t >= 5e-324.
+    """
+    u = _two_term_root(n, math.log(target))
+    c = math.exp(u)
+    in_q = c > 0.5
+    v = -math.expm1(u) if in_q else c
+    nf = float(n)
+    nm = nf - 1.0
+    # (n - 1) v = ph + pl (Dekker), with n - 1's halves kept for A's product
+    ph = nm * v
+    xh = (t := _SPLIT * nm) - (t - nm)
+    xl = nm - xh
+    vh = (t := _SPLIT * v) - (t - v)
+    vl = v - vh
+    pl = ((xh * vh - ph) + xh * vl + xl * vh) + xl * vl
+    if in_q:  # log q, and n - (n - 1) q = sh + sl (Fast2Sum, as n > ph)
+        lh, ll = _log_dd(v, 0.0)
+        sh = nf - ph
+        sl = ((nf - sh) - ph) - pl
+    else:  # log(1 - c), and 1 + (n - 1) c = sh + sl (Knuth)
+        lh, ll = (-v, -v * v * (0.5 + v / 3.0)) if v < _SERIES_MAX else _log_dd(*_complement(v))
+        sh = 1.0 + ph
+        bb = sh - 1.0
+        sl = ((1.0 - (sh - bb)) + (ph - bb)) + pl
+    # G = A + B - C: A = (n - 1) (lh + ll) (Dekker), B = log(sh + sl), C = log t,
+    # the highs summed by Knuth's sums and the lows in doubles
+    ah = nm * lh
+    vh = (t := _SPLIT * lh) - (t - lh)
+    vl = lh - vh
+    al = (((xh * vh - ah) + xh * vl + xl * vh) + xl * vl) + nm * ll
+    bh, bl = _log_dd(sh, sl)
+    ch, cl = _log_dd(target, 0.0)
+    s = ah + bh
+    bb = s - ah
+    e = (ah - (s - bb)) + (bh - bb)
+    g = s - ch
+    bb = g - s
+    g += ((s - (g - bb)) + (-ch - bb)) + e + al + bl - cl
+    # |G'(v)|, with c and q = 1 - c in doubles; G falls in c and rises in q
+    q = v if in_q else 1.0 - v
+    slope = nf * nm * c / (q * (1.0 + nm * c))
+    dv = -g / slope if in_q else g / slope
+    err = (_LOG_DD_RTOL * (nm * min(-lh, _LOG_SQRT2) + min(bh, _LOG_SQRT2) + min(-ch, _LOG_SQRT2))
+           + 2.0**-100 * (bh - ah - ch)) / slope + abs(dv) * (2.0 * abs(dv) / v + 2.0**-50)
+    # the root in b, v + dv or 1 - (v + dv), as rh + rl with |rl| at most half an ulp of rh
+    rh = v + dv
+    rl = dv - (rh - v)
+    if upper == in_q:
+        qh, ql = _complement(rh)
+        e = ql - rl
+        err += 2.0**-53 * abs(e)
+        rh = qh + e
+        rl = e - (rh - qh)
+    if wide_hi:
+        return math.nextafter(rh, 1.0) if rl + err > 0.0 else rh
+    return math.nextafter(rh, 0.0) if rl - err < 0.0 else rh
+
+
 def _log_ratio(tail: float, target: float, log_target: float) -> float:
     """log(tail / target), from the ratio wherever it is a finite normal
     double, so that its rounding is relative to it and not to |log target|;
@@ -624,13 +727,18 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
     end on the wide side, and never on the inner side.
 
     Where the tail has two terms, (1 - c)^(n - 1) (1 + (n - 1) c) with
-    c = b at y = 1 (upper) and c = 1 - b at y = n - 1 (lower), the start
-    is their root, solved by Newton's method in doubles (`_two_term_root`).
-    Elsewhere it is Paulson's cube-root normal approximation to the beta
-    quantile (`_paulson_start`; E. Paulson, Annals of Math. Stat. 13, 1942),
-    off by a median 5e-4 relative at n = 30 and 6e-7 at n = 3000 over the
-    interior Clopper-Pearson ends at alpha = 0.05 and 0.01, where a Wilson
-    score bound is off by a median 3% at n = 30.
+    c = b at y = 1 (upper) and c = 1 - b at y = n - 1 (lower), their root
+    is solved by Newton's method in doubles (`_two_term_root`), refined by
+    one Newton step on the residual in double-double, and returned as the
+    double on its wide side, one further out where the root lies within the
+    residual's stated error of a double (`_two_term_end`), with no tail sum.
+    Against 60-digit roots every such end lies on the wide side and within
+    1.005 ulps, subnormal targets included.  Elsewhere the start is
+    Paulson's cube-root normal approximation to the beta quantile
+    (`_paulson_start`; E. Paulson, Annals of Math. Stat. 13, 1942), off by
+    a median 5e-4 relative at n = 30 and 6e-7 at n = 3000 over the interior
+    Clopper-Pearson ends at alpha = 0.05 and 0.01, where a Wilson score
+    bound is off by a median 3% at n = 30.
     Below a target of 1e-6, or where Paulson's quadratic has no root, the
     start is the Wilson score bound.  A target t above 1/2, where the log
     tail is flat and its rounding would move b far, is solved as the other
@@ -718,15 +826,13 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
             return b
         lo, hi = (0.0, _B_MIN) if b < _B_MIN else (_B_MAX, 1.0)  # the root lies between the two
         return hi if wide_end_hi else lo
-    log_target = math.log(target)
     if y == (1 if upper else n - 1):  # two terms, in c = b or 1 - b
-        u = _two_term_root(n, log_target)
-        b = math.exp(u) if upper else -math.expm1(u)
-    else:
-        b = _paulson_start(n, y, target, upper) if target >= _PAULSON_MIN_TARGET else None
-        if b is None:  # too deep a target for Wilson-Hilferty
-            z = _normal_quantile(target)
-            b = 1.0 - _wilson_lower(n, n - y, z) if upper else _wilson_lower(n, y, z)
+        return _two_term_end(n, target, upper, wide_end_hi)
+    log_target = math.log(target)
+    b = _paulson_start(n, y, target, upper) if target >= _PAULSON_MIN_TARGET else None
+    if b is None:  # too deep a target for Wilson-Hilferty
+        z = _normal_quantile(target)
+        b = 1.0 - _wilson_lower(n, n - y, z) if upper else _wilson_lower(n, y, z)
     b = min(max(b, _B_MIN), _B_MAX)
     lo, hi = 0.0, 1.0
     j = y if upper else y - 1

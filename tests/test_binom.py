@@ -154,10 +154,21 @@ def carry_moves(draw):
 COLLAPSED_BRACKET_CASES = [(11, 6, 0.2716760504048823), (124, 32, 0.005), (47, 19, 0.4031792535164339)]
 
 # upper ends of Clopper-Pearson tables whose first Halley step, from the
-# two-term start, meets the remainder rule but is rounded past the closed
-# bracket: the step's end is not returned, and the floor walk takes the tail
-# one double toward the root, where the bracket collapses after two tail sums
+# two-term root in doubles, met the remainder rule but was rounded past the
+# closed bracket, so that the floor walk ended them after two tail sums.
+# Two-term ends now take no tail sum and never reach the walk; their ends
+# are the same bits
 PAST_BRACKET_CASES = [(11, 1, 0.1), (116, 1, 0.005), (498, 1, 0.1)]
+
+# interior upper ends that reach that exit: the third tail sum's Halley step
+# meets the remainder rule but is rounded past the closed bracket, and the
+# floor walk takes the tail one double toward the root, where the bracket
+# collapses after four tail sums.  A search of 2e5 random interior draws found
+# these four, all at targets below 1e-200
+INTERIOR_PAST_BRACKET_CASES = [
+    (6812, 3232, 5.1794788506066185e-223), (13134, 3233, 4.3883887441118505e-262),
+    (8117, 1936, 9.248566312567588e-213), (6723, 3257, 2.2712231392497096e-219),
+]
 
 
 class TestTailInvert:
@@ -222,11 +233,12 @@ class TestTailInvert:
         sum's, so the inversion computes no saddle-point anchor beyond those
         the sums that carry nothing make: at n <= 256 one each.  At (10, 3,
         0.025, "upper") the second and last sum carries.  A closed-form root
-        (y = 0 upper, y = n lower) takes neither a sum nor an anchor."""
+        (y = 0 upper, y = n lower) and a two-term one (y = 1 upper, y = n - 1
+        lower) take neither a sum nor an anchor."""
         counts = count_calls(monkeypatch, berncert.binom, "_pmf")
         carried = count_carried_sums(monkeypatch)
         binom_tail_invert(n, y, t, side)
-        if y == (0 if side == "upper" else n):
+        if y in ((0, 1) if side == "upper" else (n, n - 1)):
             assert carried == [] and counts["_pmf"] == 0
         else:
             assert len(carried) > 0
@@ -280,6 +292,27 @@ def seeded_sweep_cases():
         side = rng.choice(("lower", "upper"))
         y = rng.randint(1, n) if side == "lower" else rng.randint(0, n - 1)
         yield n, y, rng.choice((0.005, 0.025, rng.random())), side
+
+
+def bpci_pool_cases(rounds=64):
+    """(n, y, alpha) of `rounds` rounds of Clopper-Pearson calls in the bpci
+    benchmark's strata: per round 8 n spread over [10, 30], 8 spread
+    log-uniformly over [31, 400] and 4 over [400, 3000], each stratum a
+    Latin hypercube; y in turn 0, 1, n - 1, n or a binomial draw (the last
+    stratum 1, n - 1 or a draw, which need two inversions), and alpha 0.05
+    or 0.01."""
+    rng = np.random.default_rng(29)
+    strata = ((10, 30, 8, False, ("0", "1", "n-1", "n") + ("draw",) * 4),
+              (31, 400, 8, True, ("0", "1", "n-1", "n") + ("draw",) * 4),
+              (400, 3000, 4, True, ("1", "draw", "n-1", "draw")))
+    for r in range(rounds):
+        for low, high, slots, log, kinds in strata:
+            u = (np.arange(slots) + rng.random(slots)) / slots
+            for i, n in enumerate(np.rint(low * (high / low) ** u if log else low + (high - low) * u)):
+                n, kind = int(n), kinds[(i + r) % len(kinds)]
+                b = (0.02, 0.1, 0.3, 0.5, 0.8, 0.95)[(i + 2 * r) % 6]
+                y = int(rng.binomial(n, b)) if kind == "draw" else {"0": 0, "1": 1, "n-1": n - 1, "n": n}[kind]
+                yield n, y, (0.05, 0.01)[rng.integers(2)]
 
 
 # (y, side) as functions of n where the tail has a closed-form root in b
@@ -415,12 +448,21 @@ class TestTailInvertCost:
 
     @pytest.mark.parametrize("n,y,t", PAST_BRACKET_CASES)
     def test_converged_step_past_bracket(self, counts, n, y, t):
-        """A step that meets the remainder rule but is rounded past the
-        bracket enters the floor walk: the wide-side end, by `binom_cdf`,
-        after at most two tail sums."""
+        """These two-term ends, which the floor walk once ended after two
+        tail sums, are still the wide-side end by `binom_cdf`, and now take
+        none (`TestTwoTermEnds`)."""
         b, sums = self.invert(counts, n, y, t, "upper")
         assert binom_cdf(n, b, y) <= t <= binom_cdf(n, math.nextafter(b, 0.0), y)
         assert sums <= 2
+
+    @pytest.mark.parametrize("n,y,t", INTERIOR_PAST_BRACKET_CASES)
+    def test_interior_converged_step_past_bracket(self, counts, n, y, t):
+        """A step that meets the remainder rule but is rounded past the
+        bracket enters the floor walk: the wide-side end, by `binom_cdf`,
+        after at most four tail sums."""
+        b, sums = self.invert(counts, n, y, t, "upper")
+        assert binom_cdf(n, b, y) <= t <= binom_cdf(n, math.nextafter(b, 0.0), y)
+        assert sums <= 4
 
     def test_seeded_sweep(self, counts):
         sums = [self.invert(counts, *case)[1] for case in seeded_sweep_cases()]
@@ -429,10 +471,11 @@ class TestTailInvertCost:
 
     def test_seeded_sweep_anchors(self):
         """A sum after a long step carries its first term, so the sweep takes
-        fewer saddle-point anchors than tail sums (2.03 and 2.29 per
+        fewer saddle-point anchors than tail sums (2.02 and 2.28 per
         inversion; at n <= 300 each sum that carries nothing takes one).
         Before Paulson's start and the remainder stop the sweep took 2.98
-        tail sums per inversion."""
+        tail sums per inversion, and 2.29 with a sum to confirm each
+        two-term root."""
         sums, anchors, _ = inversion_cost(seeded_sweep_cases())
         assert anchors <= 2.3
         assert sums <= 2.4
@@ -440,13 +483,30 @@ class TestTailInvertCost:
     def test_clopper_pearson_tables(self):
         """The inversions of the `ClopperPearson(n, alpha)` tables at n = 30
         and 31, alpha = 0.05 and 0.01: most interior endpoints take a tail
-        sum at Paulson's start and one after the first Halley step, the ends
-        with a two-term root one, and those with a closed-form root none
-        (1.94 per inversion; 2.01 with a sum to confirm each closed form,
-        3.06 with a Wilson start and a sum to confirm the last step)."""
+        sum at Paulson's start and one after the first Halley step, and the
+        ends with a closed-form or two-term root none (1.91 per inversion;
+        1.94 with a sum to confirm each two-term root, 2.01 with one to
+        confirm each closed form too, 3.06 with a Wilson start and a sum to
+        confirm the last step)."""
         cases = [(n, y, alpha / 2, side) for n in (30, 31) for alpha in (0.05, 0.01)
                  for y in range(n + 1) for side in ("lower", "upper") if y != (0 if side == "lower" else n)]
         assert inversion_cost(cases)[0] <= 2.1
+
+    def test_bpci_pool(self):
+        """Clopper-Pearson calls in the bpci benchmark's strata: those at y
+        in {0, 1, n - 1, n}, whose two ends each have a closed-form or
+        two-term root, take no tail sum (0.58 each with a sum to confirm each
+        two-term root), and the interior calls at most 4.8 each (4.55 here,
+        4.70 on the benchmark's own pool, seed 1)."""
+        edge, interior = [], []
+        with pytest.MonkeyPatch.context() as patch:
+            counts = count_calls(patch, berncert.binom, "_cdf_sf")
+            for n, y, alpha in bpci_pool_cases():
+                before = counts["_cdf_sf"]
+                clopper_pearson(n, y, alpha)
+                (edge if y in (0, 1, n - 1, n) else interior).append(counts["_cdf_sf"] - before)
+        assert max(edge) == 0
+        assert sum(interior) / len(interior) <= 4.8
 
     @pytest.mark.parametrize("n", [2, 10, 1000, 10**6, N_MAX])
     @pytest.mark.parametrize("case", EXACT_STARTS)
@@ -465,15 +525,17 @@ class TestTailInvertCost:
     @pytest.mark.parametrize("n", [3, 10, 1000, 10**6, N_MAX])
     @pytest.mark.parametrize("case", TWO_TERM_STARTS)
     def test_two_term_start(self, counts, n, case):
-        """Where the tail has two terms the inversion starts from their root,
-        solved in doubles, and the first tail sum confirms it."""
+        """Where the tail has two terms the inversion returns their root,
+        refined by one double-double Newton step and rounded to the wide
+        side, and takes no tail sum."""
         y_of, side = TWO_TERM_STARTS[case]
         y, t = y_of(n), 0.025
         b, sums = self.invert(counts, n, y, t, side)
-        assert sums == 1
+        assert sums == 0
         a, c = (y + 1, n - y) if side == "upper" else (y, n - y + 1)
         ref = polished_beta_quantile(a, c, t, side == "upper")
         assert abs(b - ref) <= RTOL * ref
+        assert_two_term_end((n, y, t, side), b)
 
     @pytest.mark.parametrize("n,y,t", PAST_LAST_DOUBLE_CASES)
     def test_root_past_last_double(self, counts, n, y, t):
@@ -614,6 +676,12 @@ def seeded_subnormal_root_cases(count=2000):
         yield n, 1, max(t, 5e-324), "lower"
 
 
+def trial_counts():
+    """n from 3 to 2^53: its ends, uniform, and log-uniform."""
+    return st.one_of(st.sampled_from((3, 4, N_MAX - 1, N_MAX)), st.integers(3, N_MAX),
+                     st.floats(math.log(3.0), math.log(N_MAX)).map(lambda x: min(max(int(math.exp(x)), 3), N_MAX)))
+
+
 def mp_two_term_log_root(n, log_t, start):
     """log c for the root c of (1 - c)^(n - 1) (1 + (n - 1) c) = e^log_t at
     60 digits, by Newton's method in log c from a start near it."""
@@ -632,11 +700,7 @@ class TestTwoTermRoot:
     """Newton's method in log c from the one start 1 - (t / n)^(1 / (n - 1)),
     which lies at or right of the root, with no bracket."""
 
-    @given(
-        n=st.one_of(st.sampled_from((3, 4, N_MAX - 1, N_MAX)), st.integers(3, N_MAX),
-                    st.floats(math.log(3.0), math.log(N_MAX)).map(lambda x: min(max(int(math.exp(x)), 3), N_MAX))),
-        log_t=st.floats(math.log(5e-324), math.log(0.5)),
-    )
+    @given(n=trial_counts(), log_t=st.floats(math.log(5e-324), math.log(0.5)))
     @settings(max_examples=300)
     def test_accuracy(self, n, log_t):
         """No draw raises, and c and 1 - c each lie within `_TWO_TERM_RTOL`
@@ -646,6 +710,104 @@ class TestTwoTermRoot:
         with mp.workdps(60):
             for got, want in ((math.exp(u), mp.exp(root)), (-math.expm1(u), -mp.expm1(root))):
                 assert abs(got - want) <= _TWO_TERM_RTOL * want, (n, log_t, got, float(want))
+
+
+def mp_two_term_end_root(n, y, t, side):
+    """The root b of a case that is, or a target above 1/2 flips onto, a
+    two-term kind (y = 1 upper, y = n - 1 lower), at 60 digits.  The log of
+    the target is taken at 60 digits too: a log rounded to a double would
+    move the root by up to about 0.4 ulp."""
+    upper = side == "upper"
+    with mp.workdps(60):
+        t = mp.mpf(t)
+        if t > 0.5:  # the flip binom_tail_invert makes, exact: 1 - t is a double
+            y, upper, t = y + 1 if upper else y - 1, not upper, 1 - t
+        assert y == (1 if upper else n - 1), (n, y, side)
+        log_t = mp.log(t)
+        u = mp_two_term_log_root(n, log_t, _two_term_root(n, float(log_t)))
+        return mp.exp(u) if upper else -mp.expm1(u)
+
+
+def assert_two_term_end(case, b):
+    """b lies on the wide side of the 60-digit root and within 2 ulps of it;
+    where the root lies past the double next to 1, b is 1.0, the end of that
+    last gap that widens the interval."""
+    root = mp_two_term_end_root(*case)
+    wide_hi = case[3] == "upper"
+    if root > 1.0 - 2.0**-53:
+        assert wide_hi and b == 1.0, (case, b)
+    else:
+        assert (b >= root) if wide_hi else (b <= root), (case, b, float(root))
+        assert abs(b - root) <= 2 * math.ulp(float(root)), (case, b, float(root))
+
+
+# the two kinds with a two-term tail, and the two that a target above 1/2 flips onto them
+TWO_TERM_KINDS = ("upper y=1", "lower y=n-1", "lower y=2, 1 - t", "upper y=n-2, 1 - t")
+
+
+def two_term_case(n, t, kind):
+    """(n, y, target, side) of `kind` at a target t <= 1/2, or for the
+    flipped kinds at 1 - t, with t first clamped to [2^-53, 0.4999] so that
+    1/2 < 1 - t < 1."""
+    y, side = {"upper y=1": (1, "upper"), "lower y=n-1": (n - 1, "lower"),
+               "lower y=2, 1 - t": (2, "lower"), "upper y=n-2, 1 - t": (n - 2, "upper")}[kind]
+    if kind.endswith("1 - t"):
+        t = 1.0 - min(max(t, 2.0**-53), 0.4999)
+    return n, y, t, side
+
+
+def seeded_two_term_cases(count=2000):
+    """`count` cases of `TWO_TERM_KINDS`, with n log-uniform on [3, 2^53] and
+    the target log-uniform from 5e-324 to 1/2."""
+    rng = random.Random(29)
+    for _ in range(count):
+        n = min(max(int(math.exp(rng.uniform(math.log(3.0), math.log(N_MAX)))), 3), N_MAX)
+        t = max(math.exp(rng.uniform(math.log(5e-324), math.log(0.5))), 5e-324)
+        yield two_term_case(n, t, rng.choice(TWO_TERM_KINDS))
+
+
+# subnormal targets, where the tail-sum path left relative errors of 2.1e-9,
+# 1.6e-9 and 1.07e-12
+TWO_TERM_SUBNORMAL_TARGETS = [
+    (1320, 1, 2.370754e-318, "upper"), (1320, 1319, 2.370754e-318, "lower"), (122, 121, 3.8075639915e-314, "lower"),
+]
+
+# roots past the double next to 1: 1 - b is about (t / n)^(1 / (n - 1)), below 2^-54
+TWO_TERM_PAST_LAST_DOUBLE = [(3, 1, 1e-40, "upper"), (4, 1, 1e-60, "upper"), (3, 1, 5e-324, "upper")]
+
+
+class TestTwoTermEnds:
+    """At y = 1 (upper) and y = n - 1 (lower) the end is the two-term root,
+    refined by one double-double Newton step and rounded to the wide side,
+    with no tail sum."""
+
+    @staticmethod
+    def check(cases):
+        """Each end on the wide side of the 60-digit root and within 2 ulps
+        of it, with no tail sum and no saddle-point anchor taken."""
+        with pytest.MonkeyPatch.context() as patch:
+            counts = count_calls(patch, berncert.binom, "_cdf_sf", "_pmf")
+            ends = [(case, binom_tail_invert(*case)) for case in cases]
+        assert counts == {"_cdf_sf": 0, "_pmf": 0}
+        for case, b in ends:
+            assert_two_term_end(case, b)
+
+    def test_seeded_accuracy_and_cost(self):
+        self.check(seeded_two_term_cases())
+
+    @given(n=trial_counts(), log_t=st.floats(math.log(5e-324), math.log(0.5)), kind=st.sampled_from(TWO_TERM_KINDS))
+    @settings(max_examples=300)
+    def test_accuracy_and_cost(self, n, log_t, kind):
+        self.check([two_term_case(n, max(math.exp(log_t), 5e-324), kind)])
+
+    @pytest.mark.parametrize("case", TWO_TERM_SUBNORMAL_TARGETS, ids=lambda case: "-".join(map(str, case)))
+    def test_subnormal_target(self, case):
+        assert_two_term_end(case, binom_tail_invert(*case))
+
+    @pytest.mark.parametrize("case", TWO_TERM_PAST_LAST_DOUBLE, ids=lambda case: "-".join(map(str, case)))
+    def test_past_last_double(self, case):
+        """The upper end 1.0, as the tail-sum path returned (`check` asserts it)."""
+        self.check([case])
 
 
 # ---------------------------------------------------------------- kernel accuracy
