@@ -27,32 +27,39 @@ Halley's method on the log tail, safeguarded by a shrinking bracket.  Its
 slope needs pmf_n(y), which is the first term of the tail sum the same step
 has just taken, or one ratio step from it, so a step pays for at most one
 saddle-point anchor, not two; the second derivative follows from the slope
-and pmf_n(y)'s own log derivative, at no further cost.  A sum after a long
-step pays for none: it carries its first term from the last sum's by the
-exact ratio of the two pmfs, where that ratio's exponent is small enough to
-keep it to a few ulps, and a carried sum that lands next to the root is
-retaken with its anchor.
+and pmf_n(y)'s own log derivative, at no further cost.  After the first
+sum, the tail at each iterate is moved from the last one's: the tail's
+derivative in log(1 - b) (cdf) or log b (survival function) is m pmf_n(y),
+m = n - y or y, so its change is that integral over the move, which a
+4-point Gauss-Lobatto rule takes from pmf_n(y) moved by the exact pmf
+ratio.  A stated bound on the move keeps the rule's error below an eighth
+of an ulp of the tail; a move past it takes a full sum, whose first term
+is carried from the last sum's by the exact pmf ratio after a long step,
+where that ratio's exponent is small enough to keep it to a few ulps.
 Where the tail has a closed-form root (y = 0, 1, n - 1 or n), the inversion
 returns it, solved in double-double, with no tail sum.  Where it has two
 terms (y = 1 for the cdf, y = n - 1 for the survival function), Newton's
 method in doubles falls monotonically to their root from the closed-form
 bound 1 - (t / n)^(1 / (n - 1)), and one Newton step with the residual in
 double-double refines it; the end is the double on the wide side of that
-root and its stated error, again with no tail sum.  Elsewhere the start is
-Paulson's cube-root normal approximation to the beta quantile (E. Paulson,
-Annals of Math. Stat. 13, 1942), off by a median 5e-4 relative at n = 30
-and 6e-7 at n = 3000, and a Wilson score bound only at targets below 1e-6.
-One rule decides every stop: a step's end is returned unconfirmed once its
-remainder, predicted from the same h'' as (h'' / (2 h'))^2 times the step
-cubed, is below 2^-56 of b: two tail sums for most interior
-Clopper-Pearson endpoints at n = 30, one for about half at n = 3000.  One
-finish takes a step that cannot be returned, after a sum at the rounding
-floor of h or rounded past the bracket: a collapsed bracket, one double at
-a time, on the end that widens the interval, judged by anchored tails.
-A target above 1/2 is solved as the complementary tail at 1 - t, which is
-exact, and iterates stay between the doubles next to 0 and 1, so a root
-past them costs one tail sum there, or none where it has a closed form or
-two terms.
+root and its stated error, again with no tail sum.  Where 1 minus the tail
+has two terms (y = n - 2 for the cdf, y = 2 for the survival function), the
+start is the root of that equation, solved in doubles from its small-b
+limit sqrt(2t / (n (n - 1))).  Elsewhere the start is Paulson's cube-root
+normal approximation to the beta quantile (E. Paulson, Annals of Math.
+Stat. 13, 1942), off by a median 5e-4 relative at n = 30 and 6e-7 at
+n = 3000, and a Wilson score bound only at targets below 1e-6.  One rule
+decides every stop: a step's end is returned unconfirmed once its remainder, predicted
+from the same h'' as (h'' / (2 h'))^2 times the step cubed, is below 2^-56
+of b: one tail sum and one moved tail for most interior Clopper-Pearson
+endpoints.  One finish takes a step that cannot be returned, after a tail
+at the rounding floor of h or rounded past the bracket: a collapsed
+bracket, one double at a time, on the end that widens the interval, judged
+by anchored tails, as a moved tail or a carried sum at the floor sets no
+bracket end.  A target above 1/2 is solved as the complementary tail at
+1 - t, which is exact, and iterates stay between the doubles next to 0 and
+1, so a root past them costs one tail sum there, or none where it has a
+closed form or two terms.
 
 The scalar functions compute on Python floats and load no numpy; numpy is
 imported only inside the functions that make an array or a random stream.
@@ -133,15 +140,31 @@ _LOG_SQRT2 = 0.5 * math.log(2.0)  # the largest |log m|
 # below this c, log(1 - c) is its series -c - c^2/2 - c^3/3 (`_two_term_end`)
 _SERIES_MAX = 2.0**-26
 # after a step of at least this fraction of b, a tail sum carries its first
-# term from the last sum's (`_carried`) instead of taking a saddle-point anchor;
-# |log(tail / target)| at most _CARRY_END_H is the rounding floor: a carried sum
-# there is retaken with its anchor, since a few ulps could flip its sign, and a
-# bracket end must lie on the side of the root that the public tail functions
-# put it; a sum after a step that lands there ends the inversion only through
-# the floor walk to a collapsed bracket, the one finish also of a converged
-# step rounded past the bracket
+# term from the last sum's (`_carried`) instead of taking a saddle-point anchor
 _CARRY_STEP = 2.0**-13
-_CARRY_END_H = 1e-13
+# |log(tail / target)| at most _FLOOR_H is the rounding floor: a few ulps could
+# flip the sign of h there, so only a tail that took its own anchor, as the
+# public tail functions do, may set a bracket end at the floor; an iterate that
+# lands there after the first ends the inversion only through the floor walk
+# to a collapsed bracket, the one finish also of a converged step rounded past
+# the bracket
+_FLOOR_H = 1e-13
+# `_moved_tail` admits a move where the relative moves of b and 1 - b sum to
+# at most _MOVE_UV, max |a| |L| and |a1 - a0| |L| are at most _MOVE_AL and
+# _MOVE_DAL, a the log derivative of pmf_n(y) and L the move in the log
+# variable, and the tail's change to first order is at most _MOVE_TAIL of the
+# tail; the inversion's loop checks the bounds of _MOVE_AL and _MOVE_TAIL first
+_MOVE_UV = 2.0**-7
+_MOVE_AL = 2.0**-6
+_MOVE_DAL = 2.0**-15
+_MOVE_TAIL = 2.0**-6
+# the inner nodes of the 4-point Gauss-Lobatto rule on [0, 1], (1 -+ 1/sqrt 5) / 2
+_LOBATTO_1 = 0.5 - 0.5 / math.sqrt(5.0)
+_LOBATTO_2 = 0.5 + 0.5 / math.sqrt(5.0)
+# below this |x|, (x - log1p(x)) / x^2 is its series (`_q2_root`)
+_Q2_SERIES_MAX = 2.0**-10
+# `_q2_root` stops after a Newton step in log c below this
+_Q2_RTOL = 1e-12
 _NORMAL_MIN = 2.0**-1022  # the smallest normal double
 # the largest trial count: past 2^53, n - 1 rounds to n as a float, and the
 # kernel's float counts (the pmf's n - x, the two-term root's n - 1) go wrong
@@ -497,10 +520,14 @@ def _normal_quantile(t: float) -> float:
     )
 
 
-def _paulson_start(n: int, y: int, target: float, upper: bool) -> float | None:
-    """The start of an inversion with 2 <= y <= n - 2: its root by Paulson's
-    normal approximation to the F quantile, or None where that approximation
-    has no root (at q = 2 below a target of about 3e-5).
+def _paulson_start(n: int, y: int, target: float, upper: bool) -> float:
+    """The start of an inversion with beta parameters p, q >= 3 at a target
+    of at least `_PAULSON_MIN_TARGET`: its root by Paulson's normal
+    approximation to the F quantile.  There the quadratic below has a root:
+    its leading coefficient (1 - c2)^2 - z^2 c2 is positive for z^2 < 25 at
+    q = 3, and z < 4.8 at targets down to 1e-6.  At q = 2 it has none below
+    a target of about 3e-5, and is 7-26% off at Clopper-Pearson levels, so
+    `_q2_root` serves q = 2.
 
     With W ~ Beta(p, q), F = q W / (p (1 - W)) follows F(2p, 2q), and F^(1/3)
     is close to normal (Wilson and Hilferty): Pr(W > w) = t where
@@ -517,8 +544,6 @@ def _paulson_start(n: int, y: int, target: float, upper: bool) -> float | None:
     c1, c2 = 1.0 / (9 * p), 1.0 / (9 * q)
     a1, a2 = 1.0 - c1, 1.0 - c2
     den = a2 * a2 - z * z * c2
-    if den <= 0.0:
-        return None
     u = (a1 * a2 + z * math.sqrt(a1 * a1 * c2 + a2 * a2 * c1 - z * z * c1 * c2)) / den
     m = q / (p * u * u * u + q)  # 1 - W, free of cancellation where W is near 1
     return 1.0 - m if upper else m
@@ -654,6 +679,46 @@ def _two_term_end(n: int, target: float, upper: bool, wide_hi: bool) -> float:
     return math.nextafter(rh, 0.0) if rl - err < 0.0 else rh
 
 
+def _log1p_rest(x: float) -> float:
+    """(x - log1p(x)) / x^2 for x > -1, x != 0: its series 1/2 - x/3 + x^2/4
+    - x^3/5 + x^4/6 below |x| = 2^-10, whose first term left out is below
+    2^-50 of it, and the quotient above, where the difference loses about
+    2^-52 / |x| relative to cancellation, at most 2^-42."""
+    if -_Q2_SERIES_MAX < x < _Q2_SERIES_MAX:
+        return 0.5 - x * (1.0 / 3.0 - x * (0.25 - x * (0.2 - x / 6.0)))
+    return (x - math.log1p(x)) / (x * x)
+
+
+def _q2_root(n: int, target: float) -> float:
+    """The root c in (0, 1) of 1 - (1 - c)^(n - 1) (1 + (n - 1) c) = t, for
+    n >= 3 and 0 < t = target <= 1/2: Pr(Y >= 2) = t at b = c, and
+    Pr(Y <= n - 2) = t at b = 1 - c, the tails with beta parameter q = 2.
+
+    With m = n - 1, the log of the two-term product is G = log1p(m c) - m c
+    + m (log1p(-c) + c) = -c^2 (m^2 r(m c) + m r(-c)), r = `_log1p_rest`:
+    two terms of one sign, so G keeps its relative accuracy at any c, where
+    the form m log1p(-c) + log1p(m c) cancels to nothing below m c of about
+    1e-16.  Newton's method in u = log c runs on phi(u) = 2u + log(m^2 r(m c)
+    + m r(-c)) - log(-log1p(-t)), with phi'(u) = m n / ((1 - c) (1 + m c)
+    (m^2 r(m c) + m r(-c))).  It starts at the small-c limit
+    c = sqrt(2t / (n (n - 1))), where phi is nearly linear, and stops after
+    a step below 1e-12: 4 steps at most over the 2000 seeded cases of the
+    tests, and within 7e-14 of 60-digit roots, most of it the rounding of u.
+    """
+    m = float(n - 1)
+    nf = float(n)
+    log_t = math.log(-math.log1p(-target))
+    u = 0.5 * (math.log(2.0 * target) - math.log(nf) - math.log(m))
+    for _ in range(_TWO_TERM_MAX_STEPS):
+        c = math.exp(u)
+        r = m * m * _log1p_rest(m * c) + m * _log1p_rest(-c)
+        du = (log_t - 2.0 * u - math.log(r)) * -math.expm1(u) * (1.0 + m * c) * r / (m * nf)
+        u += du
+        if abs(du) <= _Q2_RTOL:
+            return math.exp(u)
+    raise ArithmeticError(f"the q = 2 root at n = {n}, t = {target} did not converge")
+
+
 def _log_ratio(tail: float, target: float, log_target: float) -> float:
     """log(tail / target), from the ratio wherever it is a finite normal
     double, so that its rounding is relative to it and not to |log target|;
@@ -687,6 +752,81 @@ def _carried(n: int, k: int, b0: float, p0: float, b: float) -> float:
     e = k * math.log1p(u)
     f = (n - k) * math.log1p(v)
     return p0 * math.exp(e + f) if -1.0 <= e <= 1.0 and -1.0 <= f <= 1.0 else 0.0
+
+
+def _moved_tail(n: int, y: int, upper: bool, b0: float, tail0: float, p0: float,
+                b: float) -> tuple[float, float] | None:
+    """(tail, pmf_n(y)) at b from tail0 and p0 = pmf_n(y), both at b0, or
+    None where the move is refused; the tail is Pr(Y <= y) for `upper` and
+    Pr(Y >= y) otherwise.  The inversion moves tails at 2 <= y <= n - 2,
+    the range the tests draw.
+
+    In x = log z, with z = 1 - b (upper) or b (lower) and w = 1 - z, pmf_n(y)
+    is C z^m w^k, m = n - y and k = y (upper) or m = y and k = n - y (lower),
+    and the tail's derivative in x is m pmf_n(y); so the tail at b is tail0
+    plus the integral of m pmf_n(y) over x from x0 to x0 + L, L = log(z /
+    z0).  The 4-point Gauss-Lobatto rule takes it: nodes at theta = 0,
+    1/2 -+ 1/(2 sqrt 5) and 1 of the way, weights 1/12, 5/12, 5/12 and 1/12
+    of L.  The pmf at a node is p0 exp(m theta L + k log1p(-(z0 / w0)
+    expm1(theta L))), the exact pmf ratio in x as `_carried` takes it in b;
+    the node's b is never rounded to a double, which would move it by up to
+    half an ulp of b, a large part of a short move.
+
+    The move is admitted where (1) the relative moves u of b and v of 1 - b
+    have |u| + |v| <= 2^-7, checked before any log, which keeps log1p off -1;
+    (2) both products of the exponent at b are at most 1 in magnitude, as in
+    `_carried`, so that each pmf is good to a few ulps; (3) max |a| |L| <=
+    2^-6 and |a1 - a0| |L| <= 2^-15, where a = m - k z / w is the log
+    derivative of pmf_n(y) in x, a0 and a1 its values at b0 and b (a is
+    monotone in x, the pmf being log-concave); and (4) tail0 is a normal
+    double and m p0 |L|, the change to first order, at most 2^-6 of it; the
+    change itself is then within 2% of that.
+
+    Why that bounds the error: in s = 2 theta - 1 the rule integrates
+    polynomials of degree 5 exactly, odd powers exactly, and errs on an even
+    power by at most 1/6 of the integral of 1.  So its relative error is at
+    most about 1/6 of the pmf ratio's Taylor coefficients in s from s^6 on.
+    The ratio is exp(phi1 s + phi2 s^2 + ...), with |phi1| = |a L| / 2 <=
+    2^-7 at the midpoint by (3); |phi2| = |g''| L^2 / 8, g = log pmf_n(y),
+    within 3% of |a1 - a0| |L| / 8 <= 2^-18 by (3); and for j >= 3 |phi_j|
+    <= 2 |phi2| beta^(j-2) / j, beta = |L| / (2 w) within 2% of (|u| +
+    |v|) / 2 <= 2^-8 by (1), as the j-th derivative of k log(1 - e^x) is at
+    most (j - 1)! |g''| / w^(j-2).  With every coefficient at its bound the
+    sixth of the ratio is 4.6e-15, and the rule errs by below 2^-50 of the
+    change, below 2^-56 of the tail by (4): an eighth of an ulp at most.
+    The nodes' few ulps, times the 2^-6 of (4), and the rounding of tail0
+    plus the change, half an ulp, are the rest: against 40-digit tails the
+    move added at most 0.51 ulp to tail0's error, over 6115 admitted moves
+    of a seeded draw at n <= 3000.
+    """
+    if tail0 < _NORMAL_MIN or p0 == 0.0:
+        return None
+    d = b - b0
+    u = d / b0
+    v = -d / (1.0 - b0)
+    if not abs(u) + abs(v) <= _MOVE_UV:
+        return None
+    # dz and dw the relative moves of z and w, r0 = z0 / w0
+    if upper:
+        m, k, dz, dw, r0 = n - y, y, v, u, (1.0 - b0) / b0
+    else:
+        m, k, dz, dw, r0 = y, n - y, u, v, b0 / (1.0 - b0)
+    x = math.log1p(dz)
+    a0 = m - k * r0
+    a1 = m - k * r0 * (1.0 + dz) / (1.0 + dw)
+    e = m * x
+    # written so that a NaN, from an infinite r0 at a subnormal b0, refuses the move
+    if not (max(abs(a0), abs(a1)) * abs(x) <= _MOVE_AL and abs(a1 - a0) * abs(x) <= _MOVE_DAL
+            and abs(e * p0) <= _MOVE_TAIL * tail0 and -1.0 <= e <= 1.0):
+        return None
+    f = k * math.log1p(dw)
+    if not -1.0 <= f <= 1.0:
+        return None
+    s1, s2 = _LOBATTO_1 * x, _LOBATTO_2 * x
+    ratio = math.exp(e + f)
+    nodes = (1.0 + ratio + 5.0 * (math.exp(m * s1 + k * math.log1p(-r0 * math.expm1(s1)))
+                                  + math.exp(m * s2 + k * math.log1p(-r0 * math.expm1(s2)))))
+    return tail0 + e * p0 * nodes / 12.0, p0 * ratio
 
 
 def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
@@ -733,17 +873,22 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
     double on its wide side, one further out where the root lies within the
     residual's stated error of a double (`_two_term_end`), with no tail sum.
     Against 60-digit roots every such end lies on the wide side and within
-    1.005 ulps, subnormal targets included.  Elsewhere the start is
-    Paulson's cube-root normal approximation to the beta quantile
-    (`_paulson_start`; E. Paulson, Annals of Math. Stat. 13, 1942), off by
-    a median 5e-4 relative at n = 30 and 6e-7 at n = 3000 over the interior
-    Clopper-Pearson ends at alpha = 0.05 and 0.01, where a Wilson score
-    bound is off by a median 3% at n = 30.
-    Below a target of 1e-6, or where Paulson's quadratic has no root, the
-    start is the Wilson score bound.  A target t above 1/2, where the log
-    tail is flat and its rounding would move b far, is solved as the other
-    side's tail at 1 - t, exact by Sterbenz's lemma: Pr(Y <= y) = t exactly
-    where Pr(Y >= y + 1) = 1 - t.
+    1.005 ulps, subnormal targets included.  Where the beta parameter q is
+    2 (y = 2 lower, y = n - 2 upper), the tail is 1 minus a two-term one,
+    and the start is the root c of 1 - (1 - c)^(n - 1) (1 + (n - 1) c) = t,
+    b = c (lower) or 1 - c (upper), by Newton's method in log c from its
+    small-c limit sqrt(2t / (n (n - 1))) (`_q2_root`): within 7e-14 of the
+    60-digit root, so that the first Halley step meets the stop rule, where
+    Paulson's start was 7-26% off at Clopper-Pearson levels and took up to 7
+    tail sums.  Elsewhere the start is Paulson's cube-root normal
+    approximation to the beta quantile (`_paulson_start`; E. Paulson, Annals
+    of Math. Stat. 13, 1942), off by a median 5e-4 relative at n = 30 and
+    6e-7 at n = 3000 over the interior Clopper-Pearson ends at alpha = 0.05
+    and 0.01, where a Wilson score bound is off by a median 3% at n = 30.
+    Below a target of 1e-6 the start is the Wilson score bound.  A target t
+    above 1/2, where the log tail is flat and its rounding would move b far,
+    is solved as the other side's tail at 1 - t, exact by Sterbenz's lemma:
+    Pr(Y <= y) = t exactly where Pr(Y >= y + 1) = 1 - t.
 
     Every iterate lies between the doubles next to 0 and 1: a start or a
     step past one of them is clamped to it, so where the root lies past the
@@ -753,16 +898,27 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
     h is log(tail / target) wherever that ratio is a finite normal double,
     so that a tiny target costs h no accuracy; log(tail) - log(target)
     would lose about 1e-16 |log target| to rounding.  The first tail sum
-    takes its saddle-point anchor.  A sum after a step of at least 2^-13 of
-    b, on the same side of the mode as the last one, takes its first term
-    pmf_n(k) from the last sum's by `_carried` instead, where that admits
-    the move; this saves about a quarter of the anchors at n <= 300, and few
-    at large n, where the move must be short.  A carried sum with |h| <=
-    1e-13 is retaken with its anchor before its sign or its step is used,
-    so that every bracket end next to the root, and so the end a collapsed
-    bracket returns, is judged by the tail `binom_cdf` and `binom_sf` give.
-    The retake is rare: 7 times in 6719 Clopper-Pearson and seeded
-    inversions at n <= 3000.
+    takes its saddle-point anchor.  After it, the tail at each iterate is
+    moved from the last iterate's tail and pmf_n(y) (`_moved_tail`): its
+    change is m times the integral of pmf_n(y) over the move in x = log(1 -
+    b) (upper, m = n - y) or log b (lower, m = y), taken by a 4-point
+    Gauss-Lobatto rule whose nodes are pmf_n(y) moved by the exact pmf
+    ratio.  A move is admitted where |u| + |v| <= 2^-7, u and v the relative
+    moves of b and 1 - b, max |a| |L| <= 2^-6 and |a1 - a0| |L| <= 2^-15, L
+    the move in x, and m pmf_n(y) |L| is at most 2^-6 of the tail; there
+    the rule errs by below 2^-56 of the tail (`_moved_tail` gives the
+    argument).  A move is tried only after a Halley step inside the bracket
+    whose |a step| and slope |step| meet the bounds on max |a| |L| and on
+    m pmf_n(y) |L|, as L is about -step, so that a move sure to be refused
+    costs no call.  Elsewhere a full sum is taken: after a step of at least
+    2^-13 of b, on the same side of the mode as the last sum, it takes its
+    first term pmf_n(k) from the last sum's by `_carried`, where that admits
+    the move.  The tail after the first step, from Paulson's start, is
+    moved in 70% of the interior Clopper-Pearson inversions that take that
+    step at n = 30 and 31, 87% at n = 100 and 98% or more at n >= 1000.  So
+    most interior ends take one tail sum: 1.25 per inversion on the
+    Clopper-Pearson tables at n = 30 and 31, where a sum at every iterate
+    took 1.91.
 
     One rule decides every stop: iteration stops where the error a step
     leaves is predicted below 2^-56 of b, and returns the step's end without
@@ -775,17 +931,23 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
     2^-54 of b, under half an ulp.  The end returned may lie an ulp or so on
     either side of the root, below the tail's own few-ulp rounding.
 
-    One finish takes the step from a sum at the rounding floor, |h| <=
+    One finish takes the step from a tail at the rounding floor, |h| <=
     1e-13, after an earlier step, since h there is mostly rounding, and a
     step that meets the rule but is rounded past the closed bracket: the
-    tail at the step's end if it lies inside the bracket, then at one double
-    after another toward the root, until no double is left strictly inside.
-    So every end is a tail equal to the target (h = 0), a converged step's
-    end inside the bracket, or the end of a collapsed bracket.  The root
-    then lies between two adjacent doubles, or past the last double before
-    0 or 1, and the end returned widens the interval: the upper end for
-    side="upper", the lower end for side="lower", whichever tail a target
-    above 1/2 made it solve.
+    walk.  A tail at the floor that took no anchor of its own, a moved tail
+    or a carried sum, sets no bracket end, as a few ulps could flip its
+    sign; the step from it starts the walk, which takes the tail at the
+    step's end if it lies inside the bracket, or at the same b where it
+    does not (not seen in 18 609 inversions), then at one double after
+    another toward the root, until no double is left strictly inside.
+    Every walk sum takes its anchor, as `binom_cdf` and `binom_sf` do, so
+    the bracket that collapses is judged by their tails.  So every end is an
+    anchored tail equal to the target (h = 0), a converged step's end inside
+    the bracket, or the end of a collapsed bracket.  The root then lies
+    between two adjacent doubles, or past the last double before 0 or 1, and
+    the end returned widens the interval: the upper end for side="upper",
+    the lower end for side="lower", whichever tail a target above 1/2 made
+    it solve.
     """
     n = check_int(n, "n", 1, N_MAX)
     y = check_int(y, "y", 0, n)
@@ -829,45 +991,57 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
     if y == (1 if upper else n - 1):  # two terms, in c = b or 1 - b
         return _two_term_end(n, target, upper, wide_end_hi)
     log_target = math.log(target)
-    b = _paulson_start(n, y, target, upper) if target >= _PAULSON_MIN_TARGET else None
-    if b is None:  # too deep a target for Wilson-Hilferty
+    if y == (n - 2 if upper else 2):  # q = 2: the root of the two-term complement, c = b or 1 - b
+        c = _q2_root(n, target)
+        b = 1.0 - c if upper else c
+    elif target >= _PAULSON_MIN_TARGET:
+        b = _paulson_start(n, y, target, upper)
+    else:  # too deep a target for Wilson-Hilferty
         z = _normal_quantile(target)
         b = 1.0 - _wilson_lower(n, n - y, z) if upper else _wilson_lower(n, y, z)
     b = min(max(b, _B_MIN), _B_MAX)
     lo, hi = 0.0, 1.0
     j = y if upper else y - 1
-    b0, k, pk = b, j, 0.0  # the last sum's iterate, first index and first term
+    m = n - y if upper else y  # d tail / d log(1 - b) (upper) or d log b (lower) is m pmf_n(y)
+    b0, tail, py = b, 0.0, 0.0  # the last iterate, its tail and pmf_n(y)
+    bs, k, pk = b, j, 0.0  # the last sum's iterate, first index and first term
     walk = False  # at the rounding floor: each iterate is the double next to the last
+    short = False  # the last step was a Halley step that `_moved_tail` may admit
     for i in range(_NEWTON_MAX_STEPS):
-        # after a long step on the same side of the mode, the first term is
-        # carried from the last sum's where `_carried` admits the move
-        first = 0.0
-        if abs(b - b0) >= _CARRY_STEP * b0 and k == (j if j < _mode(n, b) else j + 1):
-            first = _carried(n, k, b0, pk, b)
-        cdf, sf, k, pk = _cdf_sf(n, b, j, first)
-        h = _log_ratio(cdf if upper else sf, target, log_target)
-        if first > 0.0 and abs(h) <= _CARRY_END_H:  # a sum that may end the inversion takes its anchor
-            cdf, sf, k, pk = _cdf_sf(n, b, j)
-            h = _log_ratio(cdf if upper else sf, target, log_target)
-        tail = cdf if upper else sf
-        b0 = b
-        # pmf_n(y) from the tail sum's first term pk = pmf_n(k), k in {y - 1, y, y + 1};
-        # left to right, so that a subnormal b cannot make the ratio overflow
-        py = pk
-        if k > y:
-            py = py * (y + 1) * (1.0 - b) / ((n - y) * b)
-        elif k < y:
-            py = py * (n - y + 1) * b / (y * (1.0 - b))
-        # d log tail / d log(1 - b) (upper) or d log b (lower)
-        slope = py * (n - y if upper else y) / tail if tail > 0.0 else 0.0
-        if h == 0.0:
-            return b
-        if (h > 0.0) == upper:
-            lo = b
+        # after a short Halley step, the tail moved from the last iterate's
+        # where `_moved_tail` admits the move; the walk takes only anchored sums
+        moved = _moved_tail(n, y, upper, b0, tail, py, b) if short else None
+        short = False
+        if moved is None:
+            # after a long step on the same side of the mode, the first term is
+            # carried from the last sum's where `_carried` admits the move
+            first = 0.0
+            if not walk and abs(b - bs) >= _CARRY_STEP * bs and k == (j if j < _mode(n, b) else j + 1):
+                first = _carried(n, k, bs, pk, b)
+            cdf, sf, k, pk = _cdf_sf(n, b, j, first)
+            tail, bs, anchored = cdf if upper else sf, b, first == 0.0
+            # pmf_n(y) from the tail sum's first term pk = pmf_n(k), k in {y - 1, y, y + 1};
+            # left to right, so that a subnormal b cannot make the ratio overflow
+            py = pk
+            if k > y:
+                py = py * (y + 1) * (1.0 - b) / ((n - y) * b)
+            elif k < y:
+                py = py * (n - y + 1) * b / (y * (1.0 - b))
         else:
-            hi = b
-        if hi <= math.nextafter(lo, 1.0):  # no double left inside the bracket
-            return hi if wide_end_hi else lo
+            (tail, py), anchored = moved, False
+        b0 = b
+        h = _log_ratio(tail, target, log_target)
+        slope = py * m / tail if tail > 0.0 else 0.0  # d log tail in the same variable
+        floor = i > 0 and abs(h) <= _FLOOR_H
+        if anchored or not floor:  # h's sign is the tail's, as `binom_cdf` would give it
+            if h == 0.0:
+                return b
+            if (h > 0.0) == upper:
+                lo = b
+            else:
+                hi = b
+            if hi <= math.nextafter(lo, 1.0):  # no double left inside the bracket
+                return hi if wide_end_hi else lo
         if walk:
             b = math.nextafter(b, hi if b == lo else lo)
         elif slope > 0.0:
@@ -878,17 +1052,22 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
             # Newton's step where d is no modest correction (a subnormal b makes it inf)
             step = h / slope / (d if 0.5 < d < 2.0 else 1.0)
             new = -math.expm1(math.log1p(-b) - step) if upper else b * math.exp(-step)
-            floor = i > 0 and abs(h) <= _CARRY_END_H
             # the error left after Halley's step is about (h'' / (2 slope))^2 step^3
             if floor or max(1.0, 0.25 * (a - slope) ** 2) * step * step * abs(new - b) <= _HALLEY_STOP * b:
                 if not floor and lo <= new <= hi:
                     return new
-                # the floor walk: the tail at the step's end if it is inside,
-                # then at one double after another, until the bracket collapses
+                # the floor walk: the tail at the step's end if it is inside, else
+                # at b if b set no bracket end, then at one double after another,
+                # until the bracket collapses
                 walk = True
-                b = new if lo < new < hi else math.nextafter(b, hi if b == lo else lo)
+                if lo < new < hi:
+                    b = new
+                elif b in (lo, hi):
+                    b = math.nextafter(b, hi if b == lo else lo)
             elif lo < new < hi:
                 b = new
+                # |a L| and the tail's change over it, slope |L|, as `_moved_tail` bounds them
+                short = abs(a * step) <= _MOVE_AL and slope * abs(step) <= _MOVE_TAIL
             else:  # past the bracket: the double next to 0 or 1 if still inside it, else bisection
                 new = min(max(new, _B_MIN), _B_MAX)
                 b = new if lo < new < hi else 0.5 * (lo + hi)

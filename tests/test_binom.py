@@ -21,7 +21,9 @@ from berncert.binom import (
     _carried,
     _cdf_sf,
     _complement,
+    _moved_tail,
     _pmf,
+    _q2_root,
     _two_term_root,
     binom_cdf,
     binom_pmf,
@@ -145,13 +147,43 @@ def carry_moves(draw):
     return n, k, b0, min(max(b, 5e-324), 1.0 - 2.0**-53)
 
 
+@st.composite
+def tail_moves(draw):
+    """(n, y, side, b0, b) with n <= 1e4, 2 <= y <= n - 2 at the edges or
+    within 40 standard deviations of the mean, b0 from 5e-324 to 1 - 2^-53,
+    and b a move from b0 of relative size 1e-12 to 1, in b0 or in 1 - b0:
+    up to and past the guard of `_moved_tail`, |u| + |v| <= 2^-7."""
+    n = draw(st.integers(4, 10**4))
+    b0 = min(max(draw(st.one_of(
+        st.floats(5e-324, 1.0 - 2.0**-53),
+        st.floats(math.log(5e-324), 0.0).map(math.exp),
+        st.floats(math.log(2.0**-53), 0.0).map(lambda x: 1.0 - math.exp(x)),
+    )), 5e-324), 1.0 - 2.0**-53)
+    mean, sd = n * b0, math.sqrt(n * b0 * (1.0 - b0))
+    y = min(max(draw(st.one_of(st.sampled_from((2, n - 2)),
+                               st.floats(-40.0, 40.0).map(lambda z: int(mean + z * sd)))), 2), n - 2)
+    r = math.exp(draw(st.floats(math.log(1e-12), 0.0))) * draw(st.sampled_from((-1.0, 1.0)))
+    b = draw(st.sampled_from((b0 + r * b0, b0 - r * (1.0 - b0))))
+    return n, y, draw(st.sampled_from(("lower", "upper"))), b0, min(max(b, 5e-324), 1.0 - 2.0**-53)
+
+
+# a moved tail against `_cdf_sf` at the same b, in ulps of the tail: it
+# carries the error of the sum at b0, and two sums at nearby b each err by up
+# to about 20 ulps near the mode at n <= 1e4; at (9793, 7344, "upper", 0.75,
+# 0.7500125262755927) they err by -19.6 and +13.8 ulps against 40-digit tails,
+# and the move adds 0.48 ulp to the first
+MOVED_TAIL_ULPS = 64
+
 # roots between two adjacent doubles.  (11, 6, ...) and (124, 32, 0.005) end
 # on the end of a Halley step whose predicted remainder is below 2^-56 of b,
-# after two tail sums, the second of (11, 6, ...) carried.  The second sum of
-# (47, 19, ...) lands at the rounding floor, so it ends through the
-# collapsed-bracket exit: the tail at the step's end 0.43309163213101287, two
-# ulps on the inner side, then one double at a time up to 0.433091632131013
+# after one tail sum and a moved tail.  The moved tail of (47, 19, ...) lands
+# at the rounding floor, where it sets no bracket end, so it ends through the
+# collapsed-bracket exit: the walk's anchored sums at the step's end
+# 0.433091632131013 and at the double below it, after three tail sums
 COLLAPSED_BRACKET_CASES = [(11, 6, 0.2716760504048823), (124, 32, 0.005), (47, 19, 0.4031792535164339)]
+
+# ends reached through a moved tail at the rounding floor, whose sign is off
+FLOOR_MOVED_CASES = [(21, 3, 0.005, "lower"), (1218, 347, 0.025, "lower")]
 
 # upper ends of Clopper-Pearson tables whose first Halley step, from the
 # two-term root in doubles, met the remainder rule but was rounded past the
@@ -160,11 +192,12 @@ COLLAPSED_BRACKET_CASES = [(11, 6, 0.2716760504048823), (124, 32, 0.005), (47, 1
 # are the same bits
 PAST_BRACKET_CASES = [(11, 1, 0.1), (116, 1, 0.005), (498, 1, 0.1)]
 
-# interior upper ends that reach that exit: the third tail sum's Halley step
-# meets the remainder rule but is rounded past the closed bracket, and the
-# floor walk takes the tail one double toward the root, where the bracket
-# collapses after four tail sums.  A search of 2e5 random interior draws found
-# these four, all at targets below 1e-200
+# interior upper ends that reach that exit: the Halley step from the third
+# iterate, a moved tail, meets the remainder rule but is rounded past the
+# closed bracket, and the floor walk takes the tail one double toward the
+# root, where the bracket collapses after three tail sums (four with a sum at
+# every iterate).  A search of 2e5 random interior draws found these four,
+# all at targets below 1e-200
 INTERIOR_PAST_BRACKET_CASES = [
     (6812, 3232, 5.1794788506066185e-223), (13134, 3233, 4.3883887441118505e-262),
     (8117, 1936, 9.248566312567588e-213), (6723, 3257, 2.2712231392497096e-219),
@@ -214,12 +247,26 @@ class TestTailInvert:
 
     @pytest.mark.parametrize("n,y,t", COLLAPSED_BRACKET_CASES)
     def test_carried_sum_near_root_is_retaken(self, monkeypatch, n, y, t):
-        """A carried sum within 1e-13 of the root in h is retaken with its
-        anchor, so the bracket's ends are judged by the tail `binom_cdf`
-        gives, even where every sum after the first carries its first term.
-        Without the retake, (11, 6, ...) returns its inner end here."""
+        """A carried sum within 1e-13 of the root in h sets no bracket end:
+        the walk's anchored sums do, so the bracket's ends are judged by the
+        tail `binom_cdf` gives, even where every move is refused and every
+        sum after the first carries its first term."""
         monkeypatch.setattr(berncert.binom, "_CARRY_STEP", 0.0)
+        monkeypatch.setattr(berncert.binom, "_MOVE_AL", 0.0)
         self.test_collapsed_bracket_returns_conservative_end(n, y, t)
+
+    @pytest.mark.parametrize("case", FLOOR_MOVED_CASES, ids=lambda case: "-".join(map(str, case)))
+    def test_moved_tail_at_floor_sets_no_bracket_end(self, case):
+        """A moved tail at the rounding floor sets no bracket end; the walk's
+        anchored sums end the inversion on the wide side by `binom_cdf` and
+        `binom_sf`.  Taking its sign returns the double on the inner side
+        at each case."""
+        n, y, t, side = case
+        b = binom_tail_invert(*case)
+        if side == "upper":
+            assert binom_cdf(n, b, y) <= t <= binom_cdf(n, math.nextafter(b, 0.0), y)
+        else:
+            assert binom_sf(n, b, y - 1) <= t <= binom_sf(n, math.nextafter(b, 1.0), y - 1)
 
     @pytest.mark.parametrize(
         "n,y,t,side",
@@ -229,10 +276,12 @@ class TestTailInvert:
     )
     def test_one_anchor_per_tail_evaluation(self, monkeypatch, n, y, t, side):
         """The slope comes from the first term of the tail sum just taken,
-        and a sum after a long step carries its first term from the last
-        sum's, so the inversion computes no saddle-point anchor beyond those
-        the sums that carry nothing make: at n <= 256 one each.  At (10, 3,
-        0.025, "upper") the second and last sum carries.  A closed-form root
+        a tail moved from the last iterate's takes no sum, and a sum after a
+        long step carries its first term from the last sum's, so the
+        inversion computes no saddle-point anchor beyond those the sums that
+        carry nothing make: at n <= 256 one each.  At (10, 3, 0.025, "upper")
+        the one sum is the first, and the tail after the first Halley step
+        is moved from it.  A closed-form root
         (y = 0 upper, y = n lower) and a two-term one (y = 1 upper, y = n - 1
         lower) take neither a sum nor an anchor."""
         counts = count_calls(monkeypatch, berncert.binom, "_pmf")
@@ -244,7 +293,7 @@ class TestTailInvert:
             assert len(carried) > 0
         assert counts["_pmf"] == len(carried) - sum(carried)
         if (n, y, t, side) == (10, 3, 0.025, "upper"):
-            assert carried == [False, True]
+            assert carried == [False]
 
     @given(move=carry_moves())
     @settings(max_examples=500)
@@ -259,6 +308,28 @@ class TestTailInvert:
             want = _pmf(n, k, b, *_complement(b))
             target(abs(got - want) / math.ulp(want), label="ulps")
             assert abs(got - want) <= 8 * math.ulp(want), (move, got, want)
+
+    @given(move=tail_moves())
+    @settings(max_examples=500, derandomize=True)
+    def test_moved_tail(self, move):
+        """Where `_moved_tail` admits a move, the tail it takes from the
+        tail and pmf_n(y) at b0 lies within MOVED_TAIL_ULPS ulps of `_cdf_sf`
+        at b, and its pmf_n(y) within 8 ulps of `_pmf` at b.  Against
+        40-digit tails the move itself adds at most 0.51 ulp, its final
+        rounding included (6115 admitted moves of a seeded draw at n <=
+        3000); the rest is the two sums' own error.  No move raises: the
+        guard keeps the logs off -1, as in `_carried`."""
+        n, y, side, b0, b = move
+        upper = side == "upper"
+        j = y if upper else y - 1
+        tail0 = _cdf_sf(n, b0, j)[0 if upper else 1]
+        moved = _moved_tail(n, y, upper, b0, tail0, _pmf(n, y, b0, *_complement(b0)), b)
+        if moved is not None:
+            tail, p = moved
+            want_tail, want_p = _cdf_sf(n, b, j)[0 if upper else 1], _pmf(n, y, b, *_complement(b))
+            target(abs(tail - want_tail) / math.ulp(want_tail), label="tail ulps")
+            assert abs(tail - want_tail) <= MOVED_TAIL_ULPS * math.ulp(want_tail), (move, tail, want_tail)
+            assert abs(p - want_p) <= 8 * math.ulp(want_p), (move, p, want_p)
 
     def test_seeded_sweep_converges(self):
         """2000 random cases, each inverted without ArithmeticError.  A
@@ -420,6 +491,9 @@ def mp_tail_root(n, y, t, side, start):
 # relative accuracy of an inversion, as of a Clopper-Pearson endpoint
 RTOL = 1e-12
 
+# lower ends at q = 2 that took 7 tail sums from Paulson's start
+Q2_COST_CASES = [(113, 2, 0.005), (131, 2, 0.005)]
+
 # targets far below 1, where log(tail) - log(target) would lose about
 # 1e-16 |log target| to rounding; log(tail / target) does not
 TINY_TARGET_CASES = [(3, 2, 1e-300, "lower"), (7009, 2, 1.16e-270, "lower")]
@@ -470,34 +544,37 @@ class TestTailInvertCost:
         assert sum(sums) / len(sums) <= 3.6
 
     def test_seeded_sweep_anchors(self):
-        """A sum after a long step carries its first term, so the sweep takes
-        fewer saddle-point anchors than tail sums (2.02 and 2.28 per
-        inversion; at n <= 300 each sum that carries nothing takes one).
-        Before Paulson's start and the remainder stop the sweep took 2.98
-        tail sums per inversion, and 2.29 with a sum to confirm each
-        two-term root."""
+        """After the first sum the tail is moved from the last iterate's
+        (`_moved_tail`), and a sum after a long step carries its first term,
+        so the sweep takes 1.37 saddle-point anchors and 1.44 tail sums per
+        inversion (at n <= 300 each sum that carries nothing takes one
+        anchor).  With a sum at every iterate it took 2.02 and 2.28; before
+        Paulson's start and the remainder stop, 2.98 tail sums, and 2.29 with
+        a sum to confirm each two-term root."""
         sums, anchors, _ = inversion_cost(seeded_sweep_cases())
-        assert anchors <= 2.3
-        assert sums <= 2.4
+        assert anchors <= 1.5
+        assert sums <= 1.6
 
     def test_clopper_pearson_tables(self):
         """The inversions of the `ClopperPearson(n, alpha)` tables at n = 30
-        and 31, alpha = 0.05 and 0.01: most interior endpoints take a tail
-        sum at Paulson's start and one after the first Halley step, and the
-        ends with a closed-form or two-term root none (1.91 per inversion;
-        1.94 with a sum to confirm each two-term root, 2.01 with one to
-        confirm each closed form too, 3.06 with a Wilson start and a sum to
-        confirm the last step)."""
+        and 31, alpha = 0.05 and 0.01: most interior endpoints take one tail
+        sum, at their start, and the tail after the first Halley step is
+        moved from it; the ends with a closed-form or two-term root take
+        none (1.25 per inversion; 1.91 with a sum after the first step, 1.94
+        with a sum to confirm each two-term root, 2.01 with one to confirm
+        each closed form too, 3.06 with a Wilson start and a sum to confirm
+        the last step)."""
         cases = [(n, y, alpha / 2, side) for n in (30, 31) for alpha in (0.05, 0.01)
                  for y in range(n + 1) for side in ("lower", "upper") if y != (0 if side == "lower" else n)]
-        assert inversion_cost(cases)[0] <= 2.1
+        assert inversion_cost(cases)[0] <= 1.4
 
     def test_bpci_pool(self):
         """Clopper-Pearson calls in the bpci benchmark's strata: those at y
         in {0, 1, n - 1, n}, whose two ends each have a closed-form or
         two-term root, take no tail sum (0.58 each with a sum to confirm each
-        two-term root), and the interior calls at most 4.8 each (4.55 here,
-        4.70 on the benchmark's own pool, seed 1)."""
+        two-term root), and the interior calls at most 3.2 each (2.96 here,
+        3.05 on the benchmark's own pool, seed 1; 4.55 and 4.70 with a sum
+        after the first Halley step)."""
         edge, interior = [], []
         with pytest.MonkeyPatch.context() as patch:
             counts = count_calls(patch, berncert.binom, "_cdf_sf")
@@ -506,7 +583,7 @@ class TestTailInvertCost:
                 clopper_pearson(n, y, alpha)
                 (edge if y in (0, 1, n - 1, n) else interior).append(counts["_cdf_sf"] - before)
         assert max(edge) == 0
-        assert sum(interior) / len(interior) <= 4.8
+        assert sum(interior) / len(interior) <= 3.2
 
     @pytest.mark.parametrize("n", [2, 10, 1000, 10**6, N_MAX])
     @pytest.mark.parametrize("case", EXACT_STARTS)
@@ -552,6 +629,16 @@ class TestTailInvertCost:
         b, sums = self.invert(counts, n, y, t, "upper")
         assert sums <= 5
         root = mp_tail_root(n, y, t, "upper", b)
+        assert abs(b - root) <= RTOL * root
+
+    @pytest.mark.parametrize("n,y,t", Q2_COST_CASES)
+    def test_q2_start(self, counts, n, y, t):
+        """From the root of the q = 2 equation the first Halley step meets
+        the remainder rule: one tail sum, where Paulson's start, 26% off,
+        took 7."""
+        b, sums = self.invert(counts, n, y, t, "lower")
+        assert sums <= 1
+        root = mp_tail_root(n, y, t, "lower", b)
         assert abs(b - root) <= RTOL * root
 
     @pytest.mark.parametrize("case", TINY_TARGET_CASES)
@@ -808,6 +895,99 @@ class TestTwoTermEnds:
     def test_past_last_double(self, case):
         """The upper end 1.0, as the tail-sum path returned (`check` asserts it)."""
         self.check([case])
+
+
+def mp_q2_root(n, t, start):
+    """The root c of 1 - (1 - c)^(n - 1) (1 + (n - 1) c) = t at 60 digits,
+    by Newton's method in log c from a start near it.  The two logs of the
+    product cancel to about (n c)^2 / 2 of their size, and n c is near
+    sqrt(2 t), so the working precision grows by half the digits of 1 / t."""
+    with mp.workdps(70 + int(-math.log10(t) / 2)):
+        m, u = mp.mpf(n - 1), mp.log(start)
+        log_t = mp.log(-mp.log1p(-mp.mpf(t)))
+        for _ in range(60):
+            c = mp.exp(u)
+            g = -(m * mp.log1p(-c) + mp.log1p(m * c))
+            step = (log_t - mp.log(g)) * (1 - c) * (1 + m * c) * g / (m * n * c * c)
+            u += step
+            if abs(step) <= mp.mpf(10) ** -45:
+                return mp.exp(u)
+    raise ArithmeticError(f"no 60-digit q = 2 root for {(n, t)}")
+
+
+# the two kinds with beta parameter q = 2, and the two that a target above 1/2 flips onto them
+Q2_KINDS = ("lower y=2", "upper y=n-2", "upper y=1, 1 - t", "lower y=n-1, 1 - t")
+
+
+def q2_case(n, t, kind):
+    """(n, y, target, side) of `kind` at a target t <= 1/2, or for the
+    flipped kinds at 1 - t, with t first clamped to [2^-53, 0.4999] so that
+    1/2 < 1 - t < 1."""
+    y, side = {"lower y=2": (2, "lower"), "upper y=n-2": (n - 2, "upper"),
+               "upper y=1, 1 - t": (1, "upper"), "lower y=n-1, 1 - t": (n - 1, "lower")}[kind]
+    if kind.endswith("1 - t"):
+        t = 1.0 - min(max(t, 2.0**-53), 0.4999)
+    return n, y, t, side
+
+
+def seeded_q2_cases(count=2000):
+    """`count` cases of `Q2_KINDS`, with n log-uniform on [3, 2^53], a fifth
+    of them up to 100, and the target log-uniform from 5e-324 to 1/2."""
+    rng = random.Random(30)
+    for _ in range(count):
+        top = 100.0 if rng.random() < 0.2 else float(N_MAX)
+        n = min(max(int(math.exp(rng.uniform(math.log(3.0), math.log(top)))), 3), N_MAX)
+        t = max(math.exp(rng.uniform(math.log(5e-324), math.log(0.5))), 5e-324)
+        yield q2_case(n, t, rng.choice(Q2_KINDS))
+
+
+class _FirstSum(Exception):
+    """Raised in place of an inversion's first tail sum, with its b."""
+
+
+def inversion_start(case):
+    """The b at which binom_tail_invert(*case) takes its first tail sum: its
+    start, clamped to the doubles next to 0 and 1.  No sum is taken."""
+    def first_sum(n, b, j, first=0.0):
+        raise _FirstSum(b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(berncert.binom, "_cdf_sf", first_sum)
+        try:
+            binom_tail_invert(*case)
+        except _FirstSum as start:
+            return start.args[0]
+    raise AssertionError(f"{case} took no tail sum")
+
+
+class TestQ2Start:
+    """At y = 2 (lower) and y = n - 2 (upper) the tail is 1 minus a two-term
+    tail, and the inversion starts from that equation's root in doubles."""
+
+    @staticmethod
+    def check(case):
+        """`_q2_root` within 1e-10 of the 60-digit root (7e-14 at worst), and
+        the inversion's start its c (lower) or 1 - c (upper), clamped; at
+        n = 3 the kinds are two-term and start nowhere."""
+        n, y, t, side = case
+        upper = side == "upper"
+        if t > 0.5:  # the flip binom_tail_invert makes
+            y, upper, t = y + 1 if upper else y - 1, not upper, 1.0 - t
+        assert y == (n - 2 if upper else 2), case
+        c = _q2_root(n, t)
+        root = mp_q2_root(n, t, c)
+        assert abs(c - root) <= 1e-10 * root, (case, c, float(root))
+        if n >= 4:
+            assert inversion_start(case) == min(max(1.0 - c if upper else c, 5e-324), 1.0 - 2.0**-53), case
+
+    def test_seeded(self):
+        for case in seeded_q2_cases():
+            self.check(case)
+
+    @given(n=trial_counts(), log_t=st.floats(math.log(5e-324), math.log(0.5)), kind=st.sampled_from(Q2_KINDS))
+    @settings(max_examples=300)
+    def test_accuracy(self, n, log_t, kind):
+        self.check(q2_case(n, max(math.exp(log_t), 5e-324), kind))
 
 
 # ---------------------------------------------------------------- kernel accuracy
