@@ -22,44 +22,14 @@ from j and takes the other value as its complement, of a tail of at most
 about 1/2, so it loses no relative accuracy.  `_range_probability` sums a
 run on one side of the mode once, and takes a run across it as 1 minus
 the two tails outside it.  The public functions check the arguments;
-`_cdf_sf`, `_range_probability` and `_tail` trust them.  Tail inversion is
-Halley's method on the log tail, safeguarded by a shrinking bracket.  Its
-slope needs pmf_n(y), which is the first term of the tail sum the same step
-has just taken, or one ratio step from it, so a step pays for at most one
-saddle-point anchor, not two; the second derivative follows from the slope
-and pmf_n(y)'s own log derivative, at no further cost.  After the first
-sum, the tail at each iterate is moved from the last one's: the tail's
-derivative in log(1 - b) (cdf) or log b (survival function) is m pmf_n(y),
-m = n - y or y, so its change is that integral over the move, which a
-4-point Gauss-Lobatto rule takes from pmf_n(y) moved by the exact pmf
-ratio.  A stated bound on the move keeps the rule's error below an eighth
-of an ulp of the tail; a move past it takes a full sum, whose first term
-is carried from the last sum's by the exact pmf ratio after a long step,
-where that ratio's exponent is small enough to keep it to a few ulps.
-Where the tail has a closed-form root (y = 0, 1, n - 1 or n), the inversion
-returns it, solved in double-double, with no tail sum.  Where it has two
-terms (y = 1 for the cdf, y = n - 1 for the survival function), Newton's
-method in doubles falls monotonically to their root from the closed-form
-bound 1 - (t / n)^(1 / (n - 1)), and one Newton step with the residual in
-double-double refines it; the end is the double on the wide side of that
-root and its stated error, again with no tail sum.  Where 1 minus the tail
-has two terms (y = n - 2 for the cdf, y = 2 for the survival function), the
-start is the root of that equation, solved in doubles from its small-b
-limit sqrt(2t / (n (n - 1))).  Elsewhere the start is Paulson's cube-root
-normal approximation to the beta quantile (E. Paulson, Annals of Math.
-Stat. 13, 1942), off by a median 5e-4 relative at n = 30 and 6e-7 at
-n = 3000, and a Wilson score bound only at targets below 1e-6.  One rule
-decides every stop: a step's end is returned unconfirmed once its remainder, predicted
-from the same h'' as (h'' / (2 h'))^2 times the step cubed, is below 2^-56
-of b: one tail sum and one moved tail for most interior Clopper-Pearson
-endpoints.  One finish takes a step that cannot be returned, after a tail
-at the rounding floor of h or rounded past the bracket: a collapsed
-bracket, one double at a time, on the end that widens the interval, judged
-by anchored tails, as a moved tail or a carried sum at the floor sets no
-bracket end.  A target above 1/2 is solved as the complementary tail at
-1 - t, which is exact, and iterates stay between the doubles next to 0 and
-1, so a root past them costs one tail sum there, or none where it has a
-closed form or two terms.
+`_cdf_sf`, `_range_probability` and `_tail` trust them.
+
+`binom_tail_invert` solves a tail equation for b.  Where the tail has a
+closed-form root (y = 0, 1, n - 1 or n) or two terms (`_two_term_end`),
+it returns that root with no tail sum.  Elsewhere it is three parts, each
+documented where it is defined: `_start`, the first iterate; `_iterate`,
+Halley's method on the log tail, whose tails after the first sum are moved
+or carried; and `_finish`, a walk on anchored tails to a collapsed bracket.
 
 The scalar functions compute on Python floats and load no numpy; numpy is
 imported only inside the functions that make an array or a random stream.
@@ -149,6 +119,8 @@ _CARRY_STEP = 2.0**-13
 # to a collapsed bracket, the one finish also of a converged step rounded past
 # the bracket
 _FLOOR_H = 1e-13
+# the floor walk bisects after this many steps of one double, or from a stalled tail (`_finish`)
+_WALK_STEPS = 8
 # `_moved_tail` admits a move where the relative moves of b and 1 - b sum to
 # at most _MOVE_UV, max |a| |L| and |a1 - a0| |L| are at most _MOVE_AL and
 # _MOVE_DAL, a the log derivative of pmf_n(y) and L the move in the log
@@ -829,13 +801,44 @@ def _moved_tail(n: int, y: int, upper: bool, b0: float, tail0: float, p0: float,
     return tail0 + e * p0 * nodes / 12.0, p0 * ratio
 
 
-def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
-    """Solve a binomial tail equation for the success probability b.
+def _start(n: int, y: int, target: float, upper: bool) -> float:
+    """The first iterate of an interior inversion, on `_iterate`'s tail
+    equation, clamped to [`_B_MIN`, `_B_MAX`]: every iterate lies between
+    the doubles next to 0 and 1, so where the root lies past the last double
+    one tail sum there shows it.
 
-    side="upper" returns the b with Pr(Y <= y) = target; side="lower" the b
-    with Pr(Y >= y) = target.  These are the beta quantiles
-    B(1 - target; y + 1, n - y) and B(target; y, n - y + 1).  Degenerate
-    cases with no root in (0, 1) return the boundary value 0 or 1.
+    Where the beta parameter q is 2 (y = 2 lower, y = n - 2 upper), the tail
+    is 1 minus a two-term one, and the start is the root c of 1 - (1 -
+    c)^(n - 1) (1 + (n - 1) c) = t, b = c (lower) or 1 - c (upper), by
+    Newton's method in log c from its small-c limit sqrt(2t / (n (n - 1)))
+    (`_q2_root`): within 7e-14 of the 60-digit root, so that the first
+    Halley step meets the stop rule, where Paulson's start was 7-26% off at
+    Clopper-Pearson levels and took up to 7 tail sums.  Elsewhere the start
+    is Paulson's cube-root normal approximation to the beta quantile
+    (`_paulson_start`; E. Paulson, Annals of Math. Stat. 13, 1942), off by a
+    median 5e-4 relative at n = 30 and 6e-7 at n = 3000 over the interior
+    Clopper-Pearson ends at alpha = 0.05 and 0.01, where a Wilson score bound
+    is off by a median 3% at n = 30.  Below a target of 1e-6 the start is
+    the Wilson score bound.
+    """
+    if y == (n - 2 if upper else 2):
+        c = _q2_root(n, target)
+        b = 1.0 - c if upper else c
+    elif target >= _PAULSON_MIN_TARGET:
+        b = _paulson_start(n, y, target, upper)
+    else:  # too deep a target for Wilson-Hilferty
+        z = _normal_quantile(target)
+        b = 1.0 - _wilson_lower(n, n - y, z) if upper else _wilson_lower(n, y, z)
+    return min(max(b, _B_MIN), _B_MAX)
+
+
+def _iterate(n: int, y: int, target: float, upper: bool, wide_hi: bool, b: float) -> float:
+    """Halley's method from the start b on the tail equation Pr(Y <= y) =
+    target (`upper`) or Pr(Y >= y) = target, with 2 <= y <= n - 2 and
+    target <= 1/2.  It returns an anchored tail's b equal to the target, a
+    converged step's end inside the bracket, or the end of a collapsed
+    bracket that widens the interval, the upper end where `wide_hi`; a step
+    it cannot return goes to `_finish`.
 
     Halley's method runs on the log tail h as a function of log b (lower)
     or log(1 - b) (upper).  Both are concave, as the beta densities involved
@@ -844,12 +847,181 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
     (n - y) pmf_n(y), n pmf_{n-1}(y - 1) b = y pmf_n(y); so the slopes s of
     the log tail are (n - y) pmf_n(y) / tail and y pmf_n(y) / tail.
     pmf_n(y) is the first term of the tail sum `_cdf_sf` has just taken, or
-    is one ratio step from it when that sum starts at y - 1 or y + 1.  Then
-    h'' = s (a - s), where a is the derivative of log pmf_n(y) in the same
-    variable: (n - y) - y (1 - b) / b (upper) or y - (n - y) b / (1 - b)
-    (lower).  Halley's step is Newton's -h / s divided by 1 - h h'' / (2 s^2);
-    where that divisor lies outside (1/2, 2), far from the root, the step is
-    Newton's.
+    is one ratio step from it when that sum starts at y - 1 or y + 1, so a
+    step pays for at most one saddle-point anchor.  Then h'' = s (a - s),
+    where a is the derivative of log pmf_n(y) in the same variable: (n - y)
+    - y (1 - b) / b (upper) or y - (n - y) b / (1 - b) (lower).  Halley's
+    step is Newton's -h / s divided by 1 - h h'' / (2 s^2); where that
+    divisor lies outside (1/2, 2), far from the root, the step is Newton's.
+    A step that leaves the bracket, which shrinks at every step, is clamped
+    to the doubles next to 0 and 1, or replaced by bisection.
+
+    h is log(tail / target) wherever that ratio is a finite normal double,
+    so that a tiny target costs h no accuracy; log(tail) - log(target)
+    would lose about 1e-16 |log target| to rounding.  The first tail sum
+    takes its saddle-point anchor.  After it, the tail at each iterate is
+    moved from the last iterate's tail and pmf_n(y) (`_moved_tail`): its
+    change is m times the integral of pmf_n(y) over the move in x = log(1 -
+    b) (upper, m = n - y) or log b (lower, m = y), taken by a 4-point
+    Gauss-Lobatto rule whose nodes are pmf_n(y) moved by the exact pmf
+    ratio.  A move is admitted where |u| + |v| <= 2^-7, u and v the relative
+    moves of b and 1 - b, max |a| |L| <= 2^-6 and |a1 - a0| |L| <= 2^-15, L
+    the move in x, and m pmf_n(y) |L| is at most 2^-6 of the tail; there
+    the rule errs by below 2^-56 of the tail (`_moved_tail` gives the
+    argument).  A move is tried straight after a Halley step inside the
+    bracket whose |a step| and slope |step| meet the bounds on max |a| |L|
+    and on m pmf_n(y) |L|, as L is about -step, so that a move sure to be
+    refused costs no call.  Elsewhere a full sum is taken: after a step of
+    at least 2^-13 of b, on the same side of the mode as the last sum, it
+    takes its first term pmf_n(k) from the last sum's by `_carried`, where
+    that admits the move.  The tail after the first step, from Paulson's
+    start, is moved in 70% of the interior Clopper-Pearson inversions that
+    take that step at n = 30 and 31, 87% at n = 100 and 98% or more at n >=
+    1000.  So most interior ends take one tail sum: 1.25 per inversion on
+    the Clopper-Pearson tables at n = 30 and 31, where a sum at every
+    iterate took 1.91.
+
+    One rule decides every stop: iteration stops where the error a step
+    leaves is predicted below 2^-56 of b, and returns the step's end without
+    a tail sum to confirm it.  From an error e, Halley's step leaves
+    (A^2 - B) e^3 + O(e^4), with A = h'' / (2 s) = (a - s) / 2 from the h''
+    in hand and B = h''' / (6 s), which is not in hand.  The step is about
+    e, so the prediction in b is K step^2 |new - b|, with K = max(1, A^2),
+    the 1 standing in for B: a stated rule, not yet a proven bound.  After
+    Newton's step |A step| >= 1/2, so the rule holds only for a move below
+    2^-54 of b, under half an ulp.  The end returned may lie an ulp or so on
+    either side of the root, below the tail's own few-ulp rounding.
+
+    A tail at the rounding floor, |h| <= 1e-13, after the first sum is
+    mostly rounding.  One that took no anchor of its own, a moved tail or a
+    carried sum, sets no bracket end there, as a few ulps could flip its
+    sign.  The step from such a tail, and a step that meets the rule but is
+    rounded past the bracket, go to `_finish`: from the step's end if it
+    lies inside the bracket, else from b if b set no bracket end (not seen
+    in 18 609 inversions), else from the double next to b toward the root.
+    """
+    log_target = math.log(target)
+    lo, hi = 0.0, 1.0
+    j = y if upper else y - 1
+    m = n - y if upper else y  # d tail / d log(1 - b) (upper) or d log b (lower) is m pmf_n(y)
+    bs, k, pk = b, j, 0.0  # the last sum's iterate, first index and first term
+    moved = None  # (tail, pmf_n(y)) at b, moved from the last iterate's
+    for i in range(_NEWTON_MAX_STEPS):
+        if moved is None:
+            # after a long step on the same side of the mode, the first term is
+            # carried from the last sum's where `_carried` admits the move
+            first = 0.0
+            if abs(b - bs) >= _CARRY_STEP * bs and k == (j if j < _mode(n, b) else j + 1):
+                first = _carried(n, k, bs, pk, b)
+            cdf, sf, k, pk = _cdf_sf(n, b, j, first)
+            tail, bs, anchored = cdf if upper else sf, b, first == 0.0
+            # pmf_n(y) from the tail sum's first term pk = pmf_n(k), k in {y - 1, y, y + 1};
+            # left to right, so that a subnormal b cannot make the ratio overflow
+            py = pk
+            if k > y:
+                py = py * (y + 1) * (1.0 - b) / ((n - y) * b)
+            elif k < y:
+                py = py * (n - y + 1) * b / (y * (1.0 - b))
+        else:
+            (tail, py), anchored, moved = moved, False, None
+        h = _log_ratio(tail, target, log_target)
+        slope = py * m / tail if tail > 0.0 else 0.0  # d log tail in the same variable
+        floor = i > 0 and abs(h) <= _FLOOR_H
+        if anchored or not floor:  # h's sign is the tail's, as `binom_cdf` would give it
+            if h == 0.0:
+                return b
+            if (h > 0.0) == upper:
+                lo = b
+            else:
+                hi = b
+            if hi <= math.nextafter(lo, 1.0):  # no double left inside the bracket
+                return hi if wide_hi else lo
+        if slope > 0.0:
+            # Halley's step is Newton's over d = 1 - h h'' / (2 slope^2), with
+            # h'' = slope (a - slope) and a = d log pmf_n(y) in the same variable
+            a = (n - y) - y * (1.0 - b) / b if upper else y - (n - y) * b / (1.0 - b)
+            d = 1.0 - 0.5 * h * (a - slope) / slope
+            # Newton's step where d is no modest correction (a subnormal b makes it inf)
+            step = h / slope / (d if 0.5 < d < 2.0 else 1.0)
+            new = -math.expm1(math.log1p(-b) - step) if upper else b * math.exp(-step)
+            # the error left after Halley's step is about (h'' / (2 slope))^2 step^3
+            if floor or max(1.0, 0.25 * (a - slope) ** 2) * step * step * abs(new - b) <= _HALLEY_STOP * b:
+                if not floor and lo <= new <= hi:
+                    return new
+                if not lo < new < hi:
+                    new = b if lo < b < hi else math.nextafter(b, hi if b == lo else lo)
+                return _finish(n, j, target, upper, wide_hi, lo, hi, new)
+            if lo < new < hi:
+                # |a L| and the tail's change over it, slope |L|, as `_moved_tail` bounds them
+                if abs(a * step) <= _MOVE_AL and slope * abs(step) <= _MOVE_TAIL:
+                    moved = _moved_tail(n, y, upper, b, tail, py, new)
+                b = new
+            else:  # past the bracket: the double next to 0 or 1 if still inside it, else bisection
+                new = min(max(new, _B_MIN), _B_MAX)
+                b = new if lo < new < hi else 0.5 * (lo + hi)
+        else:
+            b = 0.5 * (lo + hi)
+    raise ArithmeticError(f"the inversion at n = {n}, y = {y}, t = {target} did not converge")
+
+
+def _finish(n: int, j: int, target: float, upper: bool, wide_hi: bool, lo: float, hi: float,
+            b: float) -> float:
+    """The floor walk: from b strictly inside the bracket (lo, hi), whose
+    ends are set by anchored tails or are 0 and 1, the end of the collapsed
+    bracket that widens the interval, the upper end where `wide_hi`, or a b
+    whose tail equals the target.  The tail is Pr(Y <= j) for `upper`, which
+    falls in b, and Pr(Y > j) otherwise, which rises.
+
+    The walk takes the tail at b, sets the bracket end that its sign gives,
+    and moves to the double next to b toward the other end, until no double
+    is left strictly inside.  Every sum takes its anchor, as `binom_cdf` and
+    `binom_sf` do, so the bracket that collapses is judged by their tails:
+    the root lies between two adjacent doubles, or past the last double
+    before 0 or 1, and the end returned widens the interval.  `_iterate`
+    starts the walk a few doubles from the root: it took at most 4 sums
+    over 16 369 inversions of the bpci benchmark's pools, the
+    Clopper-Pearson tables at n = 30 to 1000, a seeded sweep and interior
+    draws.
+
+    A tail equal to the walk's last one did not move over one double, as a
+    subnormal tail, a multiple of 2^-1074, may not for millions of doubles,
+    where a walk one double at a time ran out of steps.  From such a tail
+    on, and from the walk's sum after `_WALK_STEPS` steps of one double,
+    the walk bisects the bracket instead, at its midpoint in the order of
+    the doubles.  A bracket in [0, 1] holds fewer than 2^62 doubles, and
+    each bisection leaves at most half of those inside it, rounded up, so
+    the walk ends within 8 + 1 + 62 = 71 sums from any b.
+    """
+    last, bisect = -1.0, False  # the walk's last tail, and whether it bisects from here on
+    for i in range(_NEWTON_MAX_STEPS):
+        tail = _cdf_sf(n, b, j)[0 if upper else 1]
+        if tail == target:
+            return b
+        if (tail > target) == upper:
+            lo = b
+        else:
+            hi = b
+        if hi <= math.nextafter(lo, 1.0):
+            return hi if wide_hi else lo
+        bisect, last = bisect or tail == last or i >= _WALK_STEPS, tail
+        if bisect:  # the midpoint in the doubles' order: their bit patterns read as integers
+            from struct import pack, unpack
+            b = unpack("<d", pack("<q", sum(unpack("<2q", pack("<2d", lo, hi))) // 2))[0]
+        else:
+            b = math.nextafter(b, hi if b == lo else lo)
+    raise ArithmeticError(f"the floor walk at n = {n}, j = {j}, t = {target} did not converge")
+
+
+def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
+    """Solve a binomial tail equation for the success probability b.
+
+    side="upper" returns the b with Pr(Y <= y) = target; side="lower" the b
+    with Pr(Y >= y) = target.  These are the beta quantiles
+    B(1 - target; y + 1, n - y) and B(target; y, n - y + 1).  Degenerate
+    cases with no root in (0, 1) return the boundary value 0 or 1.  A target
+    t above 1/2, where the log tail is flat and its rounding would move b
+    far, is solved as the other side's tail at 1 - t, exact by Sterbenz's
+    lemma: Pr(Y <= y) = t exactly where Pr(Y >= y + 1) = 1 - t.
 
     Where the tail has a closed form, (1 - b)^n at y = 0 and 1 - b^n at
     y = n - 1 (upper), b^n at y = n and 1 - (1 - b)^n at y = 1 (lower), its
@@ -873,81 +1045,15 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
     double on its wide side, one further out where the root lies within the
     residual's stated error of a double (`_two_term_end`), with no tail sum.
     Against 60-digit roots every such end lies on the wide side and within
-    1.005 ulps, subnormal targets included.  Where the beta parameter q is
-    2 (y = 2 lower, y = n - 2 upper), the tail is 1 minus a two-term one,
-    and the start is the root c of 1 - (1 - c)^(n - 1) (1 + (n - 1) c) = t,
-    b = c (lower) or 1 - c (upper), by Newton's method in log c from its
-    small-c limit sqrt(2t / (n (n - 1))) (`_q2_root`): within 7e-14 of the
-    60-digit root, so that the first Halley step meets the stop rule, where
-    Paulson's start was 7-26% off at Clopper-Pearson levels and took up to 7
-    tail sums.  Elsewhere the start is Paulson's cube-root normal
-    approximation to the beta quantile (`_paulson_start`; E. Paulson, Annals
-    of Math. Stat. 13, 1942), off by a median 5e-4 relative at n = 30 and
-    6e-7 at n = 3000 over the interior Clopper-Pearson ends at alpha = 0.05
-    and 0.01, where a Wilson score bound is off by a median 3% at n = 30.
-    Below a target of 1e-6 the start is the Wilson score bound.  A target t
-    above 1/2, where the log tail is flat and its rounding would move b far,
-    is solved as the other side's tail at 1 - t, exact by Sterbenz's lemma:
-    Pr(Y <= y) = t exactly where Pr(Y >= y + 1) = 1 - t.
+    1.005 ulps, subnormal targets included.
 
-    Every iterate lies between the doubles next to 0 and 1: a start or a
-    step past one of them is clamped to it, so where the root lies past the
-    last double one tail sum there shows it.  A step that leaves the
-    bracket, which shrinks at every step, is replaced by bisection.
-
-    h is log(tail / target) wherever that ratio is a finite normal double,
-    so that a tiny target costs h no accuracy; log(tail) - log(target)
-    would lose about 1e-16 |log target| to rounding.  The first tail sum
-    takes its saddle-point anchor.  After it, the tail at each iterate is
-    moved from the last iterate's tail and pmf_n(y) (`_moved_tail`): its
-    change is m times the integral of pmf_n(y) over the move in x = log(1 -
-    b) (upper, m = n - y) or log b (lower, m = y), taken by a 4-point
-    Gauss-Lobatto rule whose nodes are pmf_n(y) moved by the exact pmf
-    ratio.  A move is admitted where |u| + |v| <= 2^-7, u and v the relative
-    moves of b and 1 - b, max |a| |L| <= 2^-6 and |a1 - a0| |L| <= 2^-15, L
-    the move in x, and m pmf_n(y) |L| is at most 2^-6 of the tail; there
-    the rule errs by below 2^-56 of the tail (`_moved_tail` gives the
-    argument).  A move is tried only after a Halley step inside the bracket
-    whose |a step| and slope |step| meet the bounds on max |a| |L| and on
-    m pmf_n(y) |L|, as L is about -step, so that a move sure to be refused
-    costs no call.  Elsewhere a full sum is taken: after a step of at least
-    2^-13 of b, on the same side of the mode as the last sum, it takes its
-    first term pmf_n(k) from the last sum's by `_carried`, where that admits
-    the move.  The tail after the first step, from Paulson's start, is
-    moved in 70% of the interior Clopper-Pearson inversions that take that
-    step at n = 30 and 31, 87% at n = 100 and 98% or more at n >= 1000.  So
-    most interior ends take one tail sum: 1.25 per inversion on the
-    Clopper-Pearson tables at n = 30 and 31, where a sum at every iterate
-    took 1.91.
-
-    One rule decides every stop: iteration stops where the error a step
-    leaves is predicted below 2^-56 of b, and returns the step's end without
-    a tail sum to confirm it.  From an error e, Halley's step leaves
-    (A^2 - B) e^3 + O(e^4), with A = h'' / (2 s) = (a - s) / 2 from the h''
-    in hand and B = h''' / (6 s), which is not in hand.  The step is about
-    e, so the prediction in b is K step^2 |new - b|, with K = max(1, A^2),
-    the 1 standing in for B: a stated rule, not yet a proven bound.  After
-    Newton's step |A step| >= 1/2, so the rule holds only for a move below
-    2^-54 of b, under half an ulp.  The end returned may lie an ulp or so on
-    either side of the root, below the tail's own few-ulp rounding.
-
-    One finish takes the step from a tail at the rounding floor, |h| <=
-    1e-13, after an earlier step, since h there is mostly rounding, and a
-    step that meets the rule but is rounded past the closed bracket: the
-    walk.  A tail at the floor that took no anchor of its own, a moved tail
-    or a carried sum, sets no bracket end, as a few ulps could flip its
-    sign; the step from it starts the walk, which takes the tail at the
-    step's end if it lies inside the bracket, or at the same b where it
-    does not (not seen in 18 609 inversions), then at one double after
-    another toward the root, until no double is left strictly inside.
-    Every walk sum takes its anchor, as `binom_cdf` and `binom_sf` do, so
-    the bracket that collapses is judged by their tails.  So every end is an
-    anchored tail equal to the target (h = 0), a converged step's end inside
-    the bracket, or the end of a collapsed bracket.  The root then lies
-    between two adjacent doubles, or past the last double before 0 or 1, and
-    the end returned widens the interval: the upper end for side="upper",
-    the lower end for side="lower", whichever tail a target above 1/2 made
-    it solve.
+    Elsewhere the inversion is `_iterate` from `_start`, which may end in
+    `_finish`.  So every end is an anchored tail equal to the target, a
+    converged Halley step's end inside the bracket, or the end of a
+    collapsed bracket: the root then lies between two adjacent doubles, or
+    past the last double before 0 or 1, and the end returned widens the
+    interval, the upper end for side="upper" and the lower end for
+    side="lower", whichever tail a target above 1/2 made it solve.
     """
     n = check_int(n, "n", 1, N_MAX)
     y = check_int(y, "y", 0, n)
@@ -955,10 +1061,8 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
     if side not in ("lower", "upper"):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
     upper = side == "upper"
-    if upper and y == n:  # Pr(Y <= n) == 1 for every b: no root
-        return 1.0
-    if not upper and y == 0:  # Pr(Y >= 0) == 1 for every b: no root
-        return 0.0
+    if y == (n if upper else 0):  # Pr(Y <= n) = Pr(Y >= 0) = 1 for every b: no root
+        return 1.0 if upper else 0.0
     wide_end_hi = upper  # the end of a collapsed bracket that widens the interval
     if target > 0.5:  # Pr(Y <= y) = t iff Pr(Y >= y + 1) = 1 - t, exact by Sterbenz
         target = 1.0 - target
@@ -990,90 +1094,7 @@ def binom_tail_invert(n: int, y: int, target: float, side: str) -> float:
         return hi if wide_end_hi else lo
     if y == (1 if upper else n - 1):  # two terms, in c = b or 1 - b
         return _two_term_end(n, target, upper, wide_end_hi)
-    log_target = math.log(target)
-    if y == (n - 2 if upper else 2):  # q = 2: the root of the two-term complement, c = b or 1 - b
-        c = _q2_root(n, target)
-        b = 1.0 - c if upper else c
-    elif target >= _PAULSON_MIN_TARGET:
-        b = _paulson_start(n, y, target, upper)
-    else:  # too deep a target for Wilson-Hilferty
-        z = _normal_quantile(target)
-        b = 1.0 - _wilson_lower(n, n - y, z) if upper else _wilson_lower(n, y, z)
-    b = min(max(b, _B_MIN), _B_MAX)
-    lo, hi = 0.0, 1.0
-    j = y if upper else y - 1
-    m = n - y if upper else y  # d tail / d log(1 - b) (upper) or d log b (lower) is m pmf_n(y)
-    b0, tail, py = b, 0.0, 0.0  # the last iterate, its tail and pmf_n(y)
-    bs, k, pk = b, j, 0.0  # the last sum's iterate, first index and first term
-    walk = False  # at the rounding floor: each iterate is the double next to the last
-    short = False  # the last step was a Halley step that `_moved_tail` may admit
-    for i in range(_NEWTON_MAX_STEPS):
-        # after a short Halley step, the tail moved from the last iterate's
-        # where `_moved_tail` admits the move; the walk takes only anchored sums
-        moved = _moved_tail(n, y, upper, b0, tail, py, b) if short else None
-        short = False
-        if moved is None:
-            # after a long step on the same side of the mode, the first term is
-            # carried from the last sum's where `_carried` admits the move
-            first = 0.0
-            if not walk and abs(b - bs) >= _CARRY_STEP * bs and k == (j if j < _mode(n, b) else j + 1):
-                first = _carried(n, k, bs, pk, b)
-            cdf, sf, k, pk = _cdf_sf(n, b, j, first)
-            tail, bs, anchored = cdf if upper else sf, b, first == 0.0
-            # pmf_n(y) from the tail sum's first term pk = pmf_n(k), k in {y - 1, y, y + 1};
-            # left to right, so that a subnormal b cannot make the ratio overflow
-            py = pk
-            if k > y:
-                py = py * (y + 1) * (1.0 - b) / ((n - y) * b)
-            elif k < y:
-                py = py * (n - y + 1) * b / (y * (1.0 - b))
-        else:
-            (tail, py), anchored = moved, False
-        b0 = b
-        h = _log_ratio(tail, target, log_target)
-        slope = py * m / tail if tail > 0.0 else 0.0  # d log tail in the same variable
-        floor = i > 0 and abs(h) <= _FLOOR_H
-        if anchored or not floor:  # h's sign is the tail's, as `binom_cdf` would give it
-            if h == 0.0:
-                return b
-            if (h > 0.0) == upper:
-                lo = b
-            else:
-                hi = b
-            if hi <= math.nextafter(lo, 1.0):  # no double left inside the bracket
-                return hi if wide_end_hi else lo
-        if walk:
-            b = math.nextafter(b, hi if b == lo else lo)
-        elif slope > 0.0:
-            # Halley's step is Newton's over d = 1 - h h'' / (2 slope^2), with
-            # h'' = slope (a - slope) and a = d log pmf_n(y) in the same variable
-            a = (n - y) - y * (1.0 - b) / b if upper else y - (n - y) * b / (1.0 - b)
-            d = 1.0 - 0.5 * h * (a - slope) / slope
-            # Newton's step where d is no modest correction (a subnormal b makes it inf)
-            step = h / slope / (d if 0.5 < d < 2.0 else 1.0)
-            new = -math.expm1(math.log1p(-b) - step) if upper else b * math.exp(-step)
-            # the error left after Halley's step is about (h'' / (2 slope))^2 step^3
-            if floor or max(1.0, 0.25 * (a - slope) ** 2) * step * step * abs(new - b) <= _HALLEY_STOP * b:
-                if not floor and lo <= new <= hi:
-                    return new
-                # the floor walk: the tail at the step's end if it is inside, else
-                # at b if b set no bracket end, then at one double after another,
-                # until the bracket collapses
-                walk = True
-                if lo < new < hi:
-                    b = new
-                elif b in (lo, hi):
-                    b = math.nextafter(b, hi if b == lo else lo)
-            elif lo < new < hi:
-                b = new
-                # |a L| and the tail's change over it, slope |L|, as `_moved_tail` bounds them
-                short = abs(a * step) <= _MOVE_AL and slope * abs(step) <= _MOVE_TAIL
-            else:  # past the bracket: the double next to 0 or 1 if still inside it, else bisection
-                new = min(max(new, _B_MIN), _B_MAX)
-                b = new if lo < new < hi else 0.5 * (lo + hi)
-        else:
-            b = 0.5 * (lo + hi)
-    raise ArithmeticError(f"binom_tail_invert({n}, {y}, {target}, {side!r}) did not converge")
+    return _iterate(n, y, target, upper, wide_end_hi, _start(n, y, target, upper))
 
 
 def _mix64(a: int, b: int) -> int:

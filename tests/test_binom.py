@@ -3,6 +3,7 @@
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 
@@ -16,14 +17,18 @@ import berncert
 import berncert.binom
 from berncert.binom import (
     N_MAX,
+    _B_MAX,
+    _B_MIN,
     _TWO_TERM_RTOL,
     SeededStream,
     _carried,
     _cdf_sf,
     _complement,
+    _finish,
     _moved_tail,
     _pmf,
     _q2_root,
+    _start,
     _two_term_root,
     binom_cdf,
     binom_pmf,
@@ -246,14 +251,14 @@ class TestTailInvert:
         assert binom_cdf(n, b, y) <= t <= binom_cdf(n, math.nextafter(b, 0.0), y)
 
     @pytest.mark.parametrize("n,y,t", COLLAPSED_BRACKET_CASES)
-    def test_carried_sum_near_root_is_retaken(self, monkeypatch, n, y, t):
-        """A carried sum within 1e-13 of the root in h sets no bracket end:
-        the walk's anchored sums do, so the bracket's ends are judged by the
-        tail `binom_cdf` gives, even where every move is refused and every
-        sum after the first carries its first term."""
-        monkeypatch.setattr(berncert.binom, "_CARRY_STEP", 0.0)
-        monkeypatch.setattr(berncert.binom, "_MOVE_AL", 0.0)
-        self.test_collapsed_bracket_returns_conservative_end(n, y, t)
+    def test_carried_sum_near_root_is_retaken(self, n, y, t):
+        """The walk judges the bracket by its own anchored sums: `_finish`
+        takes no tail from the iteration, and from every bracket whose ends
+        anchored tails set, and every start inside it, it returns the upper
+        end by `binom_cdf` (`assert_finish_contract`).  So a carried or
+        moved tail within 1e-13 of the root in h, which sets no bracket end,
+        cannot set the end returned."""
+        assert_finish_contract((n, y, t, "upper"))
 
     @pytest.mark.parametrize("case", FLOOR_MOVED_CASES, ids=lambda case: "-".join(map(str, case)))
     def test_moved_tail_at_floor_sets_no_bracket_end(self, case):
@@ -988,6 +993,179 @@ class TestQ2Start:
     @settings(max_examples=300)
     def test_accuracy(self, n, log_t, kind):
         self.check(q2_case(n, max(math.exp(log_t), 5e-324), kind))
+
+
+@st.composite
+def start_cases(draw):
+    """(n, y, target, upper) of an interior inversion on the side it solves:
+    n from 4 to 2^53, 2 <= y <= n - 2 weighted to the ends, where the start
+    is `_q2_root`'s, and the target at 1/2, either side of 1e-6, where
+    Paulson's start gives way to Wilson's, at 5e-324, or log-uniform between."""
+    n = draw(st.one_of(st.sampled_from((4, 5, N_MAX)), st.integers(4, 100),
+                       st.floats(math.log(4.0), math.log(N_MAX)).map(lambda x: min(max(int(math.exp(x)), 4), N_MAX))))
+    y = draw(st.one_of(st.sampled_from((2, n - 2)), st.integers(2, n - 2)))
+    t = draw(st.one_of(st.sampled_from((0.5, 1e-6, math.nextafter(1e-6, 0.0), 5e-324)),
+                       st.floats(math.log(5e-324), math.log(0.5)).map(lambda x: min(max(math.exp(x), 5e-324), 0.5))))
+    return n, y, t, draw(st.booleans())
+
+
+class TestStart:
+    @given(case=start_cases())
+    @settings(max_examples=500)
+    def test_double_in_range(self, case):
+        """Every interior start, from `_q2_root`, Paulson or Wilson, is a
+        double in [`_B_MIN`, `_B_MAX`]: not NaN, infinite or out of range
+        (none of 2e5 seeded draws was)."""
+        b = _start(*case)
+        assert type(b) is float and _B_MIN <= b <= _B_MAX, (case, b)
+
+
+def assert_wide_side(case, b):
+    """b is the end that widens the interval, by `binom_cdf` (upper) or
+    `binom_sf` (lower): the tail crosses the target between b and the
+    double next to it on the inner side."""
+    n, y, t, side = case
+    if side == "upper":
+        assert binom_cdf(n, b, y) <= t <= binom_cdf(n, math.nextafter(b, 0.0), y), (case, b)
+    else:
+        assert binom_sf(n, b, y - 1) <= t <= binom_sf(n, math.nextafter(b, 1.0), y - 1), (case, b)
+
+
+def ordinal(x):
+    """The place of a double x >= 0 in the order of the doubles: its bit
+    pattern read as an integer."""
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def from_ordinal(i):
+    """The double at place i, clamped to [0, 1]."""
+    return struct.unpack("<d", struct.pack("<q", min(max(i, 0), ordinal(1.0))))[0]
+
+
+# the most tail sums `_finish` takes from any start in any bracket in [0, 1]:
+# 8 one double apart, one more, then 62 bisections of fewer than 2^62 doubles
+FINISH_SUMS = 71
+
+
+def assert_finish_contract(case):
+    """From every bracket around the root of `case` whose ends anchored
+    tails set, and from six starts inside it, `_finish` returns the end that
+    widens the interval (`assert_wide_side`), in at most FINISH_SUMS sums.
+    The bracket ends lie 0, 1, 2^10, 2^30 or 2^50 doubles out from the
+    collapsed bracket at the root, on either side, or at 0 and 1; an end
+    whose tail equals the target, or lies on the wrong side of it by the
+    tail's rounding, sets no bracket end and is left out.  The starts are
+    the doubles next to either end, next to the root on either side, and
+    the midpoints in value and in the order of the doubles."""
+    n, y, t, side = case
+    upper = side == "upper"
+    wide = binom_tail_invert(*case)
+    assert_wide_side(case, wide)
+    inner = math.nextafter(wide, 0.0 if upper else 1.0)
+    below, above = (inner, wide) if upper else (wide, inner)
+    j = y if upper else y - 1
+    ends = {0.0: True, 1.0: False}  # b -> whether it is a lower end
+    for k in (0, 1, 2**10, 2**20, 2**30, 2**40, 2**50):
+        for b, low in ((from_ordinal(ordinal(below) - k), True), (from_ordinal(ordinal(above) + k), False)):
+            tail = binom_cdf(n, b, y) if upper else binom_sf(n, b, j)
+            if 0.0 < b < 1.0 and tail != t and ((tail > t) == upper) == low:
+                ends[b] = low
+    walks = []
+    with pytest.MonkeyPatch.context() as patch:
+        counts = count_calls(patch, berncert.binom, "_cdf_sf")
+        for lo in (b for b, low in ends.items() if low):
+            for hi in (b for b, low in ends.items() if not low):
+                starts = {math.nextafter(lo, 1.0), math.nextafter(hi, 0.0), below, above, 0.5 * (lo + hi),
+                          from_ordinal((ordinal(lo) + ordinal(hi)) // 2)}
+                for b in sorted(b for b in starts if lo < b < hi):
+                    before = counts["_cdf_sf"]
+                    end = _finish(n, j, t, upper, upper, lo, hi, b)
+                    walks.append(((lo, hi, b), end, counts["_cdf_sf"] - before))
+    assert len(ends) >= 6, case  # four ends or more besides 0 and 1
+    for start, end, sums in walks:
+        assert_wide_side(case, end)
+        assert sums <= FINISH_SUMS, (case, start, sums)
+
+
+# interior ends at subnormal targets that raised ArithmeticError before the
+# walk bisected on a stalled tail: near each root the anchored tail, a
+# multiple of 2^-1074, stays the same for millions of doubles, and a walk of
+# one double a step ran out of its 200 steps
+SUBNORMAL_WALK_CASES = [
+    (2931, 2564, 6.601275e-318, "lower"), (1835, 1602, 2.149e-320, "lower"), (683, 573, 7.919e-320, "lower"),
+    (706, 170, 1.077e-321, "upper"), (452, 427, 2.40847e-318, "lower"),
+]
+
+# lower ends with y = 2 whose roots lie near 1e-153 and 3e-102
+TINY_ROOT_CASES = [(1000, 2, 1e-300, "lower"), (50, 2, 1e-200, "lower")]
+
+# the most tail sums of an inversion at a subnormal target: FINISH_SUMS, and 8
+# before the walk, the bound `TestTailInvertCost.test_stress` states at normal targets
+SUBNORMAL_SUMS = FINISH_SUMS + 8
+
+
+def seeded_subnormal_interior_cases(count=4000):
+    """`count` interior (n, y, target, side), with n log-uniform on [4, 1e4],
+    2 <= y <= n - 2 and the target log-uniform on [5e-324, 2^-1022): subnormal."""
+    rng = random.Random(31)
+    for _ in range(count):
+        n = int(math.exp(rng.uniform(math.log(4.0), math.log(1e4))))
+        t = max(math.exp(rng.uniform(math.log(5e-324), math.log(2.0**-1022))), 5e-324)
+        yield n, rng.randint(2, n - 2), t, rng.choice(("lower", "upper"))
+
+
+class TestFloorWalk:
+    """`_finish`: the walk on anchored tails to a collapsed bracket, which
+    bisects once a tail stalls or after 8 steps of one double."""
+
+    @pytest.mark.parametrize("case", SUBNORMAL_WALK_CASES, ids=lambda case: "-".join(map(str, case)))
+    def test_subnormal_target(self, case):
+        """The end that widens the interval, in 17 to 38 tail sums, and
+        `_finish` keeps its contract around each root.  The walk's second
+        sum, one double on, stalls, and it bisects from there; without the
+        stall rule it took 8 steps of one double first, and 24 to 45 sums."""
+        with pytest.MonkeyPatch.context() as patch:
+            counts = count_calls(patch, berncert.binom, "_cdf_sf")
+            b = binom_tail_invert(*case)
+        assert_wide_side(case, b)
+        assert counts["_cdf_sf"] <= 38
+        assert_finish_contract(case)
+
+    @pytest.mark.parametrize("case", TINY_ROOT_CASES, ids=lambda case: "-".join(map(str, case)))
+    def test_tiny_root(self, case):
+        """`_finish` keeps its contract where the root is near 1e-153 or
+        3e-102, from brackets as wide as [0, 1]: a bisection in value would
+        take about 560 or 390 halvings there, one in the order of the
+        doubles at most 62."""
+        assert_finish_contract(case)
+
+    def test_seeded_subnormal_targets(self):
+        """No inversion raises, each takes at most SUBNORMAL_SUMS tail sums
+        (47 at worst here, 57 over 4e4 draws), and each that ends through
+        the walk, 108 here, ends on the wide side by `binom_cdf` or
+        `binom_sf`.  Before the walk bisected on a stalled tail, 8 of these
+        4000 raised ArithmeticError.  The walk itself takes at most
+        FINISH_SUMS, which `_finish` derives; an inversion that reaches it
+        took at most 8 sums before, as at normal targets.  One that does not
+        ends in `_iterate`, whose bisections on tails this coarse took up to
+        53 sums over 4e4 draws."""
+        finish, walked, rows = berncert.binom._finish, [], []
+
+        def recorded(*args):
+            walked.append(args)
+            return finish(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            counts = count_calls(patch, berncert.binom, "_cdf_sf")
+            patch.setattr(berncert.binom, "_finish", recorded)
+            for case in seeded_subnormal_interior_cases():
+                before, walks = counts["_cdf_sf"], len(walked)
+                rows.append((case, binom_tail_invert(*case), counts["_cdf_sf"] - before, len(walked) > walks))
+        assert max(sums for _, _, sums, _ in rows) <= SUBNORMAL_SUMS
+        ends = [(case, b) for case, b, _, through_walk in rows if through_walk]
+        assert len(ends) >= 50
+        for case, b in ends:
+            assert_wide_side(case, b)
 
 
 # ---------------------------------------------------------------- kernel accuracy

@@ -58,6 +58,17 @@ class TestBpci:
         assert code == 0
         assert "upper = 0.6736606202466\n" in out
 
+    def test_subnormal_level_exits_0(self, capsys):
+        """alpha / 2 = 6.601275e-318: near the lower end the anchored tail
+        stays the same for millions of doubles, where the floor walk of one
+        double a step ran out of steps and the command exited 1 with a
+        traceback."""
+        args = ["bpci", "--n", "2931", "--successes", "2564", "--alpha", "1.320255e-317", "--json"]
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        record = json.loads(out)
+        assert 0.0 < record["lower"] < record["upper"] < 1.0
+
     def test_alpha_as_double(self, capsys):
         """--alpha is read as the double float(Fraction(text)) gives, without
         `fractions`: a ratio and its decimal give the same interval, and what
