@@ -186,6 +186,75 @@ def _decomposition(
     return {key: count / n_cal for key, count in counts.items() if count}
 
 
+def _inversion_cdf(n: int, r: float) -> list[float]:
+    """Running sums of numpy's inversion terms for Bin(n, r), r <= 1/2, up
+    to the bound past which its walk restarts: P(X <= x) for x = 0..bound,
+    computed as numpy's `random_binomial_inversion` computes its terms."""
+    q = 1.0 - r
+    px = math.exp(n * math.log1p(-r))
+    bound = int(min(n, n * r + 10.0 * math.sqrt(n * r * q + 1)))
+    cdf = [px]
+    for x in range(1, bound + 1):
+        px = (n - x + 1) * r * px / (x * q)
+        cdf.append(cdf[-1] + px)
+    return cdf
+
+
+def _count_inverted(u: np.ndarray, n: int, r: float, j: int) -> int | None:
+    """How many of numpy's inversion draws of Bin(n, r), r <= 1/2, from the
+    uniforms u exceed j, or None when a draw might restart or might fall on
+    either side of j.
+
+    A draw exceeds x iff its uniform exceeds numpy's threshold for x, a
+    running sum that it takes by subtraction, with the uniform's own
+    roundings.  That threshold and `_inversion_cdf`'s are each the exact cdf
+    to within n * 2**-53 + 2**-44.  The first term comes from q**n, whose
+    rounding differs between numpy's own generators: numpy 2.4's Generator
+    takes exp(n * log1p(-r)), its RandomState exp(n * log(1 - r)).  The
+    second comes from at most 86 recurrence steps and subtractions.  So the
+    two thresholds lie within `margin` of each other, and the uniforms
+    decide the count unless one lies within it of the threshold for j, or
+    the largest within it of the restart threshold, past which numpy would
+    draw another uniform."""
+    import numpy as np
+
+    cdf = _inversion_cdf(n, r)
+    margin = (n + 1024) * 2.0**-50
+    if float(u.max()) > cdf[-1] - margin:
+        return None
+    if j < 0:
+        return len(u)
+    t = cdf[min(j, len(cdf) - 1)]  # no draw exceeds the bound
+    above = int(np.count_nonzero(u > t + margin))
+    return above if above == np.count_nonzero(u > t - margin) else None
+
+
+def _count_binomial_above(rng: np.random.Generator, n: int, p: float, k: int, size: int) -> int:
+    """How many of ``rng.binomial(n, p, size)`` exceed k, with rng left in
+    the state that call leaves it in.
+
+    numpy draws each variate with min(p, 1 - p) * n <= 30 from one uniform
+    by inversion, and n - Bin(n, 1 - p) for p > 1/2 (Kachitvichyanukul and
+    Schmeiser, "Binomial random variate generation", CACM 31(2), 1988).
+    There the uniforms alone decide the count (`_count_inverted`), so no
+    variate is formed.  Where they do not, the generator goes back to its
+    state before them, and numpy draws the variates, as it does past the
+    switch at 30."""
+    import numpy as np
+
+    if size == 0 or n == 0 or p == 0.0:  # numpy draws no uniform
+        return size if k < 0 else 0
+    flip = p > 0.5
+    r = 1.0 - p if flip else p
+    if r * n <= 30.0:
+        state = rng.bit_generator.state
+        above = _count_inverted(rng.random(size), n, r, n - 1 - k if flip else k)
+        if above is not None:
+            return size - above if flip else above
+        rng.bit_generator.state = state
+    return int(np.count_nonzero(rng.binomial(n, p, size=size) > k))
+
+
 def indicator_coverage_event(
     params: PacParams,
     b: float,
@@ -205,20 +274,23 @@ def indicator_coverage_event(
     covers iff the misses are at most h* (`complement_miss_limit`).  Returns
     the counts of replicates that predict the full space and that cover,
     (full, covered); the full space always covers.
-    """
-    import numpy as np
 
+    Both counts are those of ``rng.binomial`` draws, and rng ends where those
+    draws leave it, but the draws are counted from their uniforms wherever
+    numpy draws by inversion (`_count_binomial_above`), as it does for every
+    ones-count at N * min(b, 1 - b) <= 30.
+    """
     b, n_cal = check_prob(b, "b"), check_int(n_cal, "n_cal", 1)
     n_test = None if n_test is None else check_int(n_test, "n_test", 1)
     J = params.J
     if J >= params.n:
         return 0, (n_cal if params.complement_covers(1.0) else 0)
-    full = int(np.count_nonzero(rng.binomial(params.n, b, size=n_cal) > J))
+    full = _count_binomial_above(rng, params.n, b, J, n_cal)
     if n_test is None:
         covered = n_cal if params.complement_covers(b) else full
     else:
-        hits = rng.binomial(n_test, b, size=n_cal - full)
-        covered = full + int(np.count_nonzero(hits <= params.complement_miss_limit(n_test)))
+        h_star = params.complement_miss_limit(n_test)
+        covered = n_cal - _count_binomial_above(rng, n_test, b, h_star, n_cal - full)
     return full, covered
 
 

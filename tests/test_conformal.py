@@ -1,5 +1,6 @@
 """Tests for conformal p-values, set membership, and the coverage-event bound."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -14,6 +15,9 @@ from berncert.conformal import (
     IndicatorINM,
     NonconformityMeasure,
     PacParams,
+    _count_binomial_above,
+    _count_inverted,
+    _inversion_cdf,
     estimate_SE_probability,
     inp_contains,
     p_value,
@@ -22,7 +26,7 @@ from berncert.conformal import (
     theorem1_bound,
 )
 from berncert.indicator import monte_carlo_SE_probability
-from helpers import indicator_sampler
+from helpers import binomial_count_above, generator_drawing, indicator_sampler
 
 scores_strategy = st.lists(
     st.floats(-10, 10, allow_nan=False), min_size=1, max_size=20
@@ -125,6 +129,63 @@ class TestComplementMissLimit:
         # one miss in three passes the float test at E = 1/3, both sides being
         # 1.0 - 1/3, although the double 1/3 times 3 is below 1
         assert PacParams(Fraction(2, 3), 1 / 3, 2).complement_miss_limit(3) == 1
+
+
+def _grid_probabilities(n: int) -> list[float]:
+    """Both edges, subnormal and tiny p, numpy's switch from inversion at
+    n * p = 30 and the doubles beside it, and p on both sides of its flip at 1/2."""
+    switch = 30 / n
+    near = {switch, math.nextafter(switch, 0.0), math.nextafter(switch, 1.0)}
+    edges = {0.0, 5e-324, 1e-12, math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0), 0.9, 1 - 1e-12, 1.0}
+    return sorted(edges | {x for x in near if x <= 1.0})
+
+
+class TestCountBinomialAbove:
+    """`_count_binomial_above` against numpy's own draws: the same count, and
+    the generator left where the draws leave it, shown by its next uniform."""
+
+    @staticmethod
+    def assert_same(make_rng, n, p, k, size):
+        rng, ref = make_rng(), make_rng()
+        assert _count_binomial_above(rng, n, p, k, size) == binomial_count_above(ref, n, p, k, size), (n, p, k, size)
+        assert rng.random() == ref.random(), (n, p, k, size)
+
+    @pytest.mark.parametrize(
+        "n, p", [(n, p) for n in (1, 2, 3, 30, 31, 60, 200, 50_000) for p in _grid_probabilities(n)]
+    )
+    def test_matches_numpy_draws(self, n, p):
+        # k = -1 is J at epsilon = 0, where every draw exceeds it; p = 0 and
+        # size = 0 draw no uniform
+        for seed, k, size in itertools.product(range(3), sorted({-1, 0, 1, n - 1, n}), (0, 1, 7, 50_000)):
+            self.assert_same(lambda: SeededStream(seed).rng(), n, p, k, size)
+
+    @pytest.mark.parametrize("n, p", [(2, 0.3), (2, 0.7), (3, 0.15), (60, 0.5), (200, 0.1)])
+    def test_uniforms_at_thresholds(self, n, p):
+        # uniforms a few doubles from an inversion threshold, where the
+        # rounding of numpy's q**n and of its subtractions decides the draw
+        r = min(p, 1.0 - p)
+        for j, t in enumerate(_inversion_cdf(n, r)[:4]):
+            m0 = int(t * 2**53)
+            for m in range(m0 - 3, m0 + 4):
+                assert _count_inverted(np.array([0.5, m * 2.0**-53]), n, r, j) is None
+                for k in sorted({-1, j, n - 1 - j, n}):
+                    self.assert_same(lambda: generator_drawing(m), n, p, k, 3)
+
+    def test_restart_falls_back(self):
+        # from the largest uniform below 1, numpy's subtractions can run past
+        # its bound, n here: it then takes another uniform for that draw
+        top = 2**53 - 1
+        restarts = 0
+        for n, p in itertools.product((2, 3), (x / 64 for x in range(1, 64))):
+            r = min(p, 1.0 - p)
+            assert _count_inverted(np.array([0.25, top * 2.0**-53]), n, r, 0) is None
+            rng, uniforms = generator_drawing(top), generator_drawing(top)
+            rng.binomial(n, p)
+            uniforms.random()
+            restarts += rng.random() != uniforms.random()
+            for k in range(-1, n + 1):
+                self.assert_same(lambda: generator_drawing(top), n, p, k, 7)
+        assert restarts > 0
 
 
 class TestScoreThreshold:
