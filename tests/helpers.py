@@ -230,17 +230,16 @@ def ref_pmf(n: int, x: int, p: float, qh: float, ql: float) -> float:
     return ref_exp_dd(lh, ll) / math.sqrt(_TWO_PI * xf * yf / nf)
 
 
-def ref_terms(n: int, p: float, qh: float, ql: float, k: int, step: int, end: int,
-              first: float = 0.0):
+def ref_terms(n: int, p: float, qh: float, ql: float, k: int, step: int, end: int):
     """Yield pmf(k), pmf(k + step), ..., pmf(end), moving away from the mode,
     by the ratio recurrence re-anchored every `_CHUNK` terms; stops early at
-    an anchor that underflows.  A positive `first` is pmf(k), known."""
+    an anchor that underflows."""
     if step > 0:
         factor = ref_dd_div(p, 0.0, qh, ql)[0]
     else:
         factor = ref_dd_div(qh, ql, p, 0.0)[0]
     for k0 in range(k, end + step, step * _CHUNK):
-        t = first if k0 == k and first > 0.0 else ref_pmf(n, k0, p, qh, ql)
+        t = ref_pmf(n, k0, p, qh, ql)
         if t == 0.0:
             return
         yield t
@@ -252,10 +251,9 @@ def ref_terms(n: int, p: float, qh: float, ql: float, k: int, step: int, end: in
             yield t
 
 
-def ref_cdf_sf(n: int, b: float, j: int, first: float = 0.0) -> tuple[float, float, int, float]:
+def ref_cdf_sf(n: int, b: float, j: int) -> tuple[float, float, int, float]:
     """(Pr(Y <= j), Pr(Y > j), k, Pr(Y = k)) for Y ~ Bin(n, b), as
-    `berncert.binom._cdf_sf` returns them; a positive `first` is Pr(Y = k),
-    known."""
+    `berncert.binom._cdf_sf` returns them."""
     n = check_int(n, "n", 1)
     b = check_prob(b, "b")
     j = check_int(j, "j")
@@ -266,7 +264,7 @@ def ref_cdf_sf(n: int, b: float, j: int, first: float = 0.0) -> tuple[float, flo
     qh, ql = _complement(b)
     lower = j < _mode(n, b)
     k, step, end = (j, -1, 0) if lower else (j + 1, 1, n)
-    terms = ref_terms(n, b, qh, ql, k, step, end, first)
+    terms = ref_terms(n, b, qh, ql, k, step, end)
     # the first term is positive, so it never meets the stopping rule
     first = total = next(terms, 0.0)
     for t in terms:

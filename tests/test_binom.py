@@ -21,7 +21,6 @@ from berncert.binom import (
     _B_MIN,
     _TWO_TERM_RTOL,
     SeededStream,
-    _carried,
     _cdf_sf,
     _complement,
     _finish,
@@ -131,28 +130,6 @@ class TestCdf:
 
 
 @st.composite
-def carry_moves(draw):
-    """(n, k, b0, b) with n <= 1e6, k at the edges or within 40 standard
-    deviations of the mean, b0 from 5e-324 to 1 - 2^-53, and b a move from b0
-    of relative size 1e-9 to 1 or of up to 10 / max(k, n - k), in b0 or in
-    1 - b0, or anywhere."""
-    n = draw(st.integers(1, 10**6))
-    b0 = min(max(draw(st.one_of(
-        st.floats(5e-324, 1.0 - 2.0**-53),
-        st.floats(math.log(5e-324), 0.0).map(math.exp),
-        st.floats(math.log(2.0**-53), 0.0).map(lambda x: 1.0 - math.exp(x)),
-    )), 5e-324), 1.0 - 2.0**-53)
-    mean, sd = n * b0, math.sqrt(n * b0 * (1.0 - b0))
-    k = min(max(draw(st.one_of(st.sampled_from((0, 1, n - 1, n)),
-                               st.floats(-40.0, 40.0).map(lambda z: int(mean + z * sd)))), 0), n)
-    r = draw(st.one_of(st.floats(math.log(1e-9), 0.0).map(math.exp),
-                       st.floats(0.0, 10.0).map(lambda z: z / max(k, n - k, 1))))
-    r *= draw(st.sampled_from((-1.0, 1.0)))
-    b = draw(st.sampled_from((b0 + r * b0, b0 - r * (1.0 - b0), draw(st.floats(0.0, 1.0)))))
-    return n, k, b0, min(max(b, 5e-324), 1.0 - 2.0**-53)
-
-
-@st.composite
 def tail_moves(draw):
     """(n, y, side, b0, b) with n <= 1e4, 2 <= y <= n - 2 at the edges or
     within 40 standard deviations of the mean, b0 from 5e-324 to 1 - 2^-53,
@@ -255,9 +232,9 @@ class TestTailInvert:
         """The walk judges the bracket by its own anchored sums: `_finish`
         takes no tail from the iteration, and from every bracket whose ends
         anchored tails set, and every start inside it, it returns the upper
-        end by `binom_cdf` (`assert_finish_contract`).  So a carried or
-        moved tail within 1e-13 of the root in h, which sets no bracket end,
-        cannot set the end returned."""
+        end by `binom_cdf` (`assert_finish_contract`).  So a moved tail
+        within 1e-13 of the root in h, which sets no bracket end, cannot set
+        the end returned."""
         assert_finish_contract((n, y, t, "upper"))
 
     @pytest.mark.parametrize("case", FLOOR_MOVED_CASES, ids=lambda case: "-".join(map(str, case)))
@@ -281,38 +258,22 @@ class TestTailInvert:
     )
     def test_one_anchor_per_tail_evaluation(self, monkeypatch, n, y, t, side):
         """The slope comes from the first term of the tail sum just taken,
-        a tail moved from the last iterate's takes no sum, and a sum after a
-        long step carries its first term from the last sum's, so the
-        inversion computes no saddle-point anchor beyond those the sums that
-        carry nothing make: at n <= 256 one each.  At (10, 3, 0.025, "upper")
-        the one sum is the first, and the tail after the first Halley step
-        is moved from it.  A closed-form root
-        (y = 0 upper, y = n lower) and a two-term one (y = 1 upper, y = n - 1
-        lower) take neither a sum nor an anchor."""
-        counts = count_calls(monkeypatch, berncert.binom, "_pmf")
-        carried = count_carried_sums(monkeypatch)
+        and a tail moved from the last iterate's takes no sum, so the
+        inversion computes no saddle-point anchor beyond those its sums
+        make: at n <= 256 one per sum.  At (10, 3, 0.025, "upper") the one
+        sum is the first, and the tail after the first Halley step is moved
+        from it.  A closed-form root (y = 0 upper, y = n lower) and a
+        two-term one (y = 1 upper, y = n - 1 lower) take neither a sum nor
+        an anchor."""
+        counts = count_calls(monkeypatch, berncert.binom, "_cdf_sf", "_pmf")
         binom_tail_invert(n, y, t, side)
         if y in ((0, 1) if side == "upper" else (n, n - 1)):
-            assert carried == [] and counts["_pmf"] == 0
+            assert counts["_cdf_sf"] == 0
         else:
-            assert len(carried) > 0
-        assert counts["_pmf"] == len(carried) - sum(carried)
+            assert counts["_cdf_sf"] > 0
+        assert counts["_pmf"] == counts["_cdf_sf"]
         if (n, y, t, side) == (10, 3, 0.025, "upper"):
-            assert carried == [False]
-
-    @given(move=carry_moves())
-    @settings(max_examples=500)
-    def test_carried_term(self, move):
-        """Where `_carried` admits a move, its pmf_n(k; b), carried from
-        `_pmf` at b0, lies within 8 ulps of `_pmf` at b (6 at worst over 2e4
-        admitted moves of a seeded draw).  No move raises: the guard keeps log1p off -1, which
-        rounding reaches on a move to near 0 or 1 from far away."""
-        n, k, b0, b = move
-        got = _carried(n, k, b0, _pmf(n, k, b0, *_complement(b0)), b)
-        if got > 0.0:
-            want = _pmf(n, k, b, *_complement(b))
-            target(abs(got - want) / math.ulp(want), label="ulps")
-            assert abs(got - want) <= 8 * math.ulp(want), (move, got, want)
+            assert counts["_cdf_sf"] == 1
 
     @given(move=tail_moves())
     @settings(max_examples=500, derandomize=True)
@@ -323,7 +284,7 @@ class TestTailInvert:
         40-digit tails the move itself adds at most 0.51 ulp, its final
         rounding included (6115 admitted moves of a seeded draw at n <=
         3000); the rest is the two sums' own error.  No move raises: the
-        guard keeps the logs off -1, as in `_carried`."""
+        guard keeps the logs off -1."""
         n, y, side, b0, b = move
         upper = side == "upper"
         j = y if upper else y - 1
@@ -343,20 +304,6 @@ class TestTailInvert:
         (47, 19, 0.4031792535164339, "upper")."""
         for case in seeded_sweep_cases():
             assert 0.0 <= binom_tail_invert(*case) <= 1.0
-
-
-def count_carried_sums(monkeypatch) -> list[bool]:
-    """Wrap `_cdf_sf`; the list returned holds, for each tail sum so far,
-    whether it was given its first term."""
-    carried = []
-    cdf_sf = berncert.binom._cdf_sf
-
-    def wrapper(n, b, j, first=0.0):
-        carried.append(first > 0.0)
-        return cdf_sf(n, b, j, first)
-
-    monkeypatch.setattr(berncert.binom, "_cdf_sf", wrapper)
-    return carried
 
 
 def seeded_sweep_cases():
@@ -550,12 +497,12 @@ class TestTailInvertCost:
 
     def test_seeded_sweep_anchors(self):
         """After the first sum the tail is moved from the last iterate's
-        (`_moved_tail`), and a sum after a long step carries its first term,
-        so the sweep takes 1.37 saddle-point anchors and 1.44 tail sums per
-        inversion (at n <= 300 each sum that carries nothing takes one
-        anchor).  With a sum at every iterate it took 2.02 and 2.28; before
-        Paulson's start and the remainder stop, 2.98 tail sums, and 2.29 with
-        a sum to confirm each two-term root."""
+        (`_moved_tail`), so the sweep takes 1.44 tail sums per inversion, and
+        as many saddle-point anchors, one per sum at n <= 300 (1.37 when a
+        sum after a long step carried its first term from the last sum's).
+        With a sum at every iterate it took 2.02 anchors and 2.28 sums;
+        before Paulson's start and the remainder stop, 2.98 tail sums, and
+        2.29 with a sum to confirm each two-term root."""
         sums, anchors, _ = inversion_cost(seeded_sweep_cases())
         assert anchors <= 1.5
         assert sums <= 1.6
@@ -953,7 +900,7 @@ class _FirstSum(Exception):
 def inversion_start(case):
     """The b at which binom_tail_invert(*case) takes its first tail sum: its
     start, clamped to the doubles next to 0 and 1.  No sum is taken."""
-    def first_sum(n, b, j, first=0.0):
+    def first_sum(n, b, j):
         raise _FirstSum(b)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -1141,14 +1088,16 @@ class TestFloorWalk:
 
     def test_seeded_subnormal_targets(self):
         """No inversion raises, each takes at most SUBNORMAL_SUMS tail sums
-        (47 at worst here, 57 over 4e4 draws), and each that ends through
-        the walk, 108 here, ends on the wide side by `binom_cdf` or
-        `binom_sf`.  Before the walk bisected on a stalled tail, 8 of these
-        4000 raised ArithmeticError.  The walk itself takes at most
-        FINISH_SUMS, which `_finish` derives; an inversion that reaches it
-        took at most 8 sums before, as at normal targets.  One that does not
-        ends in `_iterate`, whose bisections on tails this coarse took up to
-        53 sums over 4e4 draws."""
+        (68 at worst here, 7.4 in the mean), and each ends on the wide side
+        by `binom_cdf` or `binom_sf`.  At a subnormal target the tail is a
+        multiple of 2^-1074, too coarse to trust a converged Halley step, so
+        `_iterate` hands every such step to the walk: 1901 of these 4000 end
+        there.  Returning the step's end, as at normal targets, put 790 ends
+        on the inner side (3.3 sums in the mean, 47 at worst).  Before the
+        walk bisected on a stalled tail, 8 of these 4000 raised
+        ArithmeticError.  The walk itself takes at most FINISH_SUMS, which
+        `_finish` derives; the rest is `_iterate`, whose bisections on tails
+        this coarse took up to 47 sums here and 53 over 4e4 draws."""
         finish, walked, rows = berncert.binom._finish, [], []
 
         def recorded(*args):
@@ -1159,12 +1108,11 @@ class TestFloorWalk:
             counts = count_calls(patch, berncert.binom, "_cdf_sf")
             patch.setattr(berncert.binom, "_finish", recorded)
             for case in seeded_subnormal_interior_cases():
-                before, walks = counts["_cdf_sf"], len(walked)
-                rows.append((case, binom_tail_invert(*case), counts["_cdf_sf"] - before, len(walked) > walks))
-        assert max(sums for _, _, sums, _ in rows) <= SUBNORMAL_SUMS
-        ends = [(case, b) for case, b, _, through_walk in rows if through_walk]
-        assert len(ends) >= 50
-        for case, b in ends:
+                before = counts["_cdf_sf"]
+                rows.append((case, binom_tail_invert(*case), counts["_cdf_sf"] - before))
+        assert max(sums for _, _, sums in rows) <= SUBNORMAL_SUMS
+        assert len(walked) >= 1000
+        for case, b, _ in rows:
             assert_wide_side(case, b)
 
 

@@ -2,10 +2,12 @@
 
 import argparse
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
+from berncert.binom import binom_cdf
 from berncert.cli import main
 
 
@@ -68,6 +70,17 @@ class TestBpci:
         assert code == 0
         record = json.loads(out)
         assert 0.0 < record["lower"] < record["upper"] < 1.0
+
+    def test_subnormal_level_wide_side(self, capsys):
+        """alpha / 2 = 1e-323: the upper end is the double on the wide side by
+        `binom_cdf`, Pr(Y <= 649) <= 1e-323 there and above it one double
+        below.  Returning a converged Halley step's end at this subnormal
+        target printed 0.31089010598593936, on the inner side."""
+        args = ["bpci", "--n", "6173", "--successes", "649", "--alpha", "2e-323", "--json"]
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        upper = json.loads(out)["upper"]
+        assert binom_cdf(6173, upper, 649) <= 1e-323 <= binom_cdf(6173, math.nextafter(upper, 0.0), 649)
 
     def test_alpha_as_double(self, capsys):
         """--alpha is read as the double float(Fraction(text)) gives, without
