@@ -952,16 +952,19 @@ def _finish(n: int, j: int, target: float, upper: bool, wide_hi: bool, lo: float
     Clopper-Pearson tables at n = 30 to 1000, a seeded sweep and interior
     draws.
 
-    A tail equal to the walk's last one did not move over one double, as a
-    subnormal tail, a multiple of 2^-1074, may not for millions of doubles,
-    where a walk one double at a time ran out of steps.  From such a tail
-    on, and from the walk's sum after `_WALK_STEPS` steps of one double,
-    the walk bisects the bracket instead, at its midpoint in the order of
-    the doubles.  A bracket in [0, 1] holds fewer than 2^62 doubles, and
-    each bisection leaves at most half of those inside it, rounded up, so
-    the walk ends within 8 + 1 + 62 = 71 sums from any b.  At subnormal
-    targets, where `_iterate` hands it every converged step, the walk took
-    8.7 sums in the mean and 65 at worst over 4000 seeded interior draws.
+    A subnormal tail equal to the walk's last one did not move over one
+    double, as a multiple of 2^-1074 may not for millions of doubles, where
+    a walk one double at a time ran out of steps.  From such a tail on, and
+    from the walk's sum after `_WALK_STEPS` steps of one double, the walk
+    bisects the bracket instead, at its midpoint in the order of the
+    doubles.  A normal tail equal to the last one is rounding, and the walk
+    goes on: bisecting from a bracket end still at 0 took 65 sums at (380,
+    42, 0.4873610767136191, "upper"), where the walk takes 4.  A bracket in
+    [0, 1] holds fewer than 2^62 doubles, and each bisection leaves at most
+    half of those inside it, rounded up, so the walk ends within 8 + 1 + 62
+    = 71 sums from any b.  At subnormal targets, where `_iterate` hands it
+    every converged step, the walk took 8.7 sums in the mean and 65 at worst
+    over 4000 seeded interior draws.
     """
     last, bisect = -1.0, False  # the walk's last tail, and whether it bisects from here on
     for i in range(_NEWTON_MAX_STEPS):
@@ -974,7 +977,7 @@ def _finish(n: int, j: int, target: float, upper: bool, wide_hi: bool, lo: float
             hi = b
         if hi <= math.nextafter(lo, 1.0):
             return hi if wide_hi else lo
-        bisect, last = bisect or tail == last or i >= _WALK_STEPS, tail
+        bisect, last = bisect or (tail == last and tail < _NORMAL_MIN) or i >= _WALK_STEPS, tail
         if bisect:  # the midpoint in the doubles' order: their bit patterns read as integers
             from struct import pack, unpack
             b = unpack("<d", pack("<q", sum(unpack("<2q", pack("<2d", lo, hi))) // 2))[0]

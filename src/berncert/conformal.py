@@ -37,8 +37,9 @@ class IndicatorINM(NonconformityMeasure):
 
     Reduces conformal scores to Bernoulli trials.  `in_target` gets a whole
     array of points at once, so it must act elementwise (``z == 1`` does).
-    A known `target_prob` makes `estimate_SE_probability` draw calibration
-    ones-counts and use the exact inner coverage, with no points sampled.
+    A known `target_prob` makes `estimate_SE_probability` use the exact
+    inner coverage and draw only the count of replicates that predict the
+    full space (`indicator_coverage_event`), with no points sampled.
     """
 
     def __init__(self, in_target: Callable[[np.ndarray], np.ndarray], target_prob: float | None = None):
@@ -186,75 +187,6 @@ def _decomposition(
     return {key: count / n_cal for key, count in counts.items() if count}
 
 
-def _inversion_cdf(n: int, r: float) -> list[float]:
-    """Running sums of numpy's inversion terms for Bin(n, r), r <= 1/2, up
-    to the bound past which its walk restarts: P(X <= x) for x = 0..bound,
-    computed as numpy's `random_binomial_inversion` computes its terms."""
-    q = 1.0 - r
-    px = math.exp(n * math.log1p(-r))
-    bound = int(min(n, n * r + 10.0 * math.sqrt(n * r * q + 1)))
-    cdf = [px]
-    for x in range(1, bound + 1):
-        px = (n - x + 1) * r * px / (x * q)
-        cdf.append(cdf[-1] + px)
-    return cdf
-
-
-def _count_inverted(u: np.ndarray, n: int, r: float, j: int) -> int | None:
-    """How many of numpy's inversion draws of Bin(n, r), r <= 1/2, from the
-    uniforms u exceed j, or None when a draw might restart or might fall on
-    either side of j.
-
-    A draw exceeds x iff its uniform exceeds numpy's threshold for x, a
-    running sum that it takes by subtraction, with the uniform's own
-    roundings.  That threshold and `_inversion_cdf`'s are each the exact cdf
-    to within n * 2**-53 + 2**-44.  The first term comes from q**n, whose
-    rounding differs between numpy's own generators: numpy 2.4's Generator
-    takes exp(n * log1p(-r)), its RandomState exp(n * log(1 - r)).  The
-    second comes from at most 86 recurrence steps and subtractions.  So the
-    two thresholds lie within `margin` of each other, and the uniforms
-    decide the count unless one lies within it of the threshold for j, or
-    the largest within it of the restart threshold, past which numpy would
-    draw another uniform."""
-    import numpy as np
-
-    cdf = _inversion_cdf(n, r)
-    margin = (n + 1024) * 2.0**-50
-    if float(u.max()) > cdf[-1] - margin:
-        return None
-    if j < 0:
-        return len(u)
-    t = cdf[min(j, len(cdf) - 1)]  # no draw exceeds the bound
-    above = int(np.count_nonzero(u > t + margin))
-    return above if above == np.count_nonzero(u > t - margin) else None
-
-
-def _count_binomial_above(rng: np.random.Generator, n: int, p: float, k: int, size: int) -> int:
-    """How many of ``rng.binomial(n, p, size)`` exceed k, with rng left in
-    the state that call leaves it in.
-
-    numpy draws each variate with min(p, 1 - p) * n <= 30 from one uniform
-    by inversion, and n - Bin(n, 1 - p) for p > 1/2 (Kachitvichyanukul and
-    Schmeiser, "Binomial random variate generation", CACM 31(2), 1988).
-    There the uniforms alone decide the count (`_count_inverted`), so no
-    variate is formed.  Where they do not, the generator goes back to its
-    state before them, and numpy draws the variates, as it does past the
-    switch at 30."""
-    import numpy as np
-
-    if size == 0 or n == 0 or p == 0.0:  # numpy draws no uniform
-        return size if k < 0 else 0
-    flip = p > 0.5
-    r = 1.0 - p if flip else p
-    if r * n <= 30.0:
-        state = rng.bit_generator.state
-        above = _count_inverted(rng.random(size), n, r, n - 1 - k if flip else k)
-        if above is not None:
-            return size - above if flip else above
-        rng.bit_generator.state = state
-    return int(np.count_nonzero(rng.binomial(n, p, size=size) > k))
-
-
 def indicator_coverage_event(
     params: PacParams,
     b: float,
@@ -263,7 +195,8 @@ def indicator_coverage_event(
     n_test: int | None = None,
 ) -> tuple[int, int]:
     """Monte Carlo coverage event for indicator scores with known
-    P(score = 1) = b, from n_cal calibration ones-counts ~ Bin(N, b).
+    P(score = 1) = b, over n_cal replicates, each with a calibration
+    ones-count ~ Bin(N, b).
 
     The predicted set is the full space when the count exceeds J, the
     complement of the target set otherwise, and empty when J >= N
@@ -275,22 +208,24 @@ def indicator_coverage_event(
     the counts of replicates that predict the full space and that cover,
     (full, covered); the full space always covers.
 
-    Both counts are those of ``rng.binomial`` draws, and rng ends where those
-    draws leave it, but the draws are counted from their uniforms wherever
-    numpy draws by inversion (`_count_binomial_above`), as it does for every
-    ones-count at N * min(b, 1 - b) <= 30.
+    The replicates fall independently into three classes, full space,
+    covering complement and missing complement, so their counts are
+    multinomial, and each count is one binomial draw from the kernel's
+    exact probabilities: full ~ Bin(n_cal, Pr(Bin(N, b) > J)), and with
+    n_test given, covered - full ~ Bin(n_cal - full, Pr(Bin(n_test, b) <= h*)).
     """
-    b, n_cal = check_prob(b, "b"), check_int(n_cal, "n_cal", 1)
-    n_test = None if n_test is None else check_int(n_test, "n_test", 1)
+    b = check_prob(b, "b")
+    n_cal = check_int(n_cal, "n_cal", 1, N_MAX)
+    n_test = None if n_test is None else check_int(n_test, "n_test", 1, N_MAX)
     J = params.J
     if J >= params.n:
         return 0, (n_cal if params.complement_covers(1.0) else 0)
-    full = _count_binomial_above(rng, params.n, b, J, n_cal)
+    full = int(rng.binomial(n_cal, _cdf_sf(params.n, b, J)[1]))
     if n_test is None:
         covered = n_cal if params.complement_covers(b) else full
     else:
         h_star = params.complement_miss_limit(n_test)
-        covered = n_cal - _count_binomial_above(rng, n_test, b, h_star, n_cal - full)
+        covered = full + int(rng.binomial(n_cal - full, _cdf_sf(n_test, b, h_star)[0]))
     return full, covered
 
 
@@ -320,15 +255,16 @@ def estimate_SE_probability(
     """Monte Carlo estimate of the probability that the predictor attains
     inner coverage >= 1 - E, over n_cal calibration replicates.
 
-    An indicator with known target probability takes calibration ones-counts
-    and exact inner coverage (`indicator_coverage_event`) and never calls
-    `sampler`.  Any other measure scores sampled points, in chunks of
-    replicates: one (m x N) calibration matrix and one (m x n_test) test
-    matrix per chunk.  A test point is a hit when its score is at or below
-    `score_threshold` (a NaN score never is), and a replicate covers iff its
-    misses are at most h* (`PacParams.complement_miss_limit`), the one
-    finite-test rule, which the sweep's `monte_carlo` mode uses too.  Chunk
-    k draws from `stream.substream(k)`.
+    An indicator with known target probability takes the exact inner
+    coverage and one binomial draw of the replicates that predict the full
+    space (`indicator_coverage_event`), and never calls `sampler`.  Any
+    other measure scores sampled points, in chunks of replicates: one
+    (m x N) calibration matrix and one (m x n_test) test matrix per chunk.
+    A test point is a hit when its score is at or below `score_threshold`
+    (a NaN score never is), and a replicate covers iff its misses are at
+    most h* (`PacParams.complement_miss_limit`), the one finite-test rule,
+    which the sweep's `monte_carlo` mode uses too.  Chunk k draws from
+    `stream.substream(k)`.
     """
     import numpy as np
 

@@ -3,7 +3,6 @@
 import math
 from bisect import bisect_left, bisect_right
 
-import numpy as np
 import pytest
 from scipy.special import betainc, betaincc, betaincinv, betaln
 
@@ -78,31 +77,6 @@ def indicator_sampler(b: float):
         return (rng.random(count) < b).astype(int)
 
     return sample
-
-
-def binomial_count_above(rng, n: int, p: float, k: int, size: int) -> int:
-    """How many of `size` Bin(n, p) draws by numpy exceed k: the coverage
-    event's expression before it counted draws from their uniforms, and the
-    reference for `conformal._count_binomial_above`."""
-    return int(np.count_nonzero(rng.binomial(n, p, size=size) > k))
-
-
-# PCG64 steps its 128-bit LCG state by this multiplier, then outputs the
-# XSL-RR of the new state: rotated right by its top 6 bits, high word xor low
-_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def generator_drawing(m: int):
-    """A PCG64 Generator whose next uniform is m * 2**-53, 0 <= m < 2**53,
-    and whose later draws are pseudo-random.  The next state is m << 11,
-    whose high word 0 leaves the output its low word, unrotated."""
-    inc = 0xDA3E39CB94B95BDB  # any odd increment
-    state = (((m << 11) - inc) * pow(_PCG64_MULTIPLIER, -1, 1 << 128)) % (1 << 128)
-    rng = np.random.Generator(np.random.PCG64())
-    rng.bit_generator.state = {
-        "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0
-    }
-    return rng
 
 
 def piecewise_coverage_infimum(table: EndpointTable) -> tuple[float, float]:

@@ -102,8 +102,8 @@ ENTRY_POINTS = {
     "PacParams n": (lambda k: PacParams(epsilon=Fraction(1, 2), coverage_E=0.3, n=k), [0, PAST_N_MAX]),
     "score_rank_threshold n": (lambda k: score_rank_threshold(Fraction(1, 2), k), [0]),
     "PacParams.complement_miss_limit n_test": (lambda k: PARAMS.complement_miss_limit(k), [0]),
-    "indicator_coverage_event n_cal": (lambda k: _coverage_event(n_cal=k), [0]),
-    "indicator_coverage_event n_test": (lambda k: _coverage_event(n_test=k), [0]),
+    "indicator_coverage_event n_cal": (lambda k: _coverage_event(n_cal=k), [0, PAST_N_MAX]),
+    "indicator_coverage_event n_test": (lambda k: _coverage_event(n_test=k), [0, PAST_N_MAX]),
     "estimate_SE_probability n_cal": (lambda k: _estimate(n_cal=k), [0]),
     "estimate_SE_probability n_test": (lambda k: _estimate(n_test=k), [0]),
     "inp_closed_form n": (lambda k: inp_closed_form(k, 1, 0.5), [0]),
@@ -116,9 +116,9 @@ ENTRY_POINTS = {
         lambda k: monte_carlo_SE_probability(0.3, 10, Fraction(1, 2), 0.2, k), [0]),
     "AppendixConfig q_min": (lambda k: AppendixConfig(q_min=k, q_max=5), [-1]),
     "AppendixConfig q_max": (lambda k: AppendixConfig(q_min=2, q_max=k), [1]),
-    "AppendixConfig n_cal": (lambda k: AppendixConfig(n_cal=k), [0]),
-    "AppendixConfig n_test": (lambda k: AppendixConfig(n_test=k), [0]),
-    "AppendixConfig n_calibration_size": (lambda k: AppendixConfig(n_calibration_size=k), [0]),
+    "AppendixConfig n_cal": (lambda k: AppendixConfig(n_cal=k), [0, PAST_N_MAX]),
+    "AppendixConfig n_test": (lambda k: AppendixConfig(n_test=k), [0, PAST_N_MAX]),
+    "AppendixConfig n_calibration_size": (lambda k: AppendixConfig(n_calibration_size=k), [0, PAST_N_MAX]),
     "AppendixConfig master_seed": (lambda k: AppendixConfig(master_seed=k), []),
     "run_safety_demo n_cal": (_safety_demo, [0]),
     "linear_contraction_system horizon": (lambda k: linear_contraction_system(horizon=k).horizon, [-1]),

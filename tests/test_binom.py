@@ -10,7 +10,7 @@ import sys
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st, target
+from hypothesis import example, given, settings, strategies as st, target
 from scipy.special import betaincinv
 
 import berncert
@@ -612,6 +612,7 @@ class TestTailInvertCost:
         assert abs(b - root) <= 1e-15 * root, (case, b, float(root))
 
     @given(case=invert_cases(10**6))
+    @example(case=(380, 42, 0.4873610767136191, "upper"))  # a normal tail flat over one double
     @settings(max_examples=300)
     def test_stress(self, case):
         """No inversion raises, the two-term solve included, and none takes
@@ -1063,7 +1064,7 @@ def seeded_subnormal_interior_cases(count=4000):
 
 class TestFloorWalk:
     """`_finish`: the walk on anchored tails to a collapsed bracket, which
-    bisects once a tail stalls or after 8 steps of one double."""
+    bisects once a subnormal tail stalls or after 8 steps of one double."""
 
     @pytest.mark.parametrize("case", SUBNORMAL_WALK_CASES, ids=lambda case: "-".join(map(str, case)))
     def test_subnormal_target(self, case):

@@ -318,6 +318,18 @@ class TestSimulateAppendix:
         assert code == 1
         assert "q" in err
 
+    def test_n_test_past_domain_exits_1_before_writing(self, capsys, tmp_path):
+        # refused by the config, before any row is computed or the CSV written
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "simulate-appendix", "--mode", "monte-carlo", "--q-min", "0", "--q-max", "0",
+            "--n-cal", "10", "--n-test", "9007199254740993", "--out", str(out_path),
+        )
+        assert code == 1
+        assert "n_test" in err
+        assert out == ""
+        assert not out_path.exists()
+
     def test_unwritable_out_exits_3(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,

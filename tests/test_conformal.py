@@ -15,10 +15,8 @@ from berncert.conformal import (
     IndicatorINM,
     NonconformityMeasure,
     PacParams,
-    _count_binomial_above,
-    _count_inverted,
-    _inversion_cdf,
     estimate_SE_probability,
+    indicator_coverage_event,
     inp_contains,
     p_value,
     score_rank_threshold,
@@ -26,7 +24,7 @@ from berncert.conformal import (
     theorem1_bound,
 )
 from berncert.indicator import monte_carlo_SE_probability
-from helpers import binomial_count_above, generator_drawing, indicator_sampler
+from helpers import indicator_sampler
 
 scores_strategy = st.lists(
     st.floats(-10, 10, allow_nan=False), min_size=1, max_size=20
@@ -131,6 +129,76 @@ class TestComplementMissLimit:
         assert PacParams(Fraction(2, 3), 1 / 3, 2).complement_miss_limit(3) == 1
 
 
+def _binomial_tail(n: int, b: Fraction, lo: int, hi: int) -> Fraction:
+    """Pr(lo <= Bin(n, b) <= hi), exact."""
+    return sum((math.comb(n, k) * b**k * (1 - b) ** (n - k) for k in range(max(lo, 0), min(hi, n) + 1)), Fraction(0))
+
+
+def coverage_event_shares(n: int, epsilon, E: float, b: float, n_test) -> tuple[Fraction, Fraction]:
+    """Exact shares of one replicate's classes, (Pr(full space), Pr(covers)),
+    by the coverage event's own rules and no kernel call: J from epsilon in
+    rationals, h* from the float test `1.0 - h / n_test >= 1.0 - E`, and
+    exact binomial sums."""
+    J = math.floor(Fraction(epsilon) * (n + 1) - 1)
+    if J >= n:  # the empty set: it covers iff E = 1
+        return Fraction(0), Fraction(int(E >= 1.0))
+    fb = Fraction(b)
+    full = _binomial_tail(n, fb, J + 1, n)
+    if n_test is None:
+        inner = Fraction(int(fb <= Fraction(E)))
+    else:
+        h_star = max(h for h in range(n_test + 1) if 1.0 - h / n_test >= 1.0 - E)
+        inner = _binomial_tail(n_test, fb, 0, h_star)
+    return full, full + (1 - full) * inner
+
+
+class TestIndicatorCoverageEvent:
+    """The counts (full, covered) of n_cal replicates are multinomial: each
+    is Bin(n_cal, p) for its class share p.  Over many seeds their sample
+    mean and variance must lie within 5 standard errors of the exact
+    binomial moments, and must equal them where p is 0 or 1."""
+
+    SEEDS = 2000
+
+    @staticmethod
+    def assert_binomial_moments(draws: np.ndarray, n_cal: int, p: Fraction, what: str):
+        m = len(draws)
+        mean, var = n_cal * p, n_cal * p * (1 - p)
+        fourth = var * (1 + 3 * (n_cal - 2) * p * (1 - p))  # central
+        got_mean, got_var = float(draws.mean()), float(draws.var(ddof=1))
+        assert abs(got_mean - float(mean)) <= 5 * math.sqrt(var / m), (what, got_mean, float(mean))
+        var_of_var = fourth / m - var**2 * (m - 3) / (m * (m - 1))  # of the unbiased sample variance
+        assert abs(got_var - float(var)) <= 5 * math.sqrt(var_of_var), (what, got_var, float(var))
+
+    @pytest.mark.parametrize(
+        "n, epsilon, E, b, n_cal, n_test",
+        [
+            (2, Fraction(2, 3), 0.5, 0.4, 10, 3),
+            (5, Fraction(1, 2), 0.3, 0.25, 7, 4),
+            (4, Fraction(2, 3), 0.2, 0.7, 9, 6),
+            (3, Fraction(2, 3), 0.3, 0.2, 6, 1),  # n_test = 1
+            (2, Fraction(2, 3), 0.5, 0.6, 1, 2),  # n_cal - full = 0 when the one replicate is full
+            (3, Fraction(1, 2), 0.3, 0.0, 5, 4),  # b = 0: never full, always covers
+            (3, Fraction(1, 2), 0.3, 1.0, 5, 4),  # b = 1: always full
+            (4, Fraction(0), 0.3, 0.3, 5, 4),  # J = -1: always full
+            (4, Fraction(1), 0.3, 0.3, 5, 4),  # J >= N: the empty set never covers
+            (4, Fraction(1), 1.0, 0.3, 5, 4),  # ... unless E = 1
+            (2, Fraction(2, 3), 0.5, 0.4, 10, None),  # exact inner coverage, b <= E
+            (2, Fraction(2, 3), 0.3, 0.4, 10, None),  # b > E: only the full space covers
+        ],
+    )
+    def test_counts_are_multinomial(self, n, epsilon, E, b, n_cal, n_test):
+        params = PacParams(epsilon, E, n)
+        counts = np.array([
+            indicator_coverage_event(params, b, n_cal, SeededStream(seed).rng(), n_test) for seed in range(self.SEEDS)
+        ])
+        full, covered = counts[:, 0], counts[:, 1]
+        assert (0 <= full).all() and (full <= covered).all() and (covered <= n_cal).all()
+        p_full, p_covered = coverage_event_shares(n, epsilon, E, b, n_test)
+        self.assert_binomial_moments(full, n_cal, p_full, "full")
+        self.assert_binomial_moments(covered, n_cal, p_covered, "covered")
+
+
 def _grid_probabilities(n: int) -> list[float]:
     """Both edges, subnormal and tiny p, numpy's switch from inversion at
     n * p = 30 and the doubles beside it, and p on both sides of its flip at 1/2."""
@@ -141,51 +209,31 @@ def _grid_probabilities(n: int) -> list[float]:
 
 
 class TestCountBinomialAbove:
-    """`_count_binomial_above` against numpy's own draws: the same count, and
-    the generator left where the draws leave it, shown by its next uniform."""
-
-    @staticmethod
-    def assert_same(make_rng, n, p, k, size):
-        rng, ref = make_rng(), make_rng()
-        assert _count_binomial_above(rng, n, p, k, size) == binomial_count_above(ref, n, p, k, size), (n, p, k, size)
-        assert rng.random() == ref.random(), (n, p, k, size)
+    """The full-space count of `indicator_coverage_event`, one draw of
+    Bin(n_cal, Pr(Bin(N, b) > J)), against counting numpy's own per-replicate
+    draws Bin(N, b) above J on an independent stream.  Both counts are
+    Bin(n_cal, P): equal where P is 0 or 1, and otherwise within 6 standard
+    deviations of their difference (plus one for the lattice)."""
 
     @pytest.mark.parametrize(
         "n, p", [(n, p) for n in (1, 2, 3, 30, 31, 60, 200, 50_000) for p in _grid_probabilities(n)]
     )
     def test_matches_numpy_draws(self, n, p):
-        # k = -1 is J at epsilon = 0, where every draw exceeds it; p = 0 and
-        # size = 0 draw no uniform
-        for seed, k, size in itertools.product(range(3), sorted({-1, 0, 1, n - 1, n}), (0, 1, 7, 50_000)):
-            self.assert_same(lambda: SeededStream(seed).rng(), n, p, k, size)
-
-    @pytest.mark.parametrize("n, p", [(2, 0.3), (2, 0.7), (3, 0.15), (60, 0.5), (200, 0.1)])
-    def test_uniforms_at_thresholds(self, n, p):
-        # uniforms a few doubles from an inversion threshold, where the
-        # rounding of numpy's q**n and of its subtractions decides the draw
-        r = min(p, 1.0 - p)
-        for j, t in enumerate(_inversion_cdf(n, r)[:4]):
-            m0 = int(t * 2**53)
-            for m in range(m0 - 3, m0 + 4):
-                assert _count_inverted(np.array([0.5, m * 2.0**-53]), n, r, j) is None
-                for k in sorted({-1, j, n - 1 - j, n}):
-                    self.assert_same(lambda: generator_drawing(m), n, p, k, 3)
-
-    def test_restart_falls_back(self):
-        # from the largest uniform below 1, numpy's subtractions can run past
-        # its bound, n here: it then takes another uniform for that draw
-        top = 2**53 - 1
-        restarts = 0
-        for n, p in itertools.product((2, 3), (x / 64 for x in range(1, 64))):
-            r = min(p, 1.0 - p)
-            assert _count_inverted(np.array([0.25, top * 2.0**-53]), n, r, 0) is None
-            rng, uniforms = generator_drawing(top), generator_drawing(top)
-            rng.binomial(n, p)
-            uniforms.random()
-            restarts += rng.random() != uniforms.random()
-            for k in range(-1, n + 1):
-                self.assert_same(lambda: generator_drawing(top), n, p, k, 7)
-        assert restarts > 0
+        # k = -1 is J at epsilon = 0, where every draw exceeds it; k = n is J
+        # at epsilon = 1, where none does
+        for seed, k, n_cal in itertools.product(range(3), sorted({-1, 0, 1, n - 1, n}), (1, 7, 50_000)):
+            params = PacParams(Fraction(k + 1, n + 1), 0.5, n)
+            assert params.J == k
+            full, _ = indicator_coverage_event(params, p, n_cal, SeededStream(seed).rng())
+            reference = int(np.count_nonzero(SeededStream(1000 + seed).rng().binomial(n, p, n_cal) > k))
+            if k < 0 or (p == 1.0 and k < n):
+                assert full == reference == n_cal, (n, p, k, n_cal, seed)
+            elif k >= n or p == 0.0:
+                assert full == reference == 0, (n, p, k, n_cal, seed)
+            else:
+                share = float(binom.sf(k, n, p))
+                slack = 6 * math.sqrt(2 * n_cal * share * (1 - share)) + 1
+                assert abs(full - reference) <= slack, (n, p, k, n_cal, seed, full, reference)
 
 
 class TestScoreThreshold:
