@@ -33,7 +33,8 @@ where a stated bound admits it; and `_finish`, a walk on anchored tails to a
 collapsed bracket.
 
 The scalar functions compute on Python floats and load no numpy; numpy is
-imported only inside the functions that make an array or a random stream.
+imported only inside the functions that make an array or a numpy random
+stream.
 
 Four checkers here validate every argument of the package: `check_int`
 for counts (integral floats pass), `check_prob` for probabilities in
@@ -50,6 +51,7 @@ from collections import namedtuple
 
 TYPE_CHECKING = False  # typing is not imported at run time: it costs start-up
 if TYPE_CHECKING:
+    import random
     from fractions import Fraction
 
     import numpy as np
@@ -1086,10 +1088,18 @@ class SeededStream(namedtuple("SeededStream", "master_seed stream_id", defaults=
     """Value-semantics random stream: (master_seed, stream_id) fully determines it.
 
     Substreams are derived by mixing the stream id, so parallel consumers get
-    independent streams regardless of evaluation order.
+    independent streams regardless of evaluation order.  `random()` gives
+    the stream as a standard-library `random.Random`, for scalar draws with
+    no numpy; its uniforms, seeded from one integer, are the same on every
+    Python release.  `rng()` gives it as a numpy Generator, for arrays.
     """
 
     __slots__ = ()
+
+    def random(self) -> random.Random:
+        import random
+
+        return random.Random((self.master_seed & _MASK64) << 64 | (self.stream_id & _MASK64))
 
     def rng(self) -> np.random.Generator:
         import numpy as np

@@ -9,7 +9,7 @@ every other probability is taken as the double nearest its value, parsed
 without `fractions`.
 
 The other commands import what they compute with inside their handlers, so
-`bpci` loads only `binom` and `intervals`.
+`bpci` loads only `binom` and `intervals`.  Only `safety-demo` loads numpy.
 """
 
 from __future__ import annotations
@@ -198,7 +198,6 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_simulate_appendix(args) -> int:
-    # the sweep alone needs numpy
     from .experiments import AppendixConfig, emit_csv, run_appendix
 
     fields = {k: v for k, v in vars(args).items() if k in AppendixConfig._fields}

@@ -20,6 +20,7 @@ from .binom import N_MAX, SeededStream, _cdf_sf, binom_cdf, check_epsilon, check
 
 TYPE_CHECKING = False  # typing is not imported at run time: it costs start-up
 if TYPE_CHECKING:
+    import random
     from collections.abc import Callable, Sequence
 
     import numpy as np
@@ -130,7 +131,7 @@ class PacParams(namedtuple("PacParams", "epsilon coverage_E n J")):
         never does.  The walk starts at int(E * n_test), which lies within a
         rounding or two of h*, so it takes a few steps for any n_test far
         below 2**53."""
-        n_test = check_int(n_test, "n_test", 1)
+        n_test = check_int(n_test, "n_test", 1, N_MAX)
         one_minus_E = 1.0 - self.coverage_E
         h = int(self.coverage_E * n_test)
         while not 1.0 - h / n_test >= one_minus_E:
@@ -187,11 +188,71 @@ def _decomposition(
     return {key: count / n_cal for key, count in counts.items() if count}
 
 
+def _binomial(rng: random.Random, n: int, p: float) -> int:
+    """One draw of Bin(n, p) from the uniforms of `rng`, for a count n >= 0
+    and a probability p from the kernel.
+
+    The draw is that of CPython 3.12's `random.Random.binomialvariate`, bit
+    for bit on the same generator state: p > 1/2 is drawn as n minus a draw
+    at 1 - p; below n*p = 10 by Devroye's geometric method, one uniform per
+    success; otherwise by Hörmann's transformed rejection with squeeze
+    (BTRS, J. Statist. Comput. Simul. 46, 1993), about two uniforms a draw.
+    Where CPython 3.12.1 raises on a uniform of exactly 0.0, this takes the
+    limit its formula has there: the geometric gap is infinite and ends the
+    draw, BTRS's k is minus infinity and rejected, and log(0.0) accepts.
+    """
+    if p <= 0.0:
+        return 0
+    if p >= 1.0:
+        return n
+    uniform = rng.random
+    if n == 1:
+        return int(uniform() < p)
+    if p > 0.5:
+        return n - _binomial(rng, n, 1.0 - p)
+    if n * p < 10.0:
+        x = y = 0
+        c = math.log2(1.0 - p)
+        if not c:
+            return x
+        while True:
+            u = uniform()
+            if not u:
+                return x
+            y += math.floor(math.log2(u) / c) + 1
+            if y > n:
+                return x
+            x += 1
+    spq = math.sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    vr = 0.92 - 4.2 / b
+    alpha = (2.83 + 5.1 / b) * spq
+    lpq = math.log(p / (1.0 - p))
+    m = math.floor((n + 1) * p)  # the mode
+    h = math.lgamma(m + 1) + math.lgamma(n - m + 1)
+    while True:
+        u = uniform() - 0.5
+        us = 0.5 - abs(u)
+        if not us:
+            continue
+        k = math.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        v = uniform()
+        if us >= 0.07 and v <= vr:  # the squeeze
+            return k
+        v *= alpha / (a / (us * us) + b)
+        if not v or math.log(v) <= h - math.lgamma(k + 1) - math.lgamma(n - k + 1) + (k - m) * lpq:
+            return k
+
+
 def indicator_coverage_event(
     params: PacParams,
     b: float,
     n_cal: int,
-    rng: np.random.Generator,
+    rng: random.Random,
     n_test: int | None = None,
 ) -> tuple[int, int]:
     """Monte Carlo coverage event for indicator scores with known
@@ -213,6 +274,9 @@ def indicator_coverage_event(
     multinomial, and each count is one binomial draw from the kernel's
     exact probabilities: full ~ Bin(n_cal, Pr(Bin(N, b) > J)), and with
     n_test given, covered - full ~ Bin(n_cal - full, Pr(Bin(n_test, b) <= h*)).
+    `_binomial` makes both draws from the uniforms of `rng`, a standard-
+    library generator such as `SeededStream.random()` gives, so no numpy is
+    loaded and the seeded counts are the same on every Python release.
     """
     b = check_prob(b, "b")
     n_cal = check_int(n_cal, "n_cal", 1, N_MAX)
@@ -220,12 +284,12 @@ def indicator_coverage_event(
     J = params.J
     if J >= params.n:
         return 0, (n_cal if params.complement_covers(1.0) else 0)
-    full = int(rng.binomial(n_cal, _cdf_sf(params.n, b, J)[1]))
+    full = _binomial(rng, n_cal, _cdf_sf(params.n, b, J)[1])
     if n_test is None:
         covered = n_cal if params.complement_covers(b) else full
     else:
         h_star = params.complement_miss_limit(n_test)
-        covered = full + int(rng.binomial(n_cal - full, _cdf_sf(n_test, b, h_star)[0]))
+        covered = full + _binomial(rng, n_cal - full, _cdf_sf(n_test, b, h_star)[0])
     return full, covered
 
 
@@ -257,22 +321,23 @@ def estimate_SE_probability(
 
     An indicator with known target probability takes the exact inner
     coverage and one binomial draw of the replicates that predict the full
-    space (`indicator_coverage_event`), and never calls `sampler`.  Any
-    other measure scores sampled points, in chunks of replicates: one
-    (m x N) calibration matrix and one (m x n_test) test matrix per chunk.
-    A test point is a hit when its score is at or below `score_threshold`
-    (a NaN score never is), and a replicate covers iff its misses are at
-    most h* (`PacParams.complement_miss_limit`), the one finite-test rule,
-    which the sweep's `monte_carlo` mode uses too.  Chunk k draws from
-    `stream.substream(k)`.
+    space (`indicator_coverage_event`, from `stream.random()`), and neither
+    calls `sampler` nor loads numpy.  Any other measure scores sampled
+    points, in chunks of replicates: one (m x N) calibration matrix and one
+    (m x n_test) test matrix per chunk.  A test point is a hit when its
+    score is at or below `score_threshold` (a NaN score never is), and a
+    replicate covers iff its misses are at most h*
+    (`PacParams.complement_miss_limit`), the one finite-test rule, which the
+    sweep's `monte_carlo` mode uses too.  Chunk k draws from
+    `stream.substream(k).rng()`.
     """
-    import numpy as np
-
-    n_cal, n_test = check_int(n_cal, "n_cal", 1), check_int(n_test, "n_test", 1)
+    n_cal, n_test = check_int(n_cal, "n_cal", 1), check_int(n_test, "n_test", 1, N_MAX)
     bound = theorem1_bound(params)
     if isinstance(inm, IndicatorINM) and inm.target_prob is not None:
-        full, covered = indicator_coverage_event(params, inm.target_prob, n_cal, stream.rng())
+        full, covered = indicator_coverage_event(params, inm.target_prob, n_cal, stream.random())
     else:
+        import numpy as np
+
         n, J = params.n, params.J
         min_hits = n_test - params.complement_miss_limit(n_test)
         rows = max(1, _CHUNK_ELEMENTS // max(n, n_test))

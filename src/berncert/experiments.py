@@ -81,7 +81,7 @@ def _run_row(config: AppendixConfig, q: int, regime_idx: int) -> ExperimentRow:
         frac_full = exact.prob_fullspace
         frac_qbar = exact.prob_qbar_covering
     else:
-        rng = SeededStream(config.master_seed).substream(2 * q + regime_idx).rng()
+        rng = SeededStream(config.master_seed).substream(2 * q + regime_idx).random()
         n_test = config.n_test if config.mode == "monte_carlo" else None
         full, covered = indicator_coverage_event(exact.bound.params, b, config.n_cal, rng, n_test)
         h_hat = covered / config.n_cal
@@ -108,8 +108,10 @@ def _run_row(config: AppendixConfig, q: int, regime_idx: int) -> ExperimentRow:
 def run_appendix(config: AppendixConfig) -> list[ExperimentRow]:
     """One row per (q, regime), in order; deterministic per master seed,
     since every row draws from its own derived substream.  A row is a few
-    kernel sums and at most two binomial draws, pure Python for the most
-    part, so the rows run one after another on the calling thread."""
+    kernel sums and at most two binomial draws from the standard library's
+    generator (`SeededStream.random()`), all pure Python, so the rows run one
+    after another on the calling thread, load no numpy, and are the same on
+    every Python release."""
     return [_run_row(config, q, r) for q in range(config.q_min, config.q_max + 1) for r in range(2)]
 
 

@@ -62,7 +62,7 @@ def _estimate(n_cal=3, n_test=3):
 
 
 def _coverage_event(n_cal=3, n_test=3):
-    return indicator_coverage_event(PARAMS, 0.3, n_cal, SeededStream(5).rng(), n_test)
+    return indicator_coverage_event(PARAMS, 0.3, n_cal, SeededStream(5).random(), n_test)
 
 
 def _safety_demo(n_cal):
@@ -101,11 +101,11 @@ ENTRY_POINTS = {
         lambda k: pac_form_check(ClopperPearson(3, 0.05), 0.3, 3, k, SeededStream(1)), [0]),
     "PacParams n": (lambda k: PacParams(epsilon=Fraction(1, 2), coverage_E=0.3, n=k), [0, PAST_N_MAX]),
     "score_rank_threshold n": (lambda k: score_rank_threshold(Fraction(1, 2), k), [0]),
-    "PacParams.complement_miss_limit n_test": (lambda k: PARAMS.complement_miss_limit(k), [0]),
+    "PacParams.complement_miss_limit n_test": (lambda k: PARAMS.complement_miss_limit(k), [0, PAST_N_MAX]),
     "indicator_coverage_event n_cal": (lambda k: _coverage_event(n_cal=k), [0, PAST_N_MAX]),
     "indicator_coverage_event n_test": (lambda k: _coverage_event(n_test=k), [0, PAST_N_MAX]),
     "estimate_SE_probability n_cal": (lambda k: _estimate(n_cal=k), [0]),
-    "estimate_SE_probability n_test": (lambda k: _estimate(n_test=k), [0]),
+    "estimate_SE_probability n_test": (lambda k: _estimate(n_test=k), [0, PAST_N_MAX]),
     "inp_closed_form n": (lambda k: inp_closed_form(k, 1, 0.5), [0]),
     "inp_closed_form ones_count": (lambda k: inp_closed_form(10, k, 0.5), [-1, 11]),
     "exact_SE_probability n": (lambda k: exact_SE_probability(0.3, k, Fraction(1, 2), 0.2), [0]),
@@ -113,7 +113,7 @@ ENTRY_POINTS = {
     "monte_carlo_SE_probability n": (
         lambda k: monte_carlo_SE_probability(0.3, k, Fraction(1, 2), 0.2, 10), [0]),
     "monte_carlo_SE_probability n_test": (
-        lambda k: monte_carlo_SE_probability(0.3, 10, Fraction(1, 2), 0.2, k), [0]),
+        lambda k: monte_carlo_SE_probability(0.3, 10, Fraction(1, 2), 0.2, k), [0, PAST_N_MAX]),
     "AppendixConfig q_min": (lambda k: AppendixConfig(q_min=k, q_max=5), [-1]),
     "AppendixConfig q_max": (lambda k: AppendixConfig(q_min=2, q_max=k), [1]),
     "AppendixConfig n_cal": (lambda k: AppendixConfig(n_cal=k), [0, PAST_N_MAX]),
@@ -125,6 +125,16 @@ ENTRY_POINTS = {
 }
 
 OUT_OF_RANGE = [(name, k) for name, (_, ks) in ENTRY_POINTS.items() for k in ks]
+
+# a refusal names the count as its entry point does: by the last word of
+# the name in ENTRY_POINTS, or else as given here
+REFUSAL_NAMES = {
+    "clopper_pearson y": "successes",
+    "PacParams n": "calibration size",
+    "exact_SE_probability n": "calibration size",
+    "naive_interval_coverage n": "calibration size",
+    "monte_carlo_SE_probability n": "calibration size",
+}
 
 # name -> call taking a probability or a level p, with p = 0.3 a valid input
 PROBABILITIES = {
@@ -180,7 +190,8 @@ def test_non_integer_refused(name, bad):
 @pytest.mark.parametrize("name, k", OUT_OF_RANGE)
 def test_out_of_range_refused(name, k):
     call, _ = ENTRY_POINTS[name]
-    with pytest.raises(ValueError, match="must be an integer in"):
+    count = REFUSAL_NAMES.get(name, name.rpartition(" ")[2])
+    with pytest.raises(ValueError, match=f"^{count} must be an integer in"):
         call(k)
 
 

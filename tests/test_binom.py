@@ -1428,6 +1428,14 @@ class TestSeededStream:
         second = [s.substream(i).rng().random(4).tolist() for i in reversed(range(5))]
         assert first == second[::-1]
 
+    def test_random_pinned(self):
+        """The standard-library stream is `random.Random` seeded with both
+        64-bit words side by side, so its uniforms are the same on every
+        Python release."""
+        assert SeededStream(42, 3).random().random() == 0.7541903711928805
+        assert SeededStream(42, 3).random().getstate() == random.Random(42 << 64 | 3).getstate()
+        assert SeededStream(-1, 2**64 + 5).random().getstate() == SeededStream(2**64 - 1, 5).random().getstate()
+
     def test_degenerate_draws(self):
         assert draw_bernoulli(SeededStream(0), 0.0, 100).sum() == 0
         assert draw_bernoulli(SeededStream(0), 1.0, 100).sum() == 100

@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -9,12 +13,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.stats import betabinom, binom
 
-from berncert.binom import SeededStream
+import berncert
+from berncert.binom import SeededStream, binom_pmf
 from berncert.conformal import (
     CalibrationScores,
     IndicatorINM,
     NonconformityMeasure,
     PacParams,
+    _binomial,
     estimate_SE_probability,
     indicator_coverage_event,
     inp_contains,
@@ -152,6 +158,109 @@ def coverage_event_shares(n: int, epsilon, E: float, b: float, n_test) -> tuple[
     return full, full + (1 - full) * inner
 
 
+# (n, p, seed, the first four draws of random.Random(seed).binomialvariate(n, p)
+# under CPython 3.12.1), by the branch that makes them: the edges p = 0 and
+# p = 1 draw no uniform, n = 1 one, and otherwise p > 1/2 is drawn as
+# n - Bin(n, 1 - p), by Devroye's geometric method below n * p = 10 and by
+# BTRS from 10 up
+BINOMIALVARIATE_DRAWS = [
+    (1, 0.3, 0, (0, 0, 0, 1)),  # n = 1
+    (1, 0.7, 1, (1, 0, 0, 1)),  # n = 1, p > 1/2
+    (1, 5e-324, 2, (0, 0, 0, 0)),  # n = 1
+    (0, 0.3, 3, (0, 0, 0, 0)),  # geometric
+    (10, 0.0, 4, (0, 0, 0, 0)),  # edge
+    (10, 1.0, 5, (10, 10, 10, 10)),  # edge
+    (50000, 5e-324, 6, (0, 0, 0, 0)),  # geometric, log2(1 - p) = 0
+    (50000, 0.9999999999999999, 7, (50000, 50000, 50000, 50000)),  # geometric, p > 1/2
+    (5, 0.9999999999999999, 8, (5, 5, 5, 5)),  # geometric, p > 1/2
+    (50000, 1e-12, 9, (0, 0, 0, 0)),  # geometric
+    (12, 0.5, 10, (7, 5, 8, 5)),  # geometric
+    (12, 0.49999999999999994, 11, (8, 5, 6, 4)),  # geometric
+    (12, 0.5000000000000001, 12, (8, 4, 8, 7)),  # geometric, p > 1/2
+    (100, 0.5, 13, (46, 53, 45, 44)),  # BTRS
+    (100, 0.49999999999999994, 14, (43, 46, 54, 47)),  # BTRS
+    (100, 0.5000000000000001, 15, (37, 46, 43, 54)),  # BTRS, p > 1/2
+    (20, 0.49999999999999994, 16, (8, 11, 11, 9)),  # geometric, n * p just below 10
+    (20, 0.5, 17, (10, 15, 12, 11)),  # BTRS, n * p = 10
+    (50000, 0.00019999999999999996, 18, (9, 15, 9, 9)),  # geometric, n * p just below 10
+    (50000, 0.00019999999999999998, 19, (10, 8, 8, 8)),  # BTRS, n * p just above 10
+    (50000, 0.9998, 20, (49985, 49990, 49993, 49993)),  # geometric, n * (1 - p) just below 10
+    (50000, 0.9997999999999999, 21, (49989, 49993, 49987, 49990)),  # BTRS, n * (1 - p) just above 10
+    (50000, 0.3, 22, (15259, 14896, 15045, 15146)),  # BTRS
+    (50000, 0.7, 23, (34817, 34851, 34973, 34991)),  # BTRS, p > 1/2
+    (30, 0.2, 24, (6, 8, 7, 6)),  # geometric
+    (1000, 0.01, 25, (9, 14, 14, 8)),  # BTRS
+]
+
+
+class _Uniforms:
+    """A generator stub whose `random()` returns the given uniforms in turn."""
+
+    def __init__(self, *uniforms: float):
+        self.random = iter(uniforms).__next__
+
+
+class TestBinomial:
+    """`_binomial` draws as CPython 3.12's `random.Random.binomialvariate`
+    does, bit for bit, and from Bin(n, p)."""
+
+    @pytest.mark.parametrize("n, p, seed, draws", BINOMIALVARIATE_DRAWS)
+    def test_pinned_draws(self, n, p, seed, draws):
+        rng = random.Random(seed)
+        assert tuple(_binomial(rng, n, p) for _ in draws) == draws
+        if hasattr(random.Random, "binomialvariate"):  # and the generator stands where CPython's does
+            reference = random.Random(seed)
+            assert [reference.binomialvariate(n, p) for _ in draws] == list(draws)
+            assert rng.getstate() == reference.getstate()
+
+    @pytest.mark.skipif(not hasattr(random.Random, "binomialvariate"), reason="binomialvariate is new in 3.12")
+    def test_matches_binomialvariate(self):
+        meta = random.Random(36)
+        for _ in range(2000):
+            n = meta.choice([2, 20, 1000, 50_000, meta.randrange(60_000)])
+            p = meta.choice([meta.random(), 10 ** meta.uniform(-8, 0), min(1.0, 10 / max(n, 1))])
+            seed = meta.getrandbits(128)
+            rng, reference = random.Random(seed), random.Random(seed)
+            assert [_binomial(rng, n, p) for _ in range(3)] == [reference.binomialvariate(n, p) for _ in range(3)]
+            assert rng.getstate() == reference.getstate(), (n, p, seed)
+
+    @pytest.mark.parametrize("n, p", [(n, p) for n, p, *_ in BINOMIALVARIATE_DRAWS if n * min(p, 1.0 - p) > 0.1])
+    def test_moments(self, n, p):
+        """Over 4000 draws, the sample mean and variance lie within 5
+        standard errors of the mean and variance of the kernel's pmf."""
+        sd = math.sqrt(n * p * (1 - p))
+        ks = range(max(0, math.floor(n * p - 40 * sd - 10)), min(n, math.ceil(n * p + 40 * sd + 10)) + 1)
+        pmf = [binom_pmf(n, p, k) for k in ks]
+        mean = math.fsum(k * w for k, w in zip(ks, pmf))
+        var = math.fsum((k - mean) ** 2 * w for k, w in zip(ks, pmf))
+        fourth = math.fsum((k - mean) ** 4 * w for k, w in zip(ks, pmf))
+        rng = SeededStream(36, n).random()
+        draws = np.array([_binomial(rng, n, p) for _ in range(4000)])
+        m = len(draws)
+        assert abs(float(draws.mean()) - mean) <= 5 * math.sqrt(var / m), (draws.mean(), mean)
+        var_of_var = fourth / m - var**2 * (m - 3) / (m * (m - 1))  # of the unbiased sample variance
+        assert abs(float(draws.var(ddof=1)) - var) <= 5 * math.sqrt(var_of_var), (draws.var(ddof=1), var)
+
+    def test_zero_uniform(self):
+        """A uniform of exactly 0.0, which CPython 3.12.1 refuses, takes the
+        limit of each formula: an infinite geometric gap ends the draw, BTRS
+        rejects the k at minus infinity, and log(0.0) accepts."""
+        assert _binomial(_Uniforms(0.0), 10, 0.1) == 0
+        assert _binomial(_Uniforms(0.5, 0.0), 10, 0.1) == 1  # a gap of 7, then none
+        assert _binomial(_Uniforms(0.0), 10, 0.9) == 10
+        # u = 0.5 puts k at floor(n p + 0.5) and v = 0.0 passes the squeeze
+        assert _binomial(_Uniforms(0.0, 0.5, 0.0), 100, 0.3) == 30
+        # us = 0.05 < 0.07 skips the squeeze, so v = 0.0 reaches the log
+        assert _binomial(_Uniforms(0.95, 0.0), 100, 0.3) == 40
+        if hasattr(random.Random, "binomialvariate"):
+            for uniforms, n, p, error in (((0.0,), 10, 0.1, ValueError), ((0.0,), 100, 0.3, ZeroDivisionError),
+                                          ((0.95, 0.0), 100, 0.3, ValueError)):
+                stub = random.Random()
+                stub.random = _Uniforms(*uniforms).random
+                with pytest.raises(error):
+                    stub.binomialvariate(n, p)
+
+
 class TestIndicatorCoverageEvent:
     """The counts (full, covered) of n_cal replicates are multinomial: each
     is Bin(n_cal, p) for its class share p.  Over many seeds their sample
@@ -190,7 +299,7 @@ class TestIndicatorCoverageEvent:
     def test_counts_are_multinomial(self, n, epsilon, E, b, n_cal, n_test):
         params = PacParams(epsilon, E, n)
         counts = np.array([
-            indicator_coverage_event(params, b, n_cal, SeededStream(seed).rng(), n_test) for seed in range(self.SEEDS)
+            indicator_coverage_event(params, b, n_cal, SeededStream(seed).random(), n_test) for seed in range(self.SEEDS)
         ])
         full, covered = counts[:, 0], counts[:, 1]
         assert (0 <= full).all() and (full <= covered).all() and (covered <= n_cal).all()
@@ -224,7 +333,7 @@ class TestCountBinomialAbove:
         for seed, k, n_cal in itertools.product(range(3), sorted({-1, 0, 1, n - 1, n}), (1, 7, 50_000)):
             params = PacParams(Fraction(k + 1, n + 1), 0.5, n)
             assert params.J == k
-            full, _ = indicator_coverage_event(params, p, n_cal, SeededStream(seed).rng())
+            full, _ = indicator_coverage_event(params, p, n_cal, SeededStream(seed).random())
             reference = int(np.count_nonzero(SeededStream(1000 + seed).rng().binomial(n, p, n_cal) > k))
             if k < 0 or (p == 1.0 and k < n):
                 assert full == reference == n_cal, (n, p, k, n_cal, seed)
@@ -325,6 +434,29 @@ class TestTheorem1Bound:
 
 
 class TestEstimateSE:
+    KNOWN_TARGET = """
+import sys
+from fractions import Fraction
+from berncert.binom import SeededStream
+from berncert.conformal import IndicatorINM, PacParams, estimate_SE_probability
+inm = IndicatorINM(lambda z: z == 1, target_prob=0.5)
+report = estimate_SE_probability(inm, None, PacParams(Fraction(2, 3), 0.4, 2), 4000, 10, SeededStream(6))
+print(repr(report.h_hat), "numpy" in sys.modules)
+"""
+
+    def test_known_target_loads_no_numpy(self):
+        """A known target probability samples no point, and its two counts
+        are standard-library draws, so a fresh interpreter loads no numpy
+        for it and reports the h_hat of this process."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(berncert.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", self.KNOWN_TARGET],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60,
+        ).stdout
+        inm = IndicatorINM(lambda z: z == 1, target_prob=0.5)
+        report = estimate_SE_probability(inm, None, PacParams(Fraction(2, 3), 0.4, 2), 4000, 10, SeededStream(6))
+        assert out.split() == [repr(report.h_hat), "False"]
+
     def test_b_zero_always_covered(self):
         report = estimate_SE_probability(
             IndicatorINM(lambda z: z == 1, target_prob=0.0),

@@ -119,41 +119,62 @@ class TestRunAppendix:
     FIRST_IMPORT = """
 import sys
 from berncert.experiments import AppendixConfig, run_appendix
-assert "numpy" not in sys.modules
-rows = run_appendix(AppendixConfig(q_min=10, q_max=14, n_cal=500, master_seed=9))
-print(repr([(r.q, r.regime, r.h_hat, r.frac_fullspace) for r in rows]))
+for mode in ("exact_inner", "monte_carlo"):
+    rows = run_appendix(AppendixConfig(q_min=10, q_max=14, n_cal=500, master_seed=9, mode=mode))
+    print(repr([(r.q, r.regime, r.h_hat, r.frac_fullspace) for r in rows]))
+print("numpy" in sys.modules)
 """
 
-    def test_first_numpy_import_in_fresh_interpreter(self):
-        """Importing the sweep does not import numpy: its first row does, in
-        a fresh interpreter, and the rows are those of this process."""
+    def test_first_numpy_import_in_fresh_interpreter(self, tmp_path):
+        """Neither the sweep nor its command imports numpy, in any mode: in
+        a fresh interpreter a Monte Carlo sweep leaves numpy unloaded, with
+        the rows of this process, and `simulate-appendix` imports no numpy
+        module and writes the CSV of this process's rows."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(berncert.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run(
+        *out, numpy_loaded = subprocess.run(
             [sys.executable, "-c", self.FIRST_IMPORT],
             capture_output=True, text=True, env=env, check=True, timeout=60,
-        ).stdout
-        rows = run_appendix(AppendixConfig(q_min=10, q_max=14, n_cal=500, master_seed=9))
-        assert out.strip() == repr([(r.q, r.regime, r.h_hat, r.frac_fullspace) for r in rows])
+        ).stdout.splitlines()
+        assert numpy_loaded == "False"
+        expected = []
+        for mode in ("exact_inner", "monte_carlo"):
+            rows = run_appendix(AppendixConfig(q_min=10, q_max=14, n_cal=500, master_seed=9, mode=mode))
+            expected.append(repr([(r.q, r.regime, r.h_hat, r.frac_fullspace) for r in rows]))
+        assert out == expected
+        for mode in ("exact-inner", "monte-carlo", "fully-exact"):
+            path, reference = tmp_path / f"{mode}.csv", tmp_path / f"{mode}-reference.csv"
+            argv = ["--q-min", "10", "--q-max", "14", "--n-cal", "500", "--n-test", "300", "--seed", "9"]
+            imports = subprocess.run(
+                [sys.executable, "-X", "importtime", "-m", "berncert.cli", "simulate-appendix", *argv,
+                 "--mode", mode, "--out", str(path)],
+                capture_output=True, text=True, env=env, check=True, timeout=60,
+            ).stderr
+            modules = {line.rpartition("|")[2].strip() for line in imports.splitlines()}
+            assert "berncert.experiments" in modules
+            assert not {name for name in modules if name.partition(".")[0] == "numpy"}, mode
+            config = AppendixConfig(q_min=10, q_max=14, n_cal=500, n_test=300, master_seed=9, mode=mode.replace("-", "_"))
+            emit_csv(run_appendix(config), reference)
+            assert path.read_bytes() == reference.read_bytes()
 
     # (q, regime, h_hat, frac_fullspace, frac_qbar_covering) for q = 38..40,
     # n_cal = 300, n_test = 200, master_seed = 17
     PINNED = {
         "monte_carlo": [
-            (38, "b_le_E", 0.66, 0.16, 0.5),
-            (38, "b_gt_E", 0.5933333333333334, 0.17666666666666667, 0.4166666666666667),
-            (39, "b_le_E", 0.6333333333333333, 0.2, 0.43333333333333335),
-            (39, "b_gt_E", 0.5466666666666666, 0.16333333333333333, 0.38333333333333336),
-            (40, "b_le_E", 0.6433333333333333, 0.18, 0.4633333333333333),
-            (40, "b_gt_E", 0.59, 0.15, 0.44),
+            (38, "b_le_E", 0.6366666666666667, 0.15666666666666668, 0.48),
+            (38, "b_gt_E", 0.5533333333333333, 0.15666666666666668, 0.39666666666666667),
+            (39, "b_le_E", 0.68, 0.19333333333333333, 0.4866666666666667),
+            (39, "b_gt_E", 0.5966666666666667, 0.21333333333333335, 0.38333333333333336),
+            (40, "b_le_E", 0.5966666666666667, 0.16, 0.43666666666666665),
+            (40, "b_gt_E", 0.58, 0.12666666666666668, 0.4533333333333333),
         ],
         "exact_inner": [
-            (38, "b_le_E", 1.0, 0.16, 0.84),
-            (38, "b_gt_E", 0.17666666666666667, 0.17666666666666667, 0.0),
-            (39, "b_le_E", 1.0, 0.2, 0.8),
-            (39, "b_gt_E", 0.16333333333333333, 0.16333333333333333, 0.0),
-            (40, "b_le_E", 1.0, 0.18, 0.82),
-            (40, "b_gt_E", 0.15, 0.15, 0.0),
+            (38, "b_le_E", 1.0, 0.15666666666666668, 0.8433333333333334),
+            (38, "b_gt_E", 0.15666666666666668, 0.15666666666666668, 0.0),
+            (39, "b_le_E", 1.0, 0.19333333333333333, 0.8066666666666666),
+            (39, "b_gt_E", 0.21333333333333335, 0.21333333333333335, 0.0),
+            (40, "b_le_E", 1.0, 0.16, 0.84),
+            (40, "b_gt_E", 0.12666666666666668, 0.12666666666666668, 0.0),
         ],
     }
 
