@@ -208,23 +208,17 @@ def _cmd_simulate_appendix(args) -> int:
     emit_csv(rows, args.out)
     min_margin = min(r.exact_prob_SE - r.bound_Esq for r in rows)
     print(f"wrote {len(rows)} rows to {args.out}")
-    print(f"max |h_hat - target|/sigma = {_fmt(max(_target_z(config, r) for r in rows))}")
+    print(f"max |h_hat - target|/sigma = {_fmt(max(_target_z(r) for r in rows))}")
     print(f"min margin exact_prob_SE - bound = {_fmt(min_margin)}")
     return 0
 
 
-def _target_z(config, row) -> float:
-    """|h_hat - target| / sigma for a row, whose target is what its h_hat
-    estimates: the finite-test `monte_carlo_SE_probability` in monte_carlo
-    mode, and exact_prob_SE otherwise (a fully_exact row is its target);
-    sigma is the standard error of n_cal replicates.  A target of 0 or 1
-    must be met exactly, and gives 0 or inf."""
-    from .indicator import monte_carlo_SE_probability
-
-    if config.mode == "monte_carlo":
-        target = monte_carlo_SE_probability(row.b, config.n_calibration_size, config.epsilon, row.E, row.n_test)
-    else:
-        target = row.exact_prob_SE
+def _target_z(row) -> float:
+    """|h_hat - target| / sigma for a row, with the row's own `target`,
+    what its h_hat estimates (`ExperimentRow`); sigma is the standard error
+    of n_cal replicates.  A target of 0 or 1 must be met exactly, and gives
+    0 or inf."""
+    target = row.target
     if target in (0.0, 1.0):
         return 0.0 if row.h_hat == target else math.inf
     return abs(row.h_hat - target) / math.sqrt(target * (1.0 - target) / row.n_cal)

@@ -5,8 +5,9 @@ the set iff more than J calibration scores are at least its own, with J
 from `score_rank_threshold` in exact rationals.  The interesting boundary
 cases (p = 1/3 against epsilon = 1/3) are knife edges that floating point
 would silently flip.  `PacParams` owns the coverage event: exact inner
-coverage is decided by `complement_covers`, and every finite test by
-`complement_miss_limit` (at most h* test points missed).
+coverage is decided by `complement_covers`, every finite test by
+`complement_miss_limit` (at most h* test points missed), and for indicator
+scores `indicator_shares` gives the event's probabilities.
 """
 
 from __future__ import annotations
@@ -140,6 +141,29 @@ class PacParams(namedtuple("PacParams", "epsilon coverage_E n J")):
             h += 1
         return h
 
+    def indicator_shares(self, b: float, n_test: int | None = None) -> tuple[float, float, float]:
+        """The coverage event of indicator scores with P(score = 1) = b, as
+        (full, complement, covers): a replicate lands in it with probability
+        full + complement * covers.
+
+        Of Y ~ Bin(N, b) calibration scores 1, more than J predict the full
+        space, which always covers: full = Pr(Y > J).  Otherwise the
+        complement of the target set is predicted: complement = Pr(Y <= J).
+        Both come from one tail sum, so they add to exactly 1.0 and neither
+        is the other's cancelled complement.  J >= N (epsilon = 1) predicts
+        the empty set, the complement of a target set of measure 1.  covers
+        is the complement's chance to cover: 1.0 or 0.0 by its exact inner
+        coverage (`complement_covers`), or Pr(Bin(n_test, b) <= h*) for a
+        finite test of n_test points (`complement_miss_limit`)."""
+        b = check_prob(b, "b")
+        complement, full, _, _ = _cdf_sf(self.n, b, self.J)
+        if self.J >= self.n:
+            b = 1.0
+        if n_test is None:
+            return full, complement, float(self.complement_covers(b))
+        n_test = check_int(n_test, "n_test", 1, N_MAX)
+        return full, complement, _cdf_sf(n_test, b, self.complement_miss_limit(n_test))[0]
+
 
 # delta, confidence: floats; params: PacParams
 PacBound = namedtuple("PacBound", "delta confidence params")
@@ -249,48 +273,30 @@ def _binomial(rng: random.Random, n: int, p: float) -> int:
 
 
 def indicator_coverage_event(
-    params: PacParams,
-    b: float,
-    n_cal: int,
-    rng: random.Random,
-    n_test: int | None = None,
+    params: PacParams, b: float, n_cal: int, rng: random.Random, n_test: int | None = None
 ) -> tuple[int, int]:
     """Monte Carlo coverage event for indicator scores with known
-    P(score = 1) = b, over n_cal replicates, each with a calibration
-    ones-count ~ Bin(N, b).
+    P(score = 1) = b, over n_cal replicates: the counts (full, covered) of
+    replicates that predict the full space and that cover.
 
-    The predicted set is the full space when the count exceeds J, the
-    complement of the target set otherwise, and empty when J >= N
-    (epsilon = 1), the complement of a target set of measure 1.  The
-    complement's inner coverage is 1 - b, tested as b <= E
-    (`complement_covers`).  When `n_test` is given it is estimated from
-    Bin(n_test, b) misses among n_test test points, and the complement
-    covers iff the misses are at most h* (`complement_miss_limit`).  Returns
-    the counts of replicates that predict the full space and that cover,
-    (full, covered); the full space always covers.
-
-    The replicates fall independently into three classes, full space,
-    covering complement and missing complement, so their counts are
-    multinomial, and each count is one binomial draw from the kernel's
-    exact probabilities: full ~ Bin(n_cal, Pr(Bin(N, b) > J)), and with
-    n_test given, covered - full ~ Bin(n_cal - full, Pr(Bin(n_test, b) <= h*)).
-    `_binomial` makes both draws from the uniforms of `rng`, a standard-
-    library generator such as `SeededStream.random()` gives, so no numpy is
-    loaded and the seeded counts are the same on every Python release.
+    Each replicate falls in one of three classes, full space, covering
+    complement and missing complement, with the probabilities of
+    `PacParams.indicator_shares(b, n_test)`, so the counts are multinomial:
+    full ~ Bin(n_cal, full) and covered - full ~ Bin(n_cal - full, covers)
+    (`_coverage_counts`).  `_binomial` makes both draws from the uniforms of
+    `rng`, a standard-library generator such as `SeededStream.random()`
+    gives, so no numpy is loaded and the seeded counts are the same on every
+    Python release.  A draw at a share of 0.0 or 1.0 takes no uniform.
     """
-    b = check_prob(b, "b")
     n_cal = check_int(n_cal, "n_cal", 1, N_MAX)
-    n_test = None if n_test is None else check_int(n_test, "n_test", 1, N_MAX)
-    J = params.J
-    if J >= params.n:
-        return 0, (n_cal if params.complement_covers(1.0) else 0)
-    full = _binomial(rng, n_cal, _cdf_sf(params.n, b, J)[1])
-    if n_test is None:
-        covered = n_cal if params.complement_covers(b) else full
-    else:
-        h_star = params.complement_miss_limit(n_test)
-        covered = full + _binomial(rng, n_cal - full, _cdf_sf(n_test, b, h_star)[0])
-    return full, covered
+    full, _, covers = params.indicator_shares(b, n_test)
+    return _coverage_counts(rng, n_cal, full, covers)
+
+
+def _coverage_counts(rng: random.Random, n_cal: int, full: float, covers: float) -> tuple[int, int]:
+    """The two draws of `indicator_coverage_event`, from shares already summed."""
+    count = _binomial(rng, n_cal, full)
+    return count, count + _binomial(rng, n_cal - count, covers)
 
 
 def score_threshold(scores: np.ndarray, J: int) -> np.ndarray:

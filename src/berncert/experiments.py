@@ -7,7 +7,8 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .binom import N_MAX, SeededStream, _fmt, check_epsilon, check_int, check_level, check_prob
-from .conformal import PacParams, indicator_coverage_event, theorem1_bound
+from .conformal import PacParams, _coverage_counts, theorem1_bound
+# exact_SE_probability is not called: perfbench's tracer wraps it here (tests/test_tracer.py)
 from .indicator import exact_SE_probability, inp_closed_form
 from .intervals import clopper_pearson
 
@@ -43,6 +44,8 @@ class AppendixConfig(
         for q in (q_min, q_max):
             check_level(cls.E_of(q), f"E at q = {q}")
         epsilon = check_epsilon(raw.epsilon)
+        if epsilon == 1:  # J >= N: every row would predict the empty set
+            raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
         return super().__new__(
             cls, q_min, q_max, alpha_frac, epsilon, n_cal, n_test, n_calibration_size, master_seed, raw.mode
         )
@@ -64,44 +67,37 @@ class AppendixConfig(
 
 
 # q: int; E, b: floats; regime, mode: strs; h_hat, exact_prob_SE, bound_Esq,
-# frac_fullspace, frac_qbar_covering: floats; n_cal, n_test, seed: ints
+# frac_fullspace, frac_qbar_covering: floats; n_cal, n_test, seed: ints;
+# target: float, what h_hat estimates, and not a CSV column
 ExperimentRow = namedtuple(
     "ExperimentRow",
-    "q E b regime mode h_hat exact_prob_SE bound_Esq frac_fullspace frac_qbar_covering n_cal n_test seed",
+    "q E b regime mode h_hat exact_prob_SE bound_Esq frac_fullspace frac_qbar_covering n_cal n_test seed target",
 )
-CSV_FIELDS = ExperimentRow._fields
+CSV_FIELDS = ExperimentRow._fields[:-1]
 CSV_HEADER = ",".join(CSV_FIELDS)
 
 
 def _run_row(config: AppendixConfig, q: int, regime_idx: int) -> ExperimentRow:
+    """One row from one set of the coverage event's shares at b
+    (`PacParams.indicator_shares`), so each tail is summed once.  Its target
+    is the event's probability: exact_prob_SE in the exact modes, and in
+    monte_carlo mode the finite-test `monte_carlo_SE_probability`."""
     regime, E, b = config.regimes_of(q)[regime_idx]
-    exact = exact_SE_probability(b, config.n_calibration_size, config.epsilon, E)
+    params = PacParams(config.epsilon, E, config.n_calibration_size)
+    n_test = config.n_test if config.mode == "monte_carlo" else None
+    full, complement, covers = params.indicator_shares(b, n_test)
+    target = full + complement * covers
+    exact_prob_SE = target if n_test is None else full + complement * float(params.complement_covers(b))
     if config.mode == "fully_exact":
-        h_hat = exact.prob_SE
-        frac_full = exact.prob_fullspace
-        frac_qbar = exact.prob_qbar_covering
+        h_hat, frac_full, frac_qbar = target, full, complement * covers
     else:
         rng = SeededStream(config.master_seed).substream(2 * q + regime_idx).random()
-        n_test = config.n_test if config.mode == "monte_carlo" else None
-        full, covered = indicator_coverage_event(exact.bound.params, b, config.n_cal, rng, n_test)
-        h_hat = covered / config.n_cal
-        frac_full = full / config.n_cal
-        frac_qbar = (covered - full) / config.n_cal
-
+        full_count, covered = _coverage_counts(rng, config.n_cal, full, covers)
+        h_hat, frac_full, frac_qbar = (k / config.n_cal for k in (covered, full_count, covered - full_count))
     return ExperimentRow(
-        q=q,
-        E=E,
-        b=b,
-        regime=regime,
-        mode=config.mode,
-        h_hat=h_hat,
-        exact_prob_SE=exact.prob_SE,
-        bound_Esq=exact.bound.confidence,
-        frac_fullspace=frac_full,
-        frac_qbar_covering=frac_qbar,
-        n_cal=config.n_cal,
-        n_test=config.n_test,
-        seed=config.master_seed,
+        q=q, E=E, b=b, regime=regime, mode=config.mode, h_hat=h_hat, exact_prob_SE=exact_prob_SE,
+        bound_Esq=theorem1_bound(params).confidence, frac_fullspace=frac_full, frac_qbar_covering=frac_qbar,
+        n_cal=config.n_cal, n_test=config.n_test, seed=config.master_seed, target=target,
     )
 
 
@@ -121,7 +117,7 @@ def emit_csv(rows: list[ExperimentRow], path) -> None:
         raise ValueError("rows must be nonempty")
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in r))
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in r[: len(CSV_FIELDS)]))
     try:
         with open(path, "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -10,7 +10,8 @@ import math
 from collections import namedtuple
 from enum import Enum
 
-from .binom import _cdf_sf, binom_cdf, check_int, check_prob
+# binom_cdf is not called: perfbench's tracer wraps it here (tests/test_tracer.py)
+from .binom import binom_cdf, check_int, check_prob
 from .conformal import PacParams, score_rank_threshold, theorem1_bound
 
 
@@ -45,17 +46,13 @@ def inp_closed_form(n: int, ones_count: int, epsilon) -> PredictionSetKind:
 ExactSEResult = namedtuple("ExactSEResult", "prob_SE prob_fullspace prob_qbar_covering bound")
 
 
-def _tail_split(b: float, epsilon, coverage_E: float, n: int) -> tuple[PacParams, float, float]:
+def _closed_form_params(epsilon, coverage_E: float, n: int) -> PacParams:
     """PacParams for the closed forms, which need a predicted set that is
-    never empty (J < N, i.e. epsilon < 1), and the two N-tails at a checked
-    b, Pr(Y <= J) (the complement is predicted) and Pr(Y > J) (the full
-    space), Y ~ Bin(N, b), from one sum, so that neither is the other's
-    cancelled complement."""
+    never empty: J < N, i.e. epsilon < 1."""
     params = PacParams(epsilon=epsilon, coverage_E=coverage_E, n=n)
     if params.J >= params.n:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
-    prob_complement, prob_fullspace, _, _ = _cdf_sf(params.n, b, params.J)
-    return params, prob_complement, prob_fullspace
+    return params
 
 
 def exact_SE_probability(b: float, n: int, epsilon, coverage_E: float) -> ExactSEResult:
@@ -64,15 +61,15 @@ def exact_SE_probability(b: float, n: int, epsilon, coverage_E: float) -> ExactS
 
     Inner coverage is 1 for the full space and 1 - b for the complement
     prediction, so the event holds always when b <= E and exactly when the
-    full space is predicted when b > E.
+    full space is predicted when b > E: full + complement * covers over
+    `PacParams.indicator_shares(b)`, where covers is 1.0 or 0.0.
     """
-    b = check_prob(b, "b")
-    params, prob_complement, prob_fullspace = _tail_split(b, epsilon, coverage_E, n)
-    covers = params.complement_covers(b)
+    params = _closed_form_params(epsilon, coverage_E, n)
+    full, complement, covers = params.indicator_shares(b)
     return ExactSEResult(
-        prob_SE=1.0 if covers else prob_fullspace,
-        prob_fullspace=prob_fullspace,
-        prob_qbar_covering=prob_complement if covers else 0.0,
+        prob_SE=full + complement * covers,
+        prob_fullspace=full,
+        prob_qbar_covering=complement * covers,
         bound=theorem1_bound(params),
     )
 
@@ -80,15 +77,15 @@ def exact_SE_probability(b: float, n: int, epsilon, coverage_E: float) -> ExactS
 def monte_carlo_SE_probability(b: float, n: int, epsilon, coverage_E: float, n_test: int) -> float:
     """The probability that a `monte_carlo` replicate of the sweep lands in
     the coverage event, which its h_hat estimates:
-    Pr(Y > J) + Pr(Y <= J) * Pr(Bin(n_test, b) <= h*), Y ~ Bin(n, b).
+    Pr(Y > J) + Pr(Y <= J) * Pr(Bin(n_test, b) <= h*), Y ~ Bin(n, b), over
+    `PacParams.indicator_shares(b, n_test)`.
 
     The complement's inner coverage is estimated from n_test test points,
     and it covers iff at most h* of them fall in the target set
     (`PacParams.complement_miss_limit`), so this is not `exact_SE_probability`.
     """
-    b = check_prob(b, "b")
-    params, prob_complement, prob_fullspace = _tail_split(b, epsilon, coverage_E, n)
-    return prob_fullspace + prob_complement * binom_cdf(n_test, b, params.complement_miss_limit(n_test))
+    full, complement, covers = _closed_form_params(epsilon, coverage_E, n).indicator_shares(b, n_test)
+    return full + complement * covers
 
 
 # label: str; probability: float; prediction: PredictionSetKind; inner_coverage: float; in_SE: bool
@@ -104,7 +101,7 @@ def enumerate_example1(b: float, epsilon, coverage_E: float) -> Example1Table:
     epsilon, each class's inner coverage, and membership in the coverage
     event.  Aggregates to the same value as the closed form."""
     b = check_prob(b, "b")
-    params, _, _ = _tail_split(b, epsilon, coverage_E, 2)
+    params = _closed_form_params(epsilon, coverage_E, 2)
     classes = [
         ("no calibration point in Q", (1.0 - b) ** 2, 0),
         ("one calibration point in Q", 2.0 * b * (1.0 - b), 1),
@@ -148,10 +145,11 @@ def naive_interval_coverage(b: float, coverage_E: float, n: int, epsilon) -> Nai
     is then still issued, and its conditional coverage is returned.
     """
     b = check_prob(b, "b")
-    params, claim_rate, _ = _tail_split(b, epsilon, coverage_E, n)
+    params = _closed_form_params(epsilon, coverage_E, n)
+    _, claim_rate, covers = params.indicator_shares(b)
     if b == 1.0 or params.J < 0:
         raise ClaimNeverIssuedError(
             f"the complement prediction is never issued for b={b}, n={params.n}, epsilon={epsilon}"
         )
-    return NaiveIntervalReport(conditional_coverage=1.0 if params.complement_covers(b) else 0.0, claim_rate=claim_rate)
+    return NaiveIntervalReport(conditional_coverage=covers, claim_rate=claim_rate)
 

@@ -330,6 +330,18 @@ class TestSimulateAppendix:
         assert out == ""
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("mode", ["fully-exact", "exact-inner", "monte-carlo"])
+    def test_epsilon_one_exits_1_before_writing(self, capsys, tmp_path, mode):
+        # every row would predict the empty set: refused by the config
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "simulate-appendix", "--mode", mode, "--epsilon", "1", "--q-max", "0", "--out", str(out_path)
+        )
+        assert code == 1
+        assert "epsilon" in err
+        assert out == ""
+        assert not out_path.exists()
+
     def test_unwritable_out_exits_3(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,

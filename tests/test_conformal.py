@@ -307,6 +307,26 @@ class TestIndicatorCoverageEvent:
         self.assert_binomial_moments(full, n_cal, p_full, "full")
         self.assert_binomial_moments(covered, n_cal, p_covered, "covered")
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_certain_draws_take_no_uniform(self, seed):
+        """A count whose share is 0.0 or 1.0 is drawn without a uniform, so
+        the seeded rows do not depend on the draws that cannot vary: at
+        J >= N neither count takes one, and at exact inner coverage only
+        the full-space count does."""
+        for E, covered in ((0.3, 0), (1.0, 1000)):  # J >= N: the empty set covers iff E = 1
+            for n_test in (None, 1, 50):
+                rng = SeededStream(seed).random()
+                state = rng.getstate()
+                assert indicator_coverage_event(PacParams(Fraction(1), E, 4), 0.2, 1000, rng, n_test) == (0, covered)
+                assert rng.getstate() == state
+        params = PacParams(Fraction(2, 3), 0.3, 2)
+        for b in (0.2, 0.4):  # b <= E, where every replicate covers, and b > E
+            rng, reference = SeededStream(seed).random(), SeededStream(seed).random()
+            full, covered = indicator_coverage_event(params, b, 1000, rng)
+            assert full == _binomial(reference, 1000, params.indicator_shares(b)[0])
+            assert covered == (1000 if b <= 0.3 else full)
+            assert rng.getstate() == reference.getstate()
+
 
 def _grid_probabilities(n: int) -> list[float]:
     """Both edges, subnormal and tiny p, numpy's switch from inversion at
@@ -621,7 +641,8 @@ class TestEstimateSEEngine:
             UniformScore(), lambda rng, count: rng.random(count), params, n_cal, n_test, SeededStream(21)
         )
         x = np.arange(n_test + 1)
-        prob = float(betabinom.pmf(x, n_test, n - params.J, params.J + 1)[x / n_test >= 1.0 - E].sum())
+        passing = 1.0 - (n_test - x) / n_test >= 1.0 - E  # at most h* of n_test missed
+        prob = float(betabinom.pmf(x, n_test, n - params.J, params.J + 1)[passing].sum())
         tol = 5 * math.sqrt(prob * (1 - prob) / n_cal)
         assert abs(report.h_hat - prob) <= tol
         assert sum(report.decomposition.values()) == pytest.approx(1.0)

@@ -107,14 +107,58 @@ class TestRunAppendix:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_monte_carlo_rows_match_finite_test_target(self, seed):
         # paper settings; a row's substream depends on q alone, so a one-q
-        # sweep gives the same rows as the full one
+        # sweep gives the same rows as the full one.  Each row carries its
+        # target: the finite-test one in monte_carlo mode, bit for bit, and
+        # exact_prob_SE in the exact modes, which a fully_exact row equals
         for q in (0, 2, 39, 70, 98):
             config = AppendixConfig(q_min=q, q_max=q, master_seed=seed, mode="monte_carlo")
             for r in run_appendix(config):
                 target = monte_carlo_SE_probability(r.b, config.n_calibration_size, config.epsilon, r.E, r.n_test)
+                assert r.target == target, (r, target)
                 covered = round(r.h_hat * r.n_cal)
                 two_sided = 2 * min(binom.cdf(covered, r.n_cal, target), binom.sf(covered - 1, r.n_cal, target))
                 assert two_sided >= 1e-9, (r, target)
+            for mode in ("exact_inner", "fully_exact"):
+                for r in run_appendix(config._replace(mode=mode)):
+                    assert r.target == r.exact_prob_SE, r
+                    assert mode == "exact_inner" or r.h_hat == r.target, r
+
+    @pytest.mark.parametrize("mode", ["monte-carlo", "exact-inner", "fully-exact"])
+    def test_each_tail_summed_once(self, tmp_path, monkeypatch, mode):
+        """A paper-scale row and its `simulate-appendix` deviation line sum
+        one N-tail at b, one at E (the bound), and in monte-carlo mode one
+        n_test tail, after one walk to h*: each tail once, counted at every
+        site that binds the kernel's `_cdf_sf`."""
+        import berncert.binom
+        from berncert import cli
+        from berncert.conformal import PacParams
+
+        tail_sum, walk = berncert.binom._cdf_sf, PacParams.complement_miss_limit
+        sums, walks = [], []
+
+        def counted_sum(n, b, j):
+            sums.append((n, b))
+            return tail_sum(n, b, j)
+
+        def counted_walk(params, n_test):
+            walks.append(n_test)
+            return walk(params, n_test)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("berncert") and getattr(module, "_cdf_sf", None) is tail_sum:
+                monkeypatch.setattr(module, "_cdf_sf", counted_sum)
+        monkeypatch.setattr(PacParams, "complement_miss_limit", counted_walk)
+        q = 39
+        assert cli.main(["simulate-appendix", "--mode", mode, "--q-min", str(q), "--q-max", str(q),
+                         "--out", str(tmp_path / "row.csv")]) == 0
+        config = AppendixConfig(q_min=q, q_max=q, mode=mode.replace("-", "_"))
+        (_, E, b_le), (_, _, b_gt) = config.regimes_of(q)
+        N, n_test = config.n_calibration_size, config.n_test
+        expected = [(N, b_le), (N, b_gt), (N, E), (N, E)]
+        if mode == "monte-carlo":
+            expected += [(n_test, b_le), (n_test, b_gt)]
+        assert sorted(sums) == sorted(expected)
+        assert walks == ([n_test, n_test] if mode == "monte-carlo" else [])
 
     FIRST_IMPORT = """
 import sys

@@ -89,10 +89,11 @@ def test_pac_params_replace_checks_and_derives_J():
         (AppendixConfig(), {"master_seed": 1.5}, "master_seed"),
         (AppendixConfig(), {"q_max": -1}, "q_max"),
         (AppendixConfig(), {"mode": "exact"}, "mode"),
+        (AppendixConfig(), {"epsilon": 1}, r"epsilon must lie in \[0, 1\)"),
         (linear_contraction_system(), {"horizon": 2.5}, "horizon"),
     ],
     ids=["CalibrationScores scores", "EndpointTable n", "EndpointTable uppers", "AppendixConfig master_seed",
-         "AppendixConfig q_max", "AppendixConfig mode", "ToySafetySystem horizon"],
+         "AppendixConfig q_max", "AppendixConfig mode", "AppendixConfig epsilon", "ToySafetySystem horizon"],
 )
 def test_replace_checks(record, change, message):
     with pytest.raises(ValueError, match=message):
